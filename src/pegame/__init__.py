@@ -36,7 +36,6 @@ from .riccati import (
     RiccatiSolution,
     StepControl,
     eval_solution,
-    make_error_value_problem,
     make_gap_problem,
     make_value_problem,
     riccati_residual,
@@ -103,7 +102,6 @@ __all__ = [
     "eval_solution",
     "example_one_spec",
     "game_value",
-    "make_error_value_problem",
     "make_gap_problem",
     "make_value_problem",
     "max_next_instance",

@@ -36,7 +36,6 @@ from .errors import (
 )
 from .game_model import GameSpec, example_one_spec, validate_spec
 from .riccati import (
-    StepControl,
     eval_solution,
     make_value_problem,
     riccati_residual,
@@ -184,7 +183,12 @@ def spec_from_dict(doc: dict) -> GameSpec:
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"bad scalar field: {exc}") from exc
 
-    spec = GameSpec(t0=t0, tf=tf, x0=x0, **values)
+    if not (np.isfinite(t0) and np.isfinite(tf) and t0 < tf):
+        raise SchemaError(f"need finite t0 < tf, got t0={t0}, tf={tf}")
+    try:
+        spec = GameSpec(t0=t0, tf=tf, x0=x0, **values)
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from exc
     try:
         validate_spec(spec)
     except DimensionMismatch as exc:
@@ -270,7 +274,6 @@ class RunConfig:
     spec: GameSpec | None
     options: dict = field(default_factory=dict)
     strict: bool = False
-    step_control: StepControl | None = None
 
 
 def _violation_dict(v) -> dict:
@@ -308,7 +311,7 @@ def _cmd_validate(config: RunConfig) -> tuple[int, dict]:
 
 def _cmd_riccati(config: RunConfig) -> tuple[int, dict]:
     spec = config.spec
-    sol = solve_value_riccati(spec, config.step_control)
+    sol = solve_value_riccati(spec)
     residual = riccati_residual(sol, make_value_problem(spec), 100)
     out = config.options.get("out")
     if out:
@@ -318,7 +321,7 @@ def _cmd_riccati(config: RunConfig) -> tuple[int, dict]:
         "command": "riccati",
         "kind": sol.kind,
         "grid_points": len(sol.grid),
-        "reached_floor": sol.reached_floor,
+        "reached_floor": True,  # the solve raises FiniteEscape otherwise
         "residual": residual,
         "value_at_t0": P0.tolist(),
         "game_value": float(spec.x0 @ P0 @ spec.x0),
@@ -329,13 +332,12 @@ def _cmd_riccati(config: RunConfig) -> tuple[int, dict]:
 
 def _cmd_schedule(config: RunConfig) -> tuple[int, dict]:
     spec = config.spec
-    sol = solve_value_riccati(spec, config.step_control)
+    sol = solve_value_riccati(spec)
     sched = optimal_schedule(
         spec,
         sol,
         config.options.get("margin"),
         compute_slack=not config.options.get("no_slack", False),
-        step_control=config.step_control,
     )
     doc = {
         "command": "schedule",
@@ -350,11 +352,9 @@ def _cmd_schedule(config: RunConfig) -> tuple[int, dict]:
 
 def _cmd_check_schedule(config: RunConfig) -> tuple[int, dict]:
     spec = config.spec
-    sol = solve_value_riccati(spec, config.step_control)
+    sol = solve_value_riccati(spec)
     instants = config.options.get("instants", [])
-    certs = check_admissibility(
-        spec, sol, instants, step_control=config.step_control
-    )
+    certs = check_admissibility(spec, sol, instants)
     passed = all(c.passed for c in certs)
     doc = {
         "command": "check-schedule",
@@ -397,14 +397,13 @@ def _evader_strategy(config: RunConfig, spec, sol) -> Strategy:
             sol,
             interval,
             scale=float(config.options.get("scale", 1.0)),
-            step_control=config.step_control,
         )
     raise SchemaError(f"unknown evader strategy {name!r}")
 
 
 def _cmd_simulate(config: RunConfig) -> tuple[int, dict]:
     spec = config.spec
-    sol = solve_value_riccati(spec, config.step_control)
+    sol = solve_value_riccati(spec)
     instants = config.options.get("instants", [])
     pursuer = _pursuer_strategy(config.options.get("pursuer", "ce"), spec, sol)
     evader = _evader_strategy(config, spec, sol)
@@ -429,7 +428,7 @@ def _cmd_simulate(config: RunConfig) -> tuple[int, dict]:
 
 def _cmd_sweep(config: RunConfig) -> tuple[int, dict]:
     spec = config.spec
-    sol = solve_value_riccati(spec, config.step_control)
+    sol = solve_value_riccati(spec)
     c_values = config.options.get("c_values", [0.0, 1.0, 2.0])
     payoffs = deviation_sweep(
         spec,
@@ -450,12 +449,10 @@ def _cmd_sweep(config: RunConfig) -> tuple[int, dict]:
 
 def _cmd_slack(config: RunConfig) -> tuple[int, dict]:
     spec = config.spec
-    sol = solve_value_riccati(spec, config.step_control)
+    sol = solve_value_riccati(spec)
     t_prev = float(config.options.get("t_prev", spec.t0))
     upper = float(config.options.get("upper", spec.tf))
-    sup = max_next_instance(
-        spec, sol, t_prev, upper, step_control=config.step_control
-    )
+    sup = max_next_instance(spec, sol, t_prev, upper)
     doc = {
         "command": "slack",
         "t_prev": t_prev,
@@ -542,14 +539,6 @@ def _add_spec_args(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_tolerance_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--rtol", type=float, default=None)
-    p.add_argument("--atol", type=float, default=None)
-    p.add_argument("--h-max", type=float, default=None)
-    p.add_argument("--h-min", type=float, default=None)
-    p.add_argument("--blowup", type=float, default=None)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pegame",
@@ -567,24 +556,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("riccati", help="solve the value flow, export CSV")
     _add_spec_args(p)
-    _add_tolerance_args(p)
     p.add_argument("--out", help="CSV output path")
 
     p = sub.add_parser("schedule", help="minimum-communication schedule")
     _add_spec_args(p)
-    _add_tolerance_args(p)
     p.add_argument("--margin", type=float, default=None)
     p.add_argument("--no-slack", action="store_true")
 
     p = sub.add_parser("check-schedule", help="certify a given schedule")
     _add_spec_args(p)
-    _add_tolerance_args(p)
     p.add_argument("--instants", type=_float_list, default=[])
     p.add_argument("--strict", action="store_true")
 
     p = sub.add_parser("simulate", help="closed-loop run, payoff two ways")
     _add_spec_args(p)
-    _add_tolerance_args(p)
     p.add_argument("--instants", type=_float_list, default=[])
     p.add_argument(
         "--pursuer", default="ce", choices=["ce", "certainty-equivalent", "open-loop"]
@@ -602,7 +587,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="payoffs of scaled constant deviations")
     _add_spec_args(p)
-    _add_tolerance_args(p)
     p.add_argument("--c", type=_float_list, default=[0.0, 1.0, 2.0])
     p.add_argument("--instants", type=_float_list, default=[])
     p.add_argument(
@@ -614,7 +598,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("slack", help="supremum of the next admissible instant")
     _add_spec_args(p)
-    _add_tolerance_args(p)
     p.add_argument("--t-prev", type=float, default=None)
     p.add_argument("--upper", type=float, default=None)
 
@@ -643,14 +626,9 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             preset = getattr(args, "preset", None) or "example1"
             spec = _PRESETS[preset]()
 
-    ctrl = None
-    ctrl_fields = {}
-    for name in ("rtol", "atol", "h_max", "h_min", "blowup"):
-        value = getattr(args, name, None)
-        if value is not None:
-            ctrl_fields[name] = value
-    if ctrl_fields:
-        ctrl = StepControl(**ctrl_fields)
+    step = getattr(args, "step", None)
+    if step is not None and not step > 0:
+        raise SchemaError(f"--step must be positive, got {step}")
 
     options: dict[str, Any] = {}
     if args.command == "riccati":
@@ -701,7 +679,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         spec=spec,
         options=options,
         strict=getattr(args, "strict", False),
-        step_control=ctrl,
     )
 
 

@@ -5,10 +5,10 @@ Two independent detectors cross-validate each other:
 * norm blow-up: integrate the nonlinear flow backward and bracket the time
   where the spectral norm crosses the guard threshold.
 * linear-flow determinant: write the constant-coefficient gap flow as
-  Y(t) X(t)^-1 where [X; Y] obeys a linear ODE with the block matrix
-  H = [[A, -C R_e^-1 C'], [Q, -A']]; escapes are the zeros of det X(t).
-  The linear flow has no finite-time singularity in exact arithmetic,
-  which makes this the oracle of record.
+  Y(t) X(t)^-1 where [X; Y] obeys the linear ODE of the gap problem's
+  Hamiltonian H = [[A, -C R_e^-1 C'], [Q, -A']]; escapes are the zeros of
+  det X(t).  The linear flow has no finite-time singularity in exact
+  arithmetic, which makes this the oracle of record.
 
 det X can touch zero without a sign change (its roots carry the
 multiplicity of the number of simultaneously diverging eigendirections,
@@ -30,7 +30,9 @@ from .riccati import (
     DEFAULT_BLOWUP,
     RiccatiProblem,
     StepControl,
+    _gap_problem,
     _integrate_backward,
+    _sym,
 )
 
 TIME_TOL_REL = 1e-9
@@ -114,64 +116,61 @@ def detect_escape_norm(
     )
 
 
-def _hamiltonian_block(spec: GameSpec) -> np.ndarray:
-    A, Q = spec.A, spec.Q
-    S = spec.evader_power()
-    n = spec.n_x
-    H = np.zeros((2 * n, 2 * n))
-    H[:n, :n] = A
-    H[:n, n:] = -S
-    H[n:, :n] = Q
-    H[n:, n:] = -A.T
-    return H
-
-
 def _normalize(Z: np.ndarray) -> np.ndarray:
     nrm = np.linalg.norm(Z)
     return Z / nrm if nrm > 0 else Z
 
 
-def _flow_norm(Z: np.ndarray, n: int) -> float:
-    """Spectral norm of Y X^-1 reconstructed from the stacked flow."""
-    X, Y = Z[:n], Z[n:]
+class _StackedFlow:
+    """Pointwise-exact evaluator of a constant-coefficient flow.
+
+    Evaluates exp(H (t - t1)) @ Z0, normalized, for the problem's
+    Hamiltonian H and Z0 = [I; X(t1)].  Uses the eigendecomposition of H
+    when it is well conditioned; falls back to the scaling-and-squaring
+    exponential otherwise (the bundled example's H is nilpotent, hence
+    defective)."""
+
+    def __init__(self, problem: RiccatiProblem):
+        n = problem.n
+        self.n = n
+        self.H = problem.hamiltonian
+        self.Z0 = _normalize(np.vstack([np.eye(n), problem.terminal_value]))
+        self.t1 = problem.terminal_time
+        self._eig = None
+        try:
+            w, V = np.linalg.eig(self.H)
+            cond = np.linalg.cond(V)
+            if np.isfinite(cond) and cond < 1e8:
+                self._eig = (w, V, np.linalg.solve(V, self.Z0.astype(complex)))
+        except np.linalg.LinAlgError:
+            pass
+
+    def _stacked(self, t: float) -> np.ndarray:
+        dt = t - self.t1
+        if self._eig is not None:
+            w, V, VZ = self._eig
+            return (V @ (np.exp(w * dt)[:, None] * VZ)).real
+        return la.expm(self.H * dt) @ self.Z0
+
+    def __call__(self, t: float) -> np.ndarray:
+        return _normalize(self._stacked(t))
+
+    def value(self, t: float) -> np.ndarray:
+        """The flow Y X^-1 at t; raises LinAlgError at a pole."""
+        Z = self._stacked(t)
+        return _sym(np.linalg.solve(Z[: self.n].T, Z[self.n :].T).T)
+
+
+def _flow_norm(stacked: _StackedFlow, t: float) -> float:
+    """Spectral norm of the flow at t; infinite at a pole."""
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            val = np.linalg.solve(X.T, Y.T).T
+            val = stacked.value(t)
     except np.linalg.LinAlgError:
         return np.inf
     if not np.isfinite(val).all():
         return np.inf
     return float(np.linalg.norm(val, 2))
-
-
-class _StackedFlow:
-    """Evaluator for exp(H (t - t1)) @ Z0, normalized.
-
-    Uses the eigendecomposition of H when it is well conditioned; falls
-    back to the scaling-and-squaring exponential otherwise (the bundled
-    example's H is nilpotent, hence defective)."""
-
-    def __init__(self, H: np.ndarray, Z0: np.ndarray, t1: float):
-        self.H = H
-        self.Z0 = Z0
-        self.t1 = t1
-        self._eig = None
-        try:
-            w, V = np.linalg.eig(H)
-            cond = np.linalg.cond(V)
-            if np.isfinite(cond) and cond < 1e8:
-                self._eig = (w, V, np.linalg.solve(V, Z0.astype(complex)))
-        except np.linalg.LinAlgError:
-            pass
-
-    def __call__(self, t: float) -> np.ndarray:
-        dt = t - self.t1
-        if self._eig is not None:
-            w, V, VZ = self._eig
-            Z = (V @ (np.exp(w * dt)[:, None] * VZ)).real
-        else:
-            Z = la.expm(self.H * dt) @ self.Z0
-        return _normalize(Z)
 
 
 def detect_escape_radon(
@@ -196,9 +195,8 @@ def detect_escape_radon(
         else _default_time_tol(terminal_time, floor)
     )
     n = spec.n_x
-    H = _hamiltonian_block(spec)
-    Z0 = np.vstack([np.eye(n), np.array(terminal_value, dtype=float)])
-    Z0n = _normalize(Z0)
+    stacked = _StackedFlow(_gap_problem(spec, terminal_time, terminal_value))
+    H, Z0n = stacked.H, stacked.Z0
 
     ts = np.linspace(terminal_time, floor, scan_points)
     delta = ts[0] - ts[1]
@@ -224,8 +222,6 @@ def detect_escape_radon(
         k += m
     sigmas = np.linalg.svd(X_blocks, compute_uv=False)[:, -1] / scales
     signs = np.linalg.slogdet(X_blocks)[0]
-
-    stacked = _StackedFlow(H, Z0n, terminal_time)
 
     def sigma_min(t: float) -> float:
         return float(np.linalg.svd(stacked(t)[:n], compute_uv=False)[-1])
@@ -269,7 +265,7 @@ def detect_escape_radon(
                 d = a + _GOLDEN * (b - a)
                 fd = sigma_min(d)
         t_hat = 0.5 * (a + b)
-        nrm = _flow_norm(stacked(t_hat), n)
+        nrm = _flow_norm(stacked, t_hat)
         if nrm >= blowup:
             t_hat = float(min(max(t_hat, floor), terminal_time))
             half = float(0.5 * max(b - a, tol))

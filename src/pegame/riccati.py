@@ -1,36 +1,40 @@
-"""Backward integration of the game's matrix Riccati flows.
+"""The game's matrix Riccati flows and their exact backward propagation.
 
 Three flows share one quadratic form ``X' + F'X + XF + D + X N X = 0``
-integrated backward from a terminal condition:
+run backward from a terminal condition:
 
-* value flow:        F = A,             D = Q,                N = evader power - pursuer power,
+* value flow:        F = A, D = Q,  N = evader power - pursuer power,
                      terminal Q_f.  Its solution prices the game and feeds
                      the equilibrium gains.
-* error-value flow:  F = A + S P(t),    D = -P B R_p^-1 B' P, N = -S,
-                     terminal 0 at the end of a sensing interval, where
-                     S = C R_e^-1 C'.  Prices what the evader can extract
-                     from estimation error on one interval.
-* gap flow:          F = A,             D = -Q,               N = -S,
-                     terminal -P(t1).  Equals error-value minus value, has
-                     constant coefficients, and blows up exactly when the
-                     error-value flow does; drives the scheduler.
+* gap flow:          F = A, D = -Q, N = -S, terminal -P(t1) at the end of
+                     a sensing interval, where S = C R_e^-1 C'.  Drives the
+                     scheduler.
+* error-value flow:  M = G + P, the gap flow plus the value flow, with
+                     terminal 0 at t1.  Prices what the evader can extract
+                     from estimation error on one interval, and blows up
+                     exactly when the gap flow does.
 
-Integration uses an explicit Dormand-Prince 4(5) pair with per-step
-symmetrization, a spectral-norm blow-up guard, and stored derivatives for
-cubic-Hermite dense output.
+All coefficients are constant, so X = V U^-1 where [U; V] obeys the linear
+flow [U; V]' = H [U; V] with H = [[F, N], [-D, -F']].  ``solve_riccati``
+propagates it exactly on a uniform grid with one matrix exponential,
+restarting from [I; X] at every node to keep U well conditioned (Davison
+and Maki, IEEE TAC 1973), and stores node derivatives for cubic-Hermite
+dense output.  The adaptive Dormand-Prince 4(5) integrator below stays as
+an independent check: the norm blow-up escape detector runs on it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
+import scipy.linalg as la
 
 from .errors import FiniteEscape, OutOfRange, StepUnderflow
 from .game_model import GameSpec
 
 DEFAULT_BLOWUP = 1e9
-H_MAX_REL = 1e-3   # keeps the Hermite interpolant's ODE residual near 1e-8
+STEPS = 1000       # uniform steps of an exact solve
+H_MAX_REL = 1e-3   # adaptive integrator: largest step, relative to the span
 H_MIN_REL = 1e-12
 
 
@@ -49,7 +53,7 @@ def _guard_norm(X: np.ndarray, threshold: float) -> float:
 
 @dataclass(frozen=True)
 class StepControl:
-    """Adaptive-step configuration.
+    """Adaptive-step configuration of the Dormand-Prince integrator.
 
     ``h_max``/``h_min`` default to ``1e-3`` and ``1e-12`` times the
     integration span when left unset.  ``blowup`` is the spectral-norm
@@ -70,57 +74,52 @@ class StepControl:
 
 @dataclass(frozen=True)
 class RiccatiProblem:
-    """One backward terminal-value problem in the shared quadratic form."""
+    """One backward terminal-value problem in the shared quadratic form,
+    with constant coefficients."""
 
-    kind: str  # "value" | "error_value" | "gap"
-    drift: Callable[[float], np.ndarray]   # F(t)
-    load: Callable[[float], np.ndarray]    # D(t)
-    quad: np.ndarray                       # N, constant
+    kind: str  # "value" | "gap"
+    drift: np.ndarray   # F
+    load: np.ndarray    # D
+    quad: np.ndarray    # N
     terminal_time: float
     terminal_value: np.ndarray
     n: int
 
-    def rhs(self, t: float, X: np.ndarray) -> np.ndarray:
-        F = self.drift(t)
-        return -(F.T @ X + X @ F + self.load(t) + X @ self.quad @ X)
+    def rhs(self, t, X: np.ndarray) -> np.ndarray:
+        """Time derivative at X; also accepts a stack of matrices."""
+        F = self.drift
+        return -(F.T @ X + X @ F + self.load + X @ self.quad @ X)
+
+    @property
+    def hamiltonian(self) -> np.ndarray:
+        """H = [[F, N], [-D, -F']]: X = V U^-1 for [U; V]' = H [U; V]."""
+        F = self.drift
+        return np.block([[F, self.quad], [-self.load, -F.T]])
 
 
 def make_value_problem(spec: GameSpec) -> RiccatiProblem:
-    A, Q, Qf = spec.A, spec.Q, spec.Q_f
-    gap = spec.controllability_gap()
     return RiccatiProblem(
         kind="value",
-        drift=lambda t: A,
-        load=lambda t: Q,
-        quad=gap,
+        drift=spec.A,
+        load=spec.Q,
+        quad=spec.controllability_gap(),
         terminal_time=spec.tf,
-        terminal_value=_sym(Qf),
+        terminal_value=_sym(spec.Q_f),
         n=spec.n_x,
     )
 
 
-def make_error_value_problem(
-    spec: GameSpec, value_sol: "RiccatiSolution", terminal_time: float
+def _gap_problem(
+    spec: GameSpec, terminal_time: float, terminal_value: np.ndarray
 ) -> RiccatiProblem:
-    """Error-value flow on a sensing interval ending at ``terminal_time``."""
-    A = spec.A
-    S = spec.evader_power()
-    W = spec.pursuer_power()
-
-    def drift(t: float) -> np.ndarray:
-        return A + S @ eval_solution(value_sol, t)
-
-    def load(t: float) -> np.ndarray:
-        P = eval_solution(value_sol, t)
-        return -(P @ W @ P)
-
+    """Gap flow ending at ``terminal_value`` at ``terminal_time``."""
     return RiccatiProblem(
-        kind="error_value",
-        drift=drift,
-        load=load,
-        quad=-S,
+        kind="gap",
+        drift=spec.A,
+        load=-spec.Q,
+        quad=-spec.evader_power(),
         terminal_time=float(terminal_time),
-        terminal_value=np.zeros((spec.n_x, spec.n_x)),
+        terminal_value=np.array(terminal_value, dtype=float),
         n=spec.n_x,
     )
 
@@ -128,86 +127,70 @@ def make_error_value_problem(
 def make_gap_problem(
     spec: GameSpec, value_sol: "RiccatiSolution", terminal_time: float
 ) -> RiccatiProblem:
-    """Gap flow (error-value minus value) ending at ``terminal_time``.
-
-    All coefficients are constant; only the terminal condition samples the
-    value flow.
-    """
-    A, Q = spec.A, spec.Q
-    S = spec.evader_power()
-    Y = -eval_solution(value_sol, terminal_time)
-    return RiccatiProblem(
-        kind="gap",
-        drift=lambda t: A,
-        load=lambda t: -Q,
-        quad=-S,
-        terminal_time=float(terminal_time),
-        terminal_value=Y,
-        n=spec.n_x,
+    """Gap flow (error-value minus value) ending at ``terminal_time``,
+    where it equals minus the value flow."""
+    return _gap_problem(
+        spec, terminal_time, -eval_solution(value_sol, terminal_time)
     )
 
 
 @dataclass(frozen=True)
 class RiccatiSolution:
-    """Dense backward solution on a strictly decreasing grid.
+    """Dense backward solution on a strictly decreasing uniform grid.
 
     ``values[k]`` and ``derivs[k]`` hold the matrix and its time
     derivative at ``grid[k]``; evaluation between nodes is cubic Hermite.
+    ``steps[k]`` is the U factor of the exact step from ``grid[k]`` down
+    to ``grid[k + 1]``: it maps the U block of the linear flow there.
     """
 
     kind: str
     grid: np.ndarray      # strictly decreasing, grid[0] = terminal_time
     values: np.ndarray    # (K, n, n)
     derivs: np.ndarray    # (K, n, n)
-    reached_floor: bool
-    floor: float
-
-    @property
-    def terminal_time(self) -> float:
-        return float(self.grid[0])
-
-    @property
-    def reached_time(self) -> float:
-        return float(self.grid[-1])
+    steps: np.ndarray     # (K - 1, n, n)
 
 
-def eval_solution(sol: RiccatiSolution, t: float) -> np.ndarray:
-    """Cubic-Hermite interpolant; exact at grid nodes, symmetrized."""
+def _segment(grid: np.ndarray, t: float) -> tuple[int, float, float]:
+    """Storage index j of the node interval [grid[j+1], grid[j]] holding
+    t, the position s in [0, 1] from its lower end, and its length."""
+    asc_t = grid[::-1]
+    k_asc = int(np.searchsorted(asc_t, t, side="right")) - 1
+    k_asc = min(max(k_asc, 0), len(asc_t) - 2)
+    j = len(grid) - 2 - k_asc
+    h = grid[j] - grid[j + 1]
+    return j, (t - grid[j + 1]) / h, h
+
+
+def _hermite(grid, values, derivs, t: float) -> np.ndarray:
+    """Cubic-Hermite interpolant of node values and derivatives on a
+    decreasing grid; exact at the nodes."""
     t = float(t)
-    lo, hi = sol.reached_time, sol.terminal_time
+    lo, hi = float(grid[-1]), float(grid[0])
     slack = 1e-12 * max(1.0, abs(hi - lo), abs(hi), abs(lo))
     if t < lo - slack or t > hi + slack:
         raise OutOfRange(f"t={t} outside solved interval [{lo}, {hi}]")
-    t = min(max(t, lo), hi)
-
-    asc_t = sol.grid[::-1]
-    k_asc = int(np.searchsorted(asc_t, t, side="right")) - 1
-    k_asc = min(max(k_asc, 0), len(asc_t) - 2)
-    K = len(sol.grid)
-    # ascending index -> descending storage: interval [grid[j+1], grid[j]]
-    j = K - 2 - k_asc
-    t1, t0_ = sol.grid[j], sol.grid[j + 1]
-    h = t1 - t0_
-    s = (t - t0_) / h
-    y0, y1 = sol.values[j + 1], sol.values[j]
-    f0, f1 = sol.derivs[j + 1], sol.derivs[j]
+    j, s, h = _segment(grid, min(max(t, lo), hi))
     h00 = (1 + 2 * s) * (1 - s) ** 2
     h10 = s * (1 - s) ** 2
     h01 = s * s * (3 - 2 * s)
     h11 = s * s * (s - 1)
-    out = h00 * y0 + h10 * h * f0 + h01 * y1 + h11 * h * f1
-    return _sym(out)
+    return (
+        h00 * values[j + 1]
+        + h10 * h * derivs[j + 1]
+        + h01 * values[j]
+        + h11 * h * derivs[j]
+    )
+
+
+def eval_solution(sol: RiccatiSolution, t: float) -> np.ndarray:
+    """Cubic-Hermite interpolant; exact at grid nodes, symmetrized."""
+    return _sym(_hermite(sol.grid, sol.values, sol.derivs, t))
 
 
 def _eval_derivative(sol: RiccatiSolution, t: float) -> np.ndarray:
     """Time derivative of the Hermite interpolant (for residual checks)."""
-    asc_t = sol.grid[::-1]
-    k_asc = int(np.searchsorted(asc_t, t, side="right")) - 1
-    k_asc = min(max(k_asc, 0), len(asc_t) - 2)
-    j = len(sol.grid) - 2 - k_asc
-    t1, t0_ = sol.grid[j], sol.grid[j + 1]
-    h = t1 - t0_
-    s = (t - t0_) / h
+    j, s, h = _segment(sol.grid, t)
     y0, y1 = sol.values[j + 1], sol.values[j]
     f0, f1 = sol.derivs[j + 1], sol.derivs[j]
     d00 = 6 * s * (s - 1) / h
@@ -219,7 +202,7 @@ def _eval_derivative(sol: RiccatiSolution, t: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class IntegrationRun:
-    """Raw backward-integration record, before packaging as a solution."""
+    """Raw backward-integration record of the adaptive integrator."""
 
     ts: np.ndarray
     xs: np.ndarray
@@ -362,53 +345,106 @@ def _integrate_backward(
     )
 
 
-def solve_riccati(
-    problem: RiccatiProblem,
-    floor: float,
-    step_control: StepControl | None = None,
-) -> RiccatiSolution:
-    """Integrate ``problem`` backward to ``floor``; dense output.
+def _restart(E: np.ndarray, X: np.ndarray, n: int):
+    """One exact step from [I; X] with the propagator E.
 
-    Raises FiniteEscape when the blow-up guard trips before the floor.
+    Returns the step's U factor and the flow value V U^-1 there, or None
+    for the value when U is singular or the value is past the blow-up
+    guard."""
+    Z = E[:, :n] + E[:, n:] @ X
+    U = Z[:n]
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            X_new = _sym(np.linalg.solve(U.T, Z[n:].T).T)
+    except np.linalg.LinAlgError:
+        return U, None
+    finite = np.isfinite(X_new).all()
+    if finite and _guard_norm(X_new, DEFAULT_BLOWUP) < DEFAULT_BLOWUP:
+        return U, X_new
+    return U, None
+
+
+def _crosses_pole(U: np.ndarray) -> np.ndarray:
+    """Whether a step's U factor (or each of a stack) has a real
+    eigenvalue at or below zero.
+
+    U starts from I and is singular exactly at a pole, where eigenvalues
+    pass through zero; so a step that jumps a pole ends with a negative
+    real eigenvalue, even at a double root, across which det U keeps its
+    sign."""
+    w = np.linalg.eigvals(U)
+    return ((w.imag == 0) & (w.real <= 0)).any(axis=-1)
+
+
+def _escape_in_step(problem: RiccatiProblem, X: np.ndarray, t: float, h: float):
+    """Bracket the pole below the node (t, X) inside one step of length h
+    by bisection on the step length."""
+    H, n = problem.hamiltonian, problem.n
+    lo, hi = 0.0, h
+    for _ in range(60):  # down to round-off in the step length
+        mid = 0.5 * (lo + hi)
+        U, X_mid = _restart(la.expm(-H * mid), X, n)
+        if X_mid is None or _crosses_pole(U):
+            hi = mid
+        else:
+            lo = mid
+    return t - hi, t - lo
+
+
+def solve_riccati(problem: RiccatiProblem, floor: float) -> RiccatiSolution:
+    """Propagate ``problem`` exactly backward to ``floor``; dense output.
+
+    Raises FiniteEscape when the flow has a pole above the floor.
     """
-    ctrl = step_control or StepControl()
-    run = _integrate_backward(
-        problem.rhs, problem.terminal_time, problem.terminal_value, floor, ctrl
-    )
-    if run.status == "blowup":
+    t1 = problem.terminal_time
+    floor = float(floor)
+    if not floor < t1:
+        raise ValueError("floor must lie below the terminal time")
+    n = problem.n
+    h = (t1 - floor) / STEPS
+    E = la.expm(-problem.hamiltonian * h)
+    grid = np.linspace(t1, floor, STEPS + 1)
+    values = np.empty((STEPS + 1, n, n))
+    steps = np.empty((STEPS, n, n))
+    values[0] = _sym(problem.terminal_value)
+    tripped = STEPS
+    for k in range(STEPS):
+        steps[k], X = _restart(E, values[k], n)
+        if X is None:
+            tripped = k
+            break
+        values[k + 1] = X
+    crossed = np.flatnonzero(_crosses_pole(steps[:tripped]))
+    if crossed.size or tripped < STEPS:
+        k = int(crossed[0]) if crossed.size else tripped
         from .escape import EscapeReport  # deferred: escape builds on this module
 
-        hi = float(run.ts[-1])
-        lo = float(run.t_trip)
+        lo, hi = _escape_in_step(problem, values[k], float(grid[k]), h)
         report = EscapeReport(
             found=True,
             t_escape=0.5 * (lo + hi),
             bracket=(lo, hi),
-            method="norm_blowup",
-            norm_at_detection=float(run.norm_trip),
-            floor=float(floor),
-            terminal_time=problem.terminal_time,
+            method="radon_determinant",
+            norm_at_detection=None,
+            floor=floor,
+            terminal_time=t1,
         )
         raise FiniteEscape(
-            f"{problem.kind} flow escaped near t={report.t_escape:.9g} "
-            f"(norm {run.norm_trip:.3e})",
+            f"{problem.kind} flow escaped near t={report.t_escape:.9g}",
             report=report,
         )
     return RiccatiSolution(
         kind=problem.kind,
-        grid=run.ts,
-        values=run.xs,
-        derivs=run.fs,
-        reached_floor=True,
-        floor=float(floor),
+        grid=grid,
+        values=values,
+        derivs=problem.rhs(grid, values),
+        steps=steps,
     )
 
 
-def solve_value_riccati(
-    spec: GameSpec, step_control: StepControl | None = None
-) -> RiccatiSolution:
+def solve_value_riccati(spec: GameSpec) -> RiccatiSolution:
     """Value flow from Q_f at tf down to t0."""
-    return solve_riccati(make_value_problem(spec), spec.t0, step_control)
+    return solve_riccati(make_value_problem(spec), spec.t0)
 
 
 def riccati_residual(
@@ -416,8 +452,6 @@ def riccati_residual(
 ) -> float:
     """Max normalized ODE residual of the interpolant at interval midpoints."""
     K = len(sol.grid)
-    if K < 2:
-        return 0.0
     idx = np.unique(np.linspace(0, K - 2, min(samples, K - 1)).round().astype(int))
     worst = 0.0
     for j in idx:

@@ -29,13 +29,14 @@ from .errors import (
     IntervalAdmissible,
     NegativeBudget,
 )
+from .escape import _flow_norm, _StackedFlow, detect_escape_radon
 from .game_model import GameSpec
 from .riccati import (
+    DEFAULT_BLOWUP,
     RiccatiSolution,
-    StepControl,
+    _hermite,
     eval_solution,
-    make_error_value_problem,
-    solve_riccati,
+    make_gap_problem,
 )
 
 DEFAULT_STEP_REL = 1.0 / 2000.0
@@ -394,55 +395,23 @@ def game_value(spec: GameSpec, value_sol: RiccatiSolution) -> float:
 # open-loop pair
 
 
-def transition_flow(
-    spec: GameSpec, value_sol: RiccatiSolution, substeps: int = 4000
-):
-    """Dense state-transition matrix of mutual equilibrium play.
+def transition_flow(spec: GameSpec, value_sol: RiccatiSolution):
+    """Dense state-transition matrix Phi(t, t0) of mutual equilibrium play.
 
-    Integrates F' = (A - B R_p^-1 B'P + C R_e^-1 C'P) F forward from the
-    identity with fixed-step RK4 and returns a cubic-Hermite evaluator.
+    Mutual equilibrium play drives the state with A + (C R_e^-1 C' -
+    B R_p^-1 B') P, the U block of the value flow's linear
+    representation, so Phi(t, t0) = U(t) U(t0)^-1.  The value solve's
+    restart steps carry U from node to node, so Phi at each node is a
+    product of their inverses; between nodes it is cubic Hermite.
     """
-    gains = _Gains(spec, value_sol)
-    A = spec.A
-
-    def rhs(t, F):
-        P = gains.value(t)
-        return (A - spec.B @ gains.pursuer(t, P) + spec.C @ gains.evader(t, P)) @ F
-
-    n = spec.n_x
-    h = spec.horizon / substeps
-    t = spec.t0
-    F = np.eye(n)
-    ts = [t]
-    Fs = [F]
-    dFs = [rhs(t, F)]
-    for k in range(substeps):
-        k1 = rhs(t, F)
-        k2 = rhs(t + 0.5 * h, F + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, F + 0.5 * h * k2)
-        k4 = rhs(t + h, F + h * k3)
-        F = F + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        t = spec.tf if k == substeps - 1 else spec.t0 + (k + 1) * h
-        ts.append(t)
-        Fs.append(F)
-        dFs.append(rhs(t, F))
-    ts = np.array(ts)
-    Fs = np.array(Fs)
-    dFs = np.array(dFs)
-
-    def phi(t: float) -> np.ndarray:
-        t = float(min(max(t, spec.t0), spec.tf))
-        j = min(max(int(np.searchsorted(ts, t, side="right")) - 1, 0), len(ts) - 2)
-        ta, tb = ts[j], ts[j + 1]
-        s = (t - ta) / (tb - ta)
-        hh = tb - ta
-        h00 = (1 + 2 * s) * (1 - s) ** 2
-        h10 = s * (1 - s) ** 2
-        h01 = s * s * (3 - 2 * s)
-        h11 = s * s * (s - 1)
-        return h00 * Fs[j] + h10 * hh * dFs[j] + h01 * Fs[j + 1] + h11 * hh * dFs[j + 1]
-
-    return phi
+    steps = value_sol.steps
+    phis = np.empty((len(steps) + 1, spec.n_x, spec.n_x))
+    phis[-1] = np.eye(spec.n_x)
+    for k in range(len(steps) - 1, -1, -1):
+        phis[k] = np.linalg.solve(steps[k], phis[k + 1])
+    closed_loop = spec.A + spec.controllability_gap() @ value_sol.values
+    derivs = closed_loop @ phis
+    return lambda t: _hermite(value_sol.grid, phis, derivs, t)
 
 
 def open_loop_inputs(
@@ -486,34 +455,15 @@ def open_loop_pair(
 
 
 def _interval_escape(spec, value_sol, a, b):
-    from .escape import detect_escape_radon
-
     boundary = -eval_solution(value_sol, b)
     return detect_escape_radon(spec, b, boundary, a)
 
 
-def _error_solution_truncated(
-    spec, value_sol, a, b, btol, step_control
-) -> RiccatiSolution:
-    """Error-value flow on [a, b], truncated at its pole when the escape
-    sits exactly at the interval start (inside escapes raise)."""
-    from .riccati import _integrate_backward
+def _gap_flow(spec, value_sol, b):
+    """Pointwise-exact gap flow G of the interval ending at b; the
+    interval's error-value flow is M = G + P."""
+    return _StackedFlow(make_gap_problem(spec, value_sol, b))
 
-    problem = make_error_value_problem(spec, value_sol, b)
-    ctrl = step_control or StepControl()
-    run = _integrate_backward(problem.rhs, b, problem.terminal_value, a, ctrl)
-    if run.status == "blowup" and run.t_trip > a + btol:
-        raise InadmissibleInterval(
-            f"error-value flow on [{a}, {b}) escapes at {run.t_trip:.9g}"
-        )
-    return RiccatiSolution(
-        kind=problem.kind,
-        grid=run.ts,
-        values=run.xs,
-        derivs=run.fs,
-        reached_floor=run.status == "reached",
-        floor=a,
-    )
 
 
 def deviation_gain_check(
@@ -523,7 +473,6 @@ def deviation_gain_check(
     w,
     *,
     step: float | None = None,
-    step_control: StepControl | None = None,
 ) -> tuple[float, float]:
     """Net evader gain from a deviation on one escape-free interval,
     evaluated two ways.
@@ -545,23 +494,25 @@ def deviation_gain_check(
         raise InadmissibleInterval(
             f"interval [{a}, {b}) contains an escape at {rep.t_escape:.9g}"
         )
-    error_sol = _error_solution_truncated(spec, value_sol, a, b, btol, step_control)
-    t_floor = error_sol.reached_time
+    gap = _gap_flow(spec, value_sol, b)
 
     gains = _Gains(spec, value_sol)
     w_fn = _as_signal(w, spec.n_e)
     A, C, R_p, R_e = spec.A, spec.C, spec.R_p, spec.R_e
     S = spec.evader_power()
 
-    # Escape exactly at the interval start leaves the error-value flow
-    # finite only strictly above it.  The square integrand still has a
-    # finite limit there (the error vanishes linearly while the flow has a
-    # simple pole), equal to the raw formula with M e replaced by
-    # -residue * C w; below the truncation node use that limit.
+    # An escape at the interval start gives the error-value flow a simple
+    # pole there, or puts it past the blow-up guard at the start.  The
+    # square integrand still has a finite limit at the start (the error
+    # vanishes linearly while the flow has a simple pole), equal to the raw
+    # formula with M e replaced by residue * C w; the start uses that limit.
     limit_map = None
-    if not error_sol.reached_floor:
-        t_star = float(rep.t_escape) if rep.found else t_floor
-        residue = -max(t_floor - t_star, 1e-300) * eval_solution(error_sol, t_floor)
+    at_start = rep.found and (
+        rep.t_escape >= a or _flow_norm(gap, a) >= DEFAULT_BLOWUP
+    )
+    if at_start:
+        offset = 1e-6 * (b - a)
+        residue = offset * gap.value(rep.t_escape + offset)
         limit_map = gains.Re_inv_CT @ residue @ C
 
     def derivatives(t, e):
@@ -570,10 +521,10 @@ def deviation_gain_check(
         de = (A + S @ P) @ e + C @ wt
         v = gains.pursuer(t, P) @ e
         gain_rate = v @ R_p @ v - wt @ R_e @ wt
-        if limit_map is not None and t < t_floor:
-            g = wt - limit_map @ wt
+        if limit_map is not None and t == a:
+            g = wt + limit_map @ wt
         else:
-            M = eval_solution(error_sol, max(t, t_floor))
+            M = gap.value(t) + P
             g = wt + gains.Re_inv_CT @ (M @ e)
         square_rate = -(g @ R_e @ g)
         return de, gain_rate, square_rate
@@ -605,7 +556,6 @@ def risky_strategy(
     scale: float = 1.0,
     *,
     standoff: float | None = None,
-    step_control: StepControl | None = None,
 ) -> Strategy:
     """Two-phase deviation for an interval whose error-value flow escapes.
 
@@ -631,9 +581,7 @@ def risky_strategy(
         float(standoff) if standoff is not None else 1e-4 * max(b - t_star, 1e-12)
     )
     t_trunc = min(t_star + standoff, 0.5 * (t_star + b))
-    error_sol = solve_riccati(
-        make_error_value_problem(spec, value_sol, b), t_trunc, step_control
-    )
+    gap = _gap_flow(spec, value_sol, b)
 
     t_switch = a + float(kick_len) if kick_len is not None else t_trunc
     if not (a < t_switch < b):
@@ -651,7 +599,7 @@ def risky_strategy(
         if t <= t_switch:
             return kick
         tt = min(max(t, t_trunc), b)
-        M = eval_solution(error_sol, tt)
+        M = gap.value(tt) + eval_solution(value_sol, tt)
         return -(Re_inv_CT @ (M @ e))
 
     return Strategy(side="evader", kind="risky_two_phase", w_state=w_state)

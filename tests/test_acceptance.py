@@ -6,6 +6,7 @@ Tolerances are fixed here and nowhere else.
 import numpy as np
 import pytest
 
+from pegame.errors import InadmissibleInterval
 from pegame.game_model import example_one_spec
 from pegame.riccati import (
     eval_solution,
@@ -190,7 +191,7 @@ def test_c09_deviation_gain_property(make_clean_spec):
         w = _random_zoh(rng, a, b, spec.n_e)
         try:
             gain, square = deviation_gain_check(spec, sol, (a, b), w)
-        except Exception:
+        except InadmissibleInterval:
             continue
         done += 1
         worst_gain = max(worst_gain, gain)

@@ -290,3 +290,44 @@ def test_canonical_json_round_trips(doc):
         return value
 
     assert normalize(parsed) == normalize(doc)
+
+
+def test_non_finite_matrix_entry_is_schema_error(capsys, tmp_path):
+    doc = spec_to_dict(example_one_spec())
+    doc["A"][0][0] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))  # writes the NaN literal json.loads accepts
+    with pytest.raises(SchemaError, match="non-finite"):
+        load_spec(str(path))
+    code, out, err = run_cli(capsys, "schedule", "--spec", str(path))
+    assert code == 2 and out == ""
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("t0,tf", [(1.0, 1.0), (2.0, 1.0)])
+def test_time_order_is_schema_error(capsys, tmp_path, t0, tf):
+    doc = spec_to_dict(example_one_spec())
+    doc["t0"], doc["tf"] = t0, tf
+    path = tmp_path / "order.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match="t0 < tf"):
+        load_spec(str(path))
+    code, out, err = run_cli(capsys, "schedule", "--spec", str(path))
+    assert code == 2 and out == ""
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_zero_step_is_usage_error(capsys, command):
+    code, out, err = run_cli(capsys, command, "--preset", "example1", "--step", "0")
+    assert code == 2 and out == ""
+    assert "Traceback" not in err and "--step must be positive" in err
+
+
+@pytest.mark.parametrize(
+    "flag", ["--rtol", "--atol", "--h-max", "--h-min", "--blowup"]
+)
+def test_removed_tolerance_flags_are_unknown(capsys, flag):
+    code, out, err = run_cli(capsys, "riccati", "--preset", "example1", flag, "1e-9")
+    assert code == 2 and out == ""
+    assert "unrecognized arguments" in err

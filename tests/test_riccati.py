@@ -5,8 +5,9 @@ from pegame.errors import FiniteEscape, OutOfRange
 from pegame.game_model import GameSpec, example_one_spec
 from pegame.riccati import (
     StepControl,
+    _hermite,
+    _integrate_backward,
     eval_solution,
-    make_error_value_problem,
     make_gap_problem,
     make_value_problem,
     riccati_residual,
@@ -134,12 +135,22 @@ def test_residual_zero_for_zero_gap_flow(example_spec, example_value_sol):
 def test_error_value_equals_gap_plus_value(example_spec, example_value_sol):
     # strictly admissible interval: escape for terminal 1 sits at 0.5 < 0.6
     a, b = 0.6, 1.0
-    error_sol = solve_riccati(
-        make_error_value_problem(example_spec, example_value_sol, b), a
+    spec = example_spec
+    S, W = spec.evader_power(), spec.pursuer_power()
+
+    def error_value_rhs(t, M):
+        # time-varying error-value flow: F = A + S P(t), D = -P W P, N = -S
+        P = eval_solution(example_value_sol, t)
+        F = spec.A + S @ P
+        return -(F.T @ M + M @ F - P @ W @ P - M @ S @ M)
+
+    run = _integrate_backward(
+        error_value_rhs, b, np.zeros((4, 4)), a, StepControl()
     )
-    gap_sol = solve_riccati(make_gap_problem(example_spec, example_value_sol, b), a)
+    assert run.status == "reached"
+    gap_sol = solve_riccati(make_gap_problem(spec, example_value_sol, b), a)
     for t in np.linspace(a, b, 17):
-        M = eval_solution(error_sol, t)
+        M = _hermite(run.ts, run.xs, run.fs, t)
         G = eval_solution(gap_sol, t)
         P = eval_solution(example_value_sol, t)
         rel = np.abs(M - (G + P)).max() / (1.0 + np.abs(M).max())
@@ -194,6 +205,35 @@ def test_value_flow_escape_raises_with_report():
     report = exc_info.value.report
     assert report is not None and report.found
     assert report.t_escape == pytest.approx(1.0, abs=1e-3)
+
+
+def test_double_pole_between_nodes_raises():
+    # two evader-only axes: P = I / (t - 1.0005) backward from tf, a double
+    # pole strictly between grid nodes, across which det U keeps its sign
+    spec = GameSpec(
+        A=np.zeros((2, 2)),
+        B=np.zeros((2, 2)),
+        C=np.eye(2),
+        Q=np.zeros((2, 2)),
+        Q_f=np.eye(2),
+        R_p=np.eye(2),
+        R_e=np.eye(2),
+        t0=0.0,
+        tf=2.0005,
+        x0=np.ones(2),
+    )
+    with pytest.raises(FiniteEscape) as exc_info:
+        solve_value_riccati(spec)
+    report = exc_info.value.report
+    assert report.found
+    assert report.t_escape == pytest.approx(1.0005, abs=1e-6)
+
+
+def test_floor_at_or_above_terminal_time_rejected(example_spec):
+    problem = make_value_problem(example_spec)
+    for floor in (example_spec.tf, example_spec.tf + 0.5):
+        with pytest.raises(ValueError, match="floor must lie below the terminal time"):
+            solve_riccati(problem, floor)
 
 
 def test_step_control_resolution():

@@ -380,3 +380,29 @@ def test_reachable_radius_scaling_laws(budget, horizon, weight, k):
     assert reachable_radius(budget, horizon, k * weight) == pytest.approx(
         r / np.sqrt(k), rel=1e-12, abs=1e-12
     )
+
+
+def test_transition_flow_matches_rk4_reference(make_clean_spec):
+    # reference: fixed-step RK4 on F' = (A + (S - W) P(t)) F from the identity
+    rng = np.random.default_rng(17)
+    spec = make_clean_spec(rng, n=3)
+    sol = solve_value_riccati(spec)
+    phi = transition_flow(spec, sol)
+    gap = spec.controllability_gap()
+
+    def rhs(t, F):
+        return (spec.A + gap @ eval_solution(sol, t)) @ F
+
+    substeps = 2000
+    h = spec.horizon / substeps
+    F = np.eye(spec.n_x)
+    for k in range(substeps):
+        t = spec.t0 + k * h
+        k1 = rhs(t, F)
+        k2 = rhs(t + 0.5 * h, F + 0.5 * h * k1)
+        k3 = rhs(t + 0.5 * h, F + 0.5 * h * k2)
+        k4 = rhs(t + h, F + h * k3)
+        F = F + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        if (k + 1) % 333 == 0:  # between value-flow nodes
+            t_next = spec.t0 + (k + 1) * h
+            assert np.abs(phi(t_next) - F).max() <= 1e-10 * (1.0 + np.abs(F).max())
