@@ -6,7 +6,7 @@ nested arrays, times and scalars are numbers, and ``{"preset":
 stdout with floats at 17 significant digits so identical configurations
 produce byte-identical output.  Exit codes: 0 success, 1 domain failures
 (only with --strict where a report is still the normal outcome), 2
-usage/parse errors.
+usage/parse errors and arguments the library rejects.
 """
 from __future__ import annotations
 
@@ -22,7 +22,6 @@ from . import __version__
 from .errors import (
     DegenerateSchedule,
     DimensionMismatch,
-    EventOrdering,
     FiniteEscape,
     InadmissibleInterval,
     IntervalAdmissible,
@@ -60,7 +59,6 @@ _PRESETS = {"example1": example_one_spec}
 _DOMAIN_ERRORS = (
     DegenerateSchedule,
     DimensionMismatch,
-    EventOrdering,
     FiniteEscape,
     InadmissibleInterval,
     IntervalAdmissible,
@@ -697,6 +695,9 @@ def main(argv=None) -> int:
     except _DOMAIN_ERRORS as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:  # a library argument check: bad input
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     sys.stdout.write(dumps_canonical(report) + "\n")
     return code
 

@@ -29,7 +29,11 @@ class OutOfRange(ValueError):
 
 
 class UnsortedInstants(ValueError):
-    """Communication instants not strictly increasing inside the horizon."""
+    """Communication instants not strictly increasing inside the open
+    horizon."""
+
+
+EventOrdering = UnsortedInstants  # the simulator's name for the same check
 
 
 class DegenerateSchedule(RuntimeError):
@@ -38,10 +42,6 @@ class DegenerateSchedule(RuntimeError):
 
 class NoFeasibleInstance(RuntimeError):
     """No admissible next communication time exists; signals a numerical fault."""
-
-
-class EventOrdering(ValueError):
-    """Simulation events unsorted or outside the open horizon."""
 
 
 class InadmissibleInterval(ValueError):

@@ -145,20 +145,23 @@ class _StackedFlow:
         except np.linalg.LinAlgError:
             pass
 
-    def _stacked(self, t: float) -> np.ndarray:
-        dt = t - self.t1
+    def _stacked(self, t):
+        dt = np.asarray(t, dtype=float) - self.t1
         if self._eig is not None:
             w, V, VZ = self._eig
-            return (V @ (np.exp(w * dt)[:, None] * VZ)).real
-        return la.expm(self.H * dt) @ self.Z0
+            return (V @ (np.exp(w * dt[..., None])[..., :, None] * VZ)).real
+        return la.expm(self.H * dt[..., None, None]) @ self.Z0
 
     def __call__(self, t: float) -> np.ndarray:
         return _normalize(self._stacked(t))
 
-    def value(self, t: float) -> np.ndarray:
-        """The flow Y X^-1 at t; raises LinAlgError at a pole."""
+    def value(self, t) -> np.ndarray:
+        """The flow Y X^-1 at t, or a stack of it at an array of times;
+        raises LinAlgError at a pole."""
         Z = self._stacked(t)
-        return _sym(np.linalg.solve(Z[: self.n].T, Z[self.n :].T).T)
+        U, V = Z[..., : self.n, :], Z[..., self.n :, :]
+        # the symmetric part of (V U^-1)' is that of V U^-1
+        return _sym(np.linalg.solve(U.swapaxes(-1, -2), V.swapaxes(-1, -2)))
 
 
 def _flow_norm(stacked: _StackedFlow, t: float) -> float:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as la
 
-from .errors import DimensionMismatch, NonSymmetric
+from .errors import DimensionMismatch, NonSymmetric, UnsortedInstants
 
 TOL_SYM = 1e-10  # relative Frobenius asymmetry
 TOL_PSD = 1e-10  # absolute eigenvalue floor
@@ -97,6 +97,18 @@ class GameSpec:
     def controllability_gap(self) -> np.ndarray:
         """Evader power minus pursuer power; must be negative definite."""
         return self.evader_power() - self.pursuer_power()
+
+    def checked_instants(self, instants) -> list[float]:
+        """Communication instants as floats; raises UnsortedInstants unless
+        they increase strictly inside the open horizon (t0, tf)."""
+        instants = [float(t) for t in instants]
+        if any(b <= a for a, b in zip(instants, instants[1:])):
+            raise UnsortedInstants(f"instants not strictly increasing: {instants}")
+        if instants and not (self.t0 < instants[0] and instants[-1] < self.tf):
+            raise UnsortedInstants(
+                f"instants must lie strictly inside ({self.t0}, {self.tf}): {instants}"
+            )
+        return instants
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,8 @@ H_MIN_REL = 1e-12
 
 
 def _sym(X: np.ndarray) -> np.ndarray:
-    return 0.5 * (X + X.T)
+    """Symmetric part of a matrix or of each matrix of a stack."""
+    return 0.5 * (X + X.swapaxes(-1, -2))
 
 
 def _guard_norm(X: np.ndarray, threshold: float) -> float:
@@ -151,26 +152,30 @@ class RiccatiSolution:
     steps: np.ndarray     # (K - 1, n, n)
 
 
-def _segment(grid: np.ndarray, t: float) -> tuple[int, float, float]:
+def _segment(grid: np.ndarray, t):
     """Storage index j of the node interval [grid[j+1], grid[j]] holding
-    t, the position s in [0, 1] from its lower end, and its length."""
+    t, the position s in [0, 1] from its lower end, and its length; t may
+    be an array of times."""
     asc_t = grid[::-1]
-    k_asc = int(np.searchsorted(asc_t, t, side="right")) - 1
-    k_asc = min(max(k_asc, 0), len(asc_t) - 2)
-    j = len(grid) - 2 - k_asc
+    k_asc = np.searchsorted(asc_t, t, side="right") - 1
+    j = len(grid) - 2 - np.clip(k_asc, 0, len(asc_t) - 2)
     h = grid[j] - grid[j + 1]
     return j, (t - grid[j + 1]) / h, h
 
 
-def _hermite(grid, values, derivs, t: float) -> np.ndarray:
+def _hermite(grid, values, derivs, t) -> np.ndarray:
     """Cubic-Hermite interpolant of node values and derivatives on a
-    decreasing grid; exact at the nodes."""
-    t = float(t)
+    decreasing grid; exact at the nodes.  A time gives one matrix, an
+    array of times a stack of them."""
+    t = np.asarray(t, dtype=float)
     lo, hi = float(grid[-1]), float(grid[0])
     slack = 1e-12 * max(1.0, abs(hi - lo), abs(hi), abs(lo))
-    if t < lo - slack or t > hi + slack:
-        raise OutOfRange(f"t={t} outside solved interval [{lo}, {hi}]")
-    j, s, h = _segment(grid, min(max(t, lo), hi))
+    outside = (t < lo - slack) | (t > hi + slack)
+    if outside.any():
+        t_bad = float(np.extract(outside, t)[0])
+        raise OutOfRange(f"t={t_bad} outside solved interval [{lo}, {hi}]")
+    j, s, h = _segment(grid, np.clip(t, lo, hi))
+    s, h = s[..., None, None], h[..., None, None]
     h00 = (1 + 2 * s) * (1 - s) ** 2
     h10 = s * (1 - s) ** 2
     h01 = s * s * (3 - 2 * s)
@@ -183,9 +188,14 @@ def _hermite(grid, values, derivs, t: float) -> np.ndarray:
     )
 
 
+def _eval_many(sol: RiccatiSolution, t) -> np.ndarray:
+    """``eval_solution`` at an array of times in one batched call."""
+    return _sym(_hermite(sol.grid, sol.values, sol.derivs, t))
+
+
 def eval_solution(sol: RiccatiSolution, t: float) -> np.ndarray:
     """Cubic-Hermite interpolant; exact at grid nodes, symmetrized."""
-    return _sym(_hermite(sol.grid, sol.values, sol.derivs, t))
+    return _eval_many(sol, t)
 
 
 def _eval_derivative(sol: RiccatiSolution, t: float) -> np.ndarray:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DegenerateSchedule, NoFeasibleInstance, UnsortedInstants
+from .errors import DegenerateSchedule, NoFeasibleInstance
 from .escape import EscapeReport, detect_escape_norm, detect_escape_radon
 from .game_model import GameSpec
 from .riccati import RiccatiSolution, StepControl, eval_solution, make_gap_problem
@@ -103,13 +103,7 @@ def check_admissibility(
     (within the boundary tolerance) does not count against it.  With
     ``fail_fast`` the certificate list stops at the first failure.
     """
-    instants = [float(t) for t in instants]
-    if any(b <= a for a, b in zip(instants, instants[1:])):
-        raise UnsortedInstants(f"instants not strictly increasing: {instants}")
-    if instants and not (spec.t0 < instants[0] and instants[-1] < spec.tf):
-        raise UnsortedInstants(
-            f"instants must lie strictly inside ({spec.t0}, {spec.tf}): {instants}"
-        )
+    instants = spec.checked_instants(instants)
     btol = (
         boundary_tol
         if boundary_tol is not None

@@ -13,6 +13,14 @@ independent ways and compared:
 
 which agree identically for arbitrary inputs whenever the value flow P is
 finite on the horizon.
+
+Every strategy is affine, u = K_x(t) x + K_h(t) x_hat + v(t), so the
+closed loop is a linear ODE z' = F(t) z + g(t) and classical RK4 on it is
+an affine recurrence z_{k+1} = T_k z_k + c_k.  ``_rk4`` evaluates F and g
+at all stage times of a block of steps in one batched call, runs the
+short sequential recurrence, then rebuilds the stage states to evaluate
+the quadrature integrands at once.  The deviation sweep runs as one
+batch, the deviation gain check on the estimation error alone.
 """
 from __future__ import annotations
 
@@ -23,24 +31,37 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.linalg as la
 
-from .errors import (
-    EventOrdering,
-    InadmissibleInterval,
-    IntervalAdmissible,
-    NegativeBudget,
-)
+from .errors import InadmissibleInterval, IntervalAdmissible, NegativeBudget
 from .escape import _flow_norm, _StackedFlow, detect_escape_radon
 from .game_model import GameSpec
 from .riccati import (
     DEFAULT_BLOWUP,
     RiccatiSolution,
+    _eval_many,
     _hermite,
     eval_solution,
     make_gap_problem,
+    solve_value_riccati,
 )
 
 DEFAULT_STEP_REL = 1.0 / 2000.0
 MIN_SUBSTEPS = 10
+BLOCK = 128  # RK4 steps per batched evaluation; bounds the stage arrays
+
+
+def _mv(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Matrix-vector products over stacks of matrices and vectors."""
+    return (M @ v[..., None])[..., 0]
+
+
+def _quad(v: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """v'Wv over a stack of vectors."""
+    return np.einsum("...i,ij,...j->...", v, W, v)
+
+
+def _gain(R: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """R^-1 B', the factor of an equilibrium gain R^-1 B'P."""
+    return la.solve(R, B.T, assume_a="sym")
 
 
 # ---------------------------------------------------------------------------
@@ -49,14 +70,18 @@ MIN_SUBSTEPS = 10
 
 @dataclass(frozen=True)
 class InputSeries:
-    """Sampled input signal with a dense evaluator behind it."""
+    """Sampled input signal with a dense evaluator behind it.
+
+    ``dense`` takes a time or an array of times; ``knots`` are the times
+    where the signal may jump.
+    """
 
     times: np.ndarray
     values: np.ndarray
-    dense: Callable[[float], np.ndarray]
+    dense: Callable[[np.ndarray], np.ndarray]
     knots: tuple[float, ...] = ()
 
-    def __call__(self, t: float) -> np.ndarray:
+    def __call__(self, t) -> np.ndarray:
         return self.dense(t)
 
 
@@ -67,13 +92,29 @@ def piecewise_constant(knots, values) -> InputSeries:
     if len(knots) != len(values):
         raise ValueError("need one value row per knot")
 
-    def dense(t: float) -> np.ndarray:
-        k = int(np.searchsorted(knots, t, side="right")) - 1
-        return values[min(max(k, 0), len(values) - 1)]
+    def dense(t):
+        k = np.searchsorted(knots, t, side="right") - 1
+        return values[np.clip(k, 0, len(values) - 1)]
 
     return InputSeries(
         times=knots, values=values, dense=dense, knots=tuple(knots[1:])
     )
+
+
+def _signal(w) -> Callable[[np.ndarray, int], np.ndarray]:
+    """Evaluator (times, dim) -> (*times.shape, dim) of an input given as
+    None (zero), a constant vector, an InputSeries, or a callable of one
+    time."""
+    if w is None:
+        return lambda t, dim: np.zeros((*t.shape, dim))
+    if isinstance(w, InputSeries):
+        return lambda t, dim: w.dense(t)
+    if callable(w):
+        return lambda t, dim: np.array(
+            [np.asarray(w(tk), dtype=float).reshape(dim) for tk in t.ravel()]
+        ).reshape(*t.shape, dim)
+    vec = np.asarray(w, dtype=float)
+    return lambda t, dim: np.broadcast_to(vec.reshape(dim), (*t.shape, dim))
 
 
 # ---------------------------------------------------------------------------
@@ -81,130 +122,145 @@ def piecewise_constant(knots, values) -> InputSeries:
 
 
 @dataclass(frozen=True)
-class Strategy:
-    """Declarative description of one player's play.
+class _Stages:
+    """Times at which strategies are evaluated, with the equilibrium
+    gains Kp = R_p^-1 B'P and Ke = R_e^-1 C'P there.
 
-    kinds: pursuer -- "certainty_equivalent" (estimate feedback, optionally
-    plus an additive probe signal) or "open_loop"; evader --
-    "equilibrium_feedback", "open_loop", "deviation" (equilibrium feedback
-    plus an offset, or a raw input when ``absolute``), or
-    "risky_two_phase" (kick then error feedback, built by
-    ``risky_strategy``).
+    ``t_in`` is ``t`` with each step's end moved to its left limit; inputs
+    read it, so a step never samples the next piece of a zero-order hold.
+    """
+
+    t: np.ndarray
+    t_in: np.ndarray
+    Kp: np.ndarray
+    Ke: np.ndarray
+
+
+def _stages(spec: GameSpec, value_sol: RiccatiSolution, t, t_in) -> _Stages:
+    P = _eval_many(value_sol, t)
+    return _Stages(t, t_in, _gain(spec.R_p, spec.B) @ P, _gain(spec.R_e, spec.C) @ P)
+
+
+@dataclass(frozen=True)
+class Strategy:
+    """One player's play in affine form, u = K_x(t) x + K_h(t) x_hat + v(t).
+
+    ``terms`` maps ``_Stages`` at times of any shape S to the stacks K_x
+    (*S, m, n), K_h (*S, m, n) and v (*S, m).  ``knots`` are the times
+    where v may jump; the simulator splits its steps there.
     """
 
     side: str
-    kind: str
-    u: Callable[[float], np.ndarray] | None = None
-    w: np.ndarray | Callable[[float], np.ndarray] | None = None
-    absolute: bool = False
-    w_state: Callable[[float, np.ndarray], np.ndarray] | None = None
-    offset: Callable[[float], np.ndarray] | None = None
+    terms: Callable[[_Stages], tuple[np.ndarray, np.ndarray, np.ndarray]]
+    knots: tuple[float, ...] = ()
 
     @staticmethod
     def certainty_equivalent(offset=None) -> "Strategy":
-        return Strategy(side="pursuer", kind="certainty_equivalent", offset=offset)
+        """Equilibrium feedback on the estimate, plus an optional probe."""
+        return _affine("pursuer", offset, estimate=-1.0)
 
     @staticmethod
     def pursuer_open_loop(u) -> "Strategy":
-        return Strategy(side="pursuer", kind="open_loop", u=u)
+        return _affine("pursuer", u)
 
     @staticmethod
     def evader_equilibrium() -> "Strategy":
-        return Strategy(side="evader", kind="equilibrium_feedback")
+        return _affine("evader", None, state=1.0)
 
     @staticmethod
     def evader_open_loop(u) -> "Strategy":
-        return Strategy(side="evader", kind="open_loop", u=u)
+        return _affine("evader", u)
 
     @staticmethod
     def deviation(w, absolute: bool = False) -> "Strategy":
-        return Strategy(side="evader", kind="deviation", w=w, absolute=absolute)
+        """Equilibrium feedback plus ``w``, or ``w`` alone when ``absolute``."""
+        return _affine("evader", w, state=0.0 if absolute else 1.0)
 
 
-class _Gains:
-    """Equilibrium gain evaluators shared by simulator internals."""
+def _affine(side: str, w, state: float = 0.0, estimate: float = 0.0) -> Strategy:
+    """Strategy feeding back ``state`` and ``estimate`` times the side's
+    equilibrium gain on the state and on the estimate, plus the input ``w``."""
+    signal = _signal(w)
 
-    def __init__(self, spec: GameSpec, value_sol: RiccatiSolution):
-        self.spec = spec
-        self.value_sol = value_sol
-        self.Rp_inv_BT = la.solve(spec.R_p, spec.B.T, assume_a="sym")
-        self.Re_inv_CT = la.solve(spec.R_e, spec.C.T, assume_a="sym")
+    def terms(s: _Stages):
+        K = s.Kp if side == "pursuer" else s.Ke
+        return state * K, estimate * K, signal(s.t_in, K.shape[-2])
 
-    def value(self, t: float) -> np.ndarray:
-        return eval_solution(self.value_sol, t)
-
-    def pursuer(self, t: float, P: np.ndarray | None = None) -> np.ndarray:
-        P = self.value(t) if P is None else P
-        return self.Rp_inv_BT @ P
-
-    def evader(self, t: float, P: np.ndarray | None = None) -> np.ndarray:
-        P = self.value(t) if P is None else P
-        return self.Re_inv_CT @ P
+    return Strategy(side, terms, getattr(w, "knots", ()))
 
 
-def _as_signal(w, n: int):
-    if w is None:
-        zero = np.zeros(n)
-        return lambda t: zero
-    if callable(w):
-        return w
-    vec = np.asarray(w, dtype=float).reshape(n)
-    return lambda t: vec
+# ---------------------------------------------------------------------------
+# the RK4 core
 
 
-def _resolve_pursuer(strategy: Strategy, gains: _Gains):
-    if strategy.side != "pursuer":
-        raise ValueError(f"pursuer strategy required, got side={strategy.side!r}")
-    if strategy.kind == "certainty_equivalent":
-        probe = _as_signal(strategy.offset, gains.spec.n_p)
-
-        def u(t, x, x_hat, P):
-            return -(gains.pursuer(t, P) @ x_hat) + probe(t)
-
-        return u
-    if strategy.kind == "open_loop":
-        sig = strategy.u
-        if sig is None:
-            raise ValueError("open_loop pursuer strategy needs an input signal")
-        return lambda t, x, x_hat, P: np.asarray(sig(t), dtype=float)
-    raise ValueError(f"unsupported pursuer kind {strategy.kind!r}")
+def _grid(bounds, step: float):
+    """RK4 steps: at least MIN_SUBSTEPS equal steps of at most ``step`` on
+    each segment between ``bounds``, then a zero-length step whose start
+    is the final node.  Returns each step's start, length and end."""
+    if not step > 0:
+        raise ValueError("step must be positive")
+    t, h = [], []
+    for a, b in zip(bounds, bounds[1:]):
+        n = max(MIN_SUBSTEPS, math.ceil((b - a) / step))
+        t.append(a + np.arange(n) * ((b - a) / n))
+        h.append(np.full(n, (b - a) / n))
+    t = np.append(np.concatenate(t), bounds[-1])
+    return t, np.append(np.concatenate(h), 0.0), np.append(t[1:], bounds[-1])
 
 
-def _resolve_evader(strategy: Strategy, gains: _Gains):
-    if strategy.side != "evader":
-        raise ValueError(f"evader strategy required, got side={strategy.side!r}")
-    n_e = gains.spec.n_e
-    if strategy.kind == "equilibrium_feedback":
-        return lambda t, x, x_hat, P: gains.evader(t, P) @ x
-    if strategy.kind == "open_loop":
-        sig = strategy.u
-        if sig is None:
-            raise ValueError("open_loop evader strategy needs an input signal")
-        return lambda t, x, x_hat, P: np.asarray(sig(t), dtype=float)
-    if strategy.kind == "deviation":
-        w = _as_signal(strategy.w, n_e)
-        if strategy.absolute:
-            return lambda t, x, x_hat, P: np.asarray(w(t), dtype=float)
-        return lambda t, x, x_hat, P: gains.evader(t, P) @ x + w(t)
-    if strategy.kind == "risky_two_phase":
-        w_state = strategy.w_state
-        if w_state is None:
-            raise ValueError("risky_two_phase strategy needs its state feedback")
+def _rk4(grid, z0: np.ndarray, system, events=(), reset=None):
+    """Classical RK4 for z' = F(t) z + g(t) on ``grid``, BLOCK steps at a time.
 
-        def u(t, x, x_hat, P):
-            return gains.evader(t, P) @ x + w_state(t, x - x_hat)
+    ``system(t, t_in, F, g)`` gets a block's stage times (K, 4), and the
+    same with each step's end at its left limit for inputs; it fills in F
+    (K, 4, B, m, m) and g (K, 4, B, m) there and returns ``rates``, a map
+    from the stage states (K, 4, B, m) to the quadrature integrands
+    (K, 4, B, q) and to outputs at the step starts (K, B, p).  ``z0`` is
+    (B, m); a step that starts at one of ``events`` first maps the state
+    by ``reset``.  Returns the states, integrals and outputs at each node.
+    """
+    n_batch, m = z0.shape
+    # homogeneous coordinates: [z; 1]' = [[F, g], [0, 0]] [z; 1]
+    z = np.append(z0, np.ones((n_batch, 1)), axis=1)[..., None]
+    resets = np.isin(grid[0], list(events))
+    nodes, increments, outputs = [], [], []
+    for lo in range(0, len(grid[0]), BLOCK):
+        t, h, end = (a[lo : lo + BLOCK] for a in grid)
+        mid, K = t + 0.5 * h, len(t)
+        G = np.zeros((K, 4, n_batch, m + 1, m + 1))
+        rates = system(
+            np.stack([t, mid, mid, end], axis=1),
+            np.stack([t, mid, mid, np.nextafter(end, -np.inf)], axis=1),
+            G[..., :m, :m], G[..., :m, m],
+        )
+        # stage slopes are K_i z, K_1 = G_1 and K_i = G_i (I + c_i h K_{i-1}),
+        # so a step maps z to T z with T = I + h/6 (K_1 + 2K_2 + 2K_3 + K_4)
+        hk = h[:, None, None, None]
+        k = G[:, 0]
+        T = k.copy()
+        for i, (c, weight) in enumerate(((0.5, 2.0), (0.5, 2.0), (1.0, 1.0)), 1):
+            k = G[:, i] + c * hk * (G[:, i] @ k)
+            T += weight * k
+        T = np.eye(m + 1) + (hk / 6.0) * T
 
-        return u
-    raise ValueError(f"unsupported evader kind {strategy.kind!r}")
+        starts = np.empty((K, n_batch, m + 1, 1))
+        for j in range(K):
+            if resets[lo + j]:
+                z = la.block_diag(reset, 1.0) @ z
+            starts[j] = z
+            z = T[j] @ z
 
-
-def _strategy_knots(strategy: Strategy) -> tuple[float, ...]:
-    sig = strategy.u
-    if isinstance(sig, InputSeries):
-        return sig.knots
-    if isinstance(strategy.w, InputSeries):
-        return strategy.w.knots
-    return ()
+        hk = h[:, None, None]
+        Z = [starts[..., 0]]
+        for i, c in enumerate((0.5, 0.5, 1.0)):
+            Z.append(Z[0] + c * hk * _mv(G[:, i], Z[-1]))
+        r, out = rates(np.stack(Z, axis=1)[..., :m])
+        increments.append((hk / 6.0) * (r[:, 0] + 2 * r[:, 1] + 2 * r[:, 2] + r[:, 3]))
+        nodes.append(Z[0][..., :m])
+        outputs.append(out)
+    inc = np.concatenate(increments)
+    integrals = np.concatenate([np.zeros_like(inc[:1]), np.cumsum(inc[:-1], axis=0)])
+    return np.concatenate(nodes), integrals, np.concatenate(outputs)
 
 
 # ---------------------------------------------------------------------------
@@ -240,15 +296,54 @@ class Trajectory:
         return float(self.running_cost[-1] + self.terminal_cost)
 
 
-def _validate_instants(spec: GameSpec, instants) -> list[float]:
-    instants = [float(t) for t in instants]
-    if any(b <= a for a, b in zip(instants, instants[1:])):
-        raise EventOrdering(f"instants not strictly increasing: {instants}")
-    if instants and not (spec.t0 < instants[0] and instants[-1] < spec.tf):
-        raise EventOrdering(
-            f"instants must lie strictly inside ({spec.t0}, {spec.tf}): {instants}"
-        )
-    return instants
+def _closed_loop(spec, value_sol, schedule, pursuer, evaders, step, breakpoints=()):
+    """One closed-loop run per evader strategy, batched.
+
+    The state is carried as z = [x; e], e = x - x_hat, and the coefficient
+    of x in e' is formed from gain differences alone, so that an estimate
+    which tracks the state keeps e exactly zero.  Returns the node times, z
+    (S, B, 2n), the three payoff integrals (S, B, 3), the inputs
+    [u_p, u_e] (S, B, n_p + n_e) and the instants.
+    """
+    for strategy, side in [(pursuer, "pursuer"), *((e, "evader") for e in evaders)]:
+        if strategy.side != side:
+            raise ValueError(f"{side} strategy required, got side={strategy.side!r}")
+    instants = spec.checked_instants(getattr(schedule, "instants", schedule))
+    step = float(step) if step is not None else DEFAULT_STEP_REL * spec.horizon
+    knots = (*pursuer.knots, *(k for e in evaders for k in e.knots), *breakpoints)
+    cuts = {*instants, *(float(t) for t in knots if spec.t0 < float(t) < spec.tf)}
+    grid = _grid([spec.t0, *sorted(cuts), spec.tf], step)
+
+    n, n_batch = spec.n_x, len(evaders)
+    A, B, C = spec.A, spec.B, spec.C
+
+    def system(t, t_in, F, g):
+        s = _stages(spec, value_sol, t, t_in)
+        Kpx, Kph, vp, Kp, Ke = (a[:, :, None] for a in (*pursuer.terms(s), s.Kp, s.Ke))
+        terms = zip(*(e.terms(s) for e in evaders))
+        Kex, Keh, ve = (np.stack(a, axis=2) for a in terms)
+        F[..., :n, n:] = -(B @ Kph + C @ Keh)
+        F[..., :n, :n] = A + B @ (Kpx + Kph) + C @ (Kex + Keh)
+        F[..., n:, :n] = B @ (Kpx + Kph + Kp) + C @ (Kex + Keh - Ke)
+        F[..., n:, n:] = A - B @ Kp + C @ Ke + F[..., :n, n:]
+
+        def rates(Z):
+            x, x_hat = Z[..., :n], Z[..., :n] - Z[..., n:]
+            u_p = _mv(Kpx, x) + _mv(Kph, x_hat) + vp
+            u_e = _mv(Kex, x) + _mv(Keh, x_hat) + ve
+            cost = _quad(x, spec.Q) + _quad(u_p, spec.R_p) - _quad(u_e, spec.R_e)
+            cs_p = _quad(u_p + _mv(Kp, x), spec.R_p)
+            cs_e = _quad(u_e - _mv(Ke, x), spec.R_e)
+            inputs = np.concatenate([u_p[:, 0], u_e[:, 0]], axis=-1)
+            return np.stack([cost, cs_p, cs_e], axis=-1), inputs
+
+        g[...] = np.tile(_mv(B, vp) + _mv(C, ve), 2)
+        return rates
+
+    reset = la.block_diag(np.eye(n), np.zeros((n, n)))
+    z0 = np.tile(np.append(spec.x0, np.zeros(n)), (n_batch, 1))
+    z, integrals, inputs = _rk4(grid, z0, system, instants, reset)
+    return grid[0], z, integrals, inputs, instants
 
 
 def simulate(
@@ -265,111 +360,27 @@ def simulate(
 
     ``schedule`` is a CommSchedule or an iterable of instants.  Steps are
     split exactly at communication events (where the estimate resets to
-    the true state) and at any declared input breakpoints, with at least
-    ten substeps per segment.  The three payoff integrals ride along as
-    quadrature states of the same fourth-order scheme.
+    the true state), at the strategies' knots and at any declared
+    breakpoints, with at least ten substeps per segment; a segment reads
+    its inputs from its own piece, up to the left limit at its end.  The
+    three payoff integrals ride along as quadrature states of the same
+    fourth-order scheme.
     """
-    instants = _validate_instants(
-        spec, getattr(schedule, "instants", schedule) or ()
+    t, z, integrals, inputs, instants = _closed_loop(
+        spec, value_sol, schedule, pursuer, [evader], step, extra_breakpoints
     )
-    step = float(step) if step is not None else DEFAULT_STEP_REL * spec.horizon
-    if step <= 0:
-        raise ValueError("step must be positive")
-
-    gains = _Gains(spec, value_sol)
-    u_p_fn = _resolve_pursuer(pursuer, gains)
-    u_e_fn = _resolve_evader(evader, gains)
-
-    cuts = set(instants)
-    for t in (*_strategy_knots(pursuer), *_strategy_knots(evader), *extra_breakpoints):
-        t = float(t)
-        if spec.t0 < t < spec.tf:
-            cuts.add(t)
-    bounds = [spec.t0, *sorted(cuts), spec.tf]
-    event_set = set(instants)
-
-    A, B, C = spec.A, spec.B, spec.C
-    Q, R_p, R_e = spec.Q, spec.R_p, spec.R_e
-
-    def derivatives(t, x, x_hat):
-        P = gains.value(t)
-        Kp = gains.pursuer(t, P)
-        Ke = gains.evader(t, P)
-        u_p = u_p_fn(t, x, x_hat, P)
-        u_e = u_e_fn(t, x, x_hat, P)
-        dx = A @ x + B @ u_p + C @ u_e
-        dx_hat = A @ x_hat - B @ (Kp @ x_hat) + C @ (Ke @ x_hat)
-        d_cost = x @ Q @ x + u_p @ R_p @ u_p - u_e @ R_e @ u_e
-        v_p = u_p + Kp @ x
-        v_e = u_e - Ke @ x
-        return dx, dx_hat, d_cost, v_p @ R_p @ v_p, v_e @ R_e @ v_e, u_p, u_e
-
-    x = spec.x0.copy()
-    x_hat = spec.x0.copy()
-    cost = cs_p = cs_e = 0.0
-
-    ts = [spec.t0]
-    xs = [x.copy()]
-    x_hats = [x_hat.copy()]
-    d0 = derivatives(spec.t0, x, x_hat)
-    u_ps = [d0[5]]
-    u_es = [d0[6]]
-    costs = [0.0]
-    cs_ps = [0.0]
-    cs_es = [0.0]
-
-    for a, b in zip(bounds, bounds[1:]):
-        if a in event_set:
-            x_hat = x.copy()
-            # overwrite the stored node with the post-reset estimate
-            x_hats[-1] = x_hat.copy()
-            d = derivatives(a, x, x_hat)
-            u_ps[-1], u_es[-1] = d[5], d[6]
-        n_sub = max(MIN_SUBSTEPS, math.ceil((b - a) / step))
-        h = (b - a) / n_sub
-        t = a
-        for k in range(n_sub):
-            # classical RK4 on the augmented state (quadrature rides along)
-            dx1, dh1, dc1, dp1, de1, _, _ = derivatives(t, x, x_hat)
-            x2 = x + 0.5 * h * dx1
-            h2 = x_hat + 0.5 * h * dh1
-            dx2, dh2, dc2, dp2, de2, _, _ = derivatives(t + 0.5 * h, x2, h2)
-            x3 = x + 0.5 * h * dx2
-            h3 = x_hat + 0.5 * h * dh2
-            dx3, dh3, dc3, dp3, de3, _, _ = derivatives(t + 0.5 * h, x3, h3)
-            x4 = x + h * dx3
-            h4 = x_hat + h * dh3
-            dx4, dh4, dc4, dp4, de4, _, _ = derivatives(t + h, x4, h4)
-
-            x = x + (h / 6.0) * (dx1 + 2 * dx2 + 2 * dx3 + dx4)
-            x_hat = x_hat + (h / 6.0) * (dh1 + 2 * dh2 + 2 * dh3 + dh4)
-            cost += (h / 6.0) * (dc1 + 2 * dc2 + 2 * dc3 + dc4)
-            cs_p += (h / 6.0) * (dp1 + 2 * dp2 + 2 * dp3 + dp4)
-            cs_e += (h / 6.0) * (de1 + 2 * de2 + 2 * de3 + de4)
-            t = b if k == n_sub - 1 else a + (k + 1) * h
-
-            d = derivatives(t, x, x_hat)
-            ts.append(t)
-            xs.append(x.copy())
-            x_hats.append(x_hat.copy())
-            u_ps.append(d[5])
-            u_es.append(d[6])
-            costs.append(cost)
-            cs_ps.append(cs_p)
-            cs_es.append(cs_e)
-
-    x_f = xs[-1]
+    x, e = np.split(z[:, 0], 2, axis=-1)
     return Trajectory(
-        t=np.array(ts),
-        x=np.array(xs),
-        x_hat=np.array(x_hats),
-        u_p=np.array(u_ps),
-        u_e=np.array(u_es),
-        running_cost=np.array(costs),
-        cs_pursuer=np.array(cs_ps),
-        cs_evader=np.array(cs_es),
+        t=t,
+        x=x,
+        x_hat=x - e,
+        u_p=inputs[:, 0, : spec.n_p],
+        u_e=inputs[:, 0, spec.n_p :],
+        running_cost=integrals[:, 0, 0],
+        cs_pursuer=integrals[:, 0, 1],
+        cs_evader=integrals[:, 0, 2],
         events=tuple(instants),
-        terminal_cost=float(x_f @ spec.Q_f @ x_f),
+        terminal_cost=float(x[-1] @ spec.Q_f @ x[-1]),
     )
 
 
@@ -424,21 +435,12 @@ def open_loop_inputs(
     """
     grid = np.asarray(grid, dtype=float)
     phi = transition_flow(spec, value_sol)
-    gains = _Gains(spec, value_sol)
-    x0 = spec.x0
 
-    def u_p_dense(t: float) -> np.ndarray:
-        return -(gains.pursuer(t) @ (phi(t) @ x0))
+    def dense(gain):
+        return lambda t: _mv(gain @ _eval_many(value_sol, t), phi(t) @ spec.x0)
 
-    def u_e_dense(t: float) -> np.ndarray:
-        return gains.evader(t) @ (phi(t) @ x0)
-
-    up = np.array([u_p_dense(t) for t in grid])
-    ue = np.array([u_e_dense(t) for t in grid])
-    return (
-        InputSeries(times=grid, values=up, dense=u_p_dense),
-        InputSeries(times=grid, values=ue, dense=u_e_dense),
-    )
+    u_p, u_e = dense(-_gain(spec.R_p, spec.B)), dense(_gain(spec.R_e, spec.C))
+    return tuple(InputSeries(times=grid, values=u(grid), dense=u) for u in (u_p, u_e))
 
 
 def open_loop_pair(
@@ -465,7 +467,6 @@ def _gap_flow(spec, value_sol, b):
     return _StackedFlow(make_gap_problem(spec, value_sol, b))
 
 
-
 def deviation_gain_check(
     spec: GameSpec,
     value_sol: RiccatiSolution,
@@ -482,8 +483,9 @@ def deviation_gain_check(
     e' = (A + C R_e^-1 C'P) e + C w with e = 0 at the interval start. The
     gain int (|e|^2_{P B R_p^-1 B' P} - |w|^2_{R_e}) dt collapses, by the
     error-value flow M of the interval, to -int |w + R_e^-1 C'M e|^2_{R_e} dt,
-    so it is never positive.  Returns (gain, completed_square); callers
-    assert their agreement and nonpositivity.
+    so it is never positive.  Steps split at the knots of ``w``, as in
+    ``simulate``.  Returns (gain, completed_square); callers assert their
+    agreement and nonpositivity.
     """
     a, b = float(interval[0]), float(interval[1])
     if not (spec.t0 <= a < b <= spec.tf):
@@ -496,54 +498,46 @@ def deviation_gain_check(
         )
     gap = _gap_flow(spec, value_sol, b)
 
-    gains = _Gains(spec, value_sol)
-    w_fn = _as_signal(w, spec.n_e)
-    A, C, R_p, R_e = spec.A, spec.C, spec.R_p, spec.R_e
-    S = spec.evader_power()
-
     # An escape at the interval start gives the error-value flow a simple
     # pole there, or puts it past the blow-up guard at the start.  The
     # square integrand still has a finite limit at the start (the error
     # vanishes linearly while the flow has a simple pole), equal to the raw
     # formula with M e replaced by residue * C w; the start uses that limit.
-    limit_map = None
-    at_start = rep.found and (
+    n, n_e = spec.n_x, spec.n_e
+    residue = np.zeros((n, n))
+    pole_at_start = rep.found and (
         rep.t_escape >= a or _flow_norm(gap, a) >= DEFAULT_BLOWUP
     )
-    if at_start:
+    if pole_at_start:
         offset = 1e-6 * (b - a)
         residue = offset * gap.value(rep.t_escape + offset)
-        limit_map = gains.Re_inv_CT @ residue @ C
 
-    def derivatives(t, e):
-        P = gains.value(t)
-        wt = np.asarray(w_fn(t), dtype=float)
-        de = (A + S @ P) @ e + C @ wt
-        v = gains.pursuer(t, P) @ e
-        gain_rate = v @ R_p @ v - wt @ R_e @ wt
-        if limit_map is not None and t == a:
-            g = wt + limit_map @ wt
-        else:
-            M = gap.value(t) + P
-            g = wt + gains.Re_inv_CT @ (M @ e)
-        square_rate = -(g @ R_e @ g)
-        return de, gain_rate, square_rate
+    w_fn = _signal(w)
+    pursuer_gain, evader_gain = _gain(spec.R_p, spec.B), _gain(spec.R_e, spec.C)
+
+    def system(t, t_in, F, g):
+        P = _eval_many(value_sol, t)
+        wt = w_fn(t_in, n_e)
+        at_start = (t == a) & pole_at_start
+        M = np.zeros_like(P)
+        M[~at_start] = gap.value(t[~at_start]) + P[~at_start]
+        limit = at_start[..., None] * _mv(residue @ spec.C, wt)
+        P, wt, M, limit = (x[:, :, None] for x in (P, wt, M, limit))
+
+        def rates(Z):
+            gain_rate = _quad(_mv(pursuer_gain @ P, Z), spec.R_p) - _quad(wt, spec.R_e)
+            v = wt + _mv(evader_gain, _mv(M, Z) + limit)
+            r = np.stack([gain_rate, -_quad(v, spec.R_e)], axis=-1)
+            return r, np.empty((len(t), 1, 0))
+
+        F[...] = spec.A + spec.C @ (evader_gain @ P)
+        g[...] = _mv(spec.C, wt)
+        return rates
 
     step = float(step) if step is not None else (b - a) / 1000.0
-    n_sub = max(MIN_SUBSTEPS, math.ceil((b - a) / step))
-    h = (b - a) / n_sub
-    e = np.zeros(spec.n_x)
-    gain = square = 0.0
-    t = a
-    for k in range(n_sub):
-        d1, g1, s1 = derivatives(t, e)
-        d2, g2, s2 = derivatives(t + 0.5 * h, e + 0.5 * h * d1)
-        d3, g3, s3 = derivatives(t + 0.5 * h, e + 0.5 * h * d2)
-        d4, g4, s4 = derivatives(t + h, e + h * d3)
-        e = e + (h / 6.0) * (d1 + 2 * d2 + 2 * d3 + d4)
-        gain += (h / 6.0) * (g1 + 2 * g2 + 2 * g3 + g4)
-        square += (h / 6.0) * (s1 + 2 * s2 + 2 * s3 + s4)
-        t = b if k == n_sub - 1 else a + (k + 1) * h
+    knots = sorted(k for k in getattr(w, "knots", ()) if a < k < b)
+    _, integrals, _ = _rk4(_grid([a, *knots, b], step), np.zeros((1, n)), system)
+    gain, square = integrals[-1, 0]
     return float(gain), float(square)
 
 
@@ -563,9 +557,11 @@ def risky_strategy(
     the error-value flow is still undefined; phase two plays the
     gain-maximizing error feedback -R_e^-1 C'M~ e, where M~ is the
     error-value solution truncated a standoff above its escape time (and
-    frozen below the truncation).  The extracted gain grows quadratically
-    in ``scale``, which is the working demonstration that an inadmissible
-    schedule forfeits any payoff bound.
+    frozen below the truncation).  Both phases add to the equilibrium
+    feedback, so the play stays affine: K_h = L and K_x = R_e^-1 C'P - L
+    with L = R_e^-1 C'M~ after the kick.  The extracted gain grows
+    quadratically in ``scale``, which is the working demonstration that an
+    inadmissible schedule forfeits any payoff bound.
     """
     a, b = float(interval[0]), float(interval[1])
     if not (spec.t0 <= a < b <= spec.tf):
@@ -592,17 +588,16 @@ def risky_strategy(
         col = int(np.argmax(np.linalg.norm(spec.C, axis=0)))
         kick_w0 = np.eye(spec.n_e)[col]
     kick = float(scale) * np.asarray(kick_w0, dtype=float).reshape(spec.n_e)
+    evader_gain = _gain(spec.R_e, spec.C)
 
-    Re_inv_CT = la.solve(spec.R_e, spec.C.T, assume_a="sym")
+    def terms(s: _Stages):
+        kicking = (s.t <= t_switch)[..., None]
+        tt = np.clip(s.t, t_trunc, b)
+        M = gap.value(tt) + _eval_many(value_sol, tt)
+        L = np.where(kicking[..., None], 0.0, evader_gain @ M)
+        return s.Ke - L, L, np.where(kicking, kick, 0.0)
 
-    def w_state(t: float, e: np.ndarray) -> np.ndarray:
-        if t <= t_switch:
-            return kick
-        tt = min(max(t, t_trunc), b)
-        M = gap.value(tt) + eval_solution(value_sol, tt)
-        return -(Re_inv_CT @ (M @ e))
-
-    return Strategy(side="evader", kind="risky_two_phase", w_state=w_state)
+    return Strategy("evader", terms)
 
 
 def deviation_sweep(
@@ -620,10 +615,9 @@ def deviation_sweep(
 
     With the default direction the evader input is ``[-c, 0, ...]``; the
     pursuer either commits to the open-loop pair or runs the
-    certainty-equivalent estimator over ``schedule``.
+    certainty-equivalent estimator over ``schedule``.  All deviations run
+    as one batch.
     """
-    from .riccati import solve_value_riccati
-
     value_sol = value_sol if value_sol is not None else solve_value_riccati(spec)
     if direction is None:
         direction = np.zeros(spec.n_e)
@@ -637,12 +631,16 @@ def deviation_sweep(
     else:
         raise ValueError(f"unsupported pursuer choice {pursuer!r}")
 
-    payoffs = []
-    for c in c_values:
-        evader = Strategy.deviation(float(c) * direction, absolute=absolute)
-        traj = simulate(spec, value_sol, schedule, pursuer_strategy, evader, step)
-        payoffs.append(traj.payoff_direct)
-    return np.array(payoffs)
+    evaders = [
+        Strategy.deviation(float(c) * direction, absolute=absolute) for c in c_values
+    ]
+    if not evaders:
+        return np.array([])
+    _, z, integrals, _, _ = _closed_loop(
+        spec, value_sol, schedule, pursuer_strategy, evaders, step
+    )
+    x_f = z[-1, :, : spec.n_x]
+    return integrals[-1, :, 0] + _quad(x_f, spec.Q_f)
 
 
 def reachable_radius(

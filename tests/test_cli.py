@@ -331,3 +331,43 @@ def test_removed_tolerance_flags_are_unknown(capsys, flag):
     code, out, err = run_cli(capsys, "riccati", "--preset", "example1", flag, "1e-9")
     assert code == 2 and out == ""
     assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["slack", "--preset", "example1", "--t-prev", "2"],
+        ["schedule", "--preset", "example1", "--margin", "-1"],
+        ["reachability", "--budget", "1", "--horizon", "0"],
+    ],
+    ids=["slack", "schedule", "reachability"],
+)
+def test_rejected_argument_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+# Reports of the README's example1 commands, as printed before the closed
+# loop became one batched recurrence.
+GOLDEN = {
+    ("simulate", "--preset", "example1", "--instants", "0.5"): {
+        "payoff_direct": 0.33333333333333381,
+        "payoff_completed_square": 0.33333333333333492,
+        "game_value": 0.33333333333333492,
+        "terminal_cost": 0.11111111111114852,
+    },
+    ("sweep", "--preset", "example1", "--c", "0,1,2"): {
+        "payoffs": [0.55555555555538905, 1.7222222222216537, 3.8888888888882525],
+        "game_value": 0.33333333333333492,
+    },
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN), ids=["simulate", "sweep"])
+def test_readme_reports_pinned(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    doc = json.loads(out)
+    for key, expected in GOLDEN[argv].items():
+        assert doc[key] == pytest.approx(expected, rel=1e-12, abs=0.0), key

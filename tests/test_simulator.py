@@ -152,6 +152,16 @@ def test_event_ordering_raises(example_spec, example_value_sol):
         simulate(example_spec, example_value_sol, [1.0], ce, eq)
 
 
+def test_instants_as_array(example_spec, example_value_sol):
+    ce, eq = Strategy.certainty_equivalent(), Strategy.evader_equilibrium()
+    runs = [
+        simulate(example_spec, example_value_sol, instants, ce, eq, step=0.01)
+        for instants in ([0.3, 0.6], np.array([0.3, 0.6]))
+    ]
+    assert runs[0].events == runs[1].events == (0.3, 0.6)
+    assert runs[0].payoff_direct == runs[1].payoff_direct
+
+
 def test_role_mismatch_raises(example_spec, example_value_sol):
     with pytest.raises(ValueError):
         simulate(
@@ -217,6 +227,23 @@ def test_half_step_convergence(example_spec, example_value_sol):
     assert rel <= 1e-6
 
 
+def test_zoh_open_loop_payoff_is_fourth_order(make_clean_spec):
+    # a segment that ends at a knot reads its inputs from its own piece,
+    # so halving the step cuts the error about 16-fold, not 2-fold
+    rng = np.random.default_rng(2024)
+    for trial in range(3):
+        spec = make_clean_spec(rng, n=2 + trial)
+        sol = solve_value_riccati(spec)
+        up = random_zoh(rng, spec.t0, spec.tf, spec.n_p, knots=5)
+        ue = random_zoh(rng, spec.t0, spec.tf, spec.n_e, knots=5)
+        pursuer, evader = Strategy.pursuer_open_loop(up), Strategy.evader_open_loop(ue)
+        fine, half, base = (
+            simulate(spec, sol, [], pursuer, evader, step=spec.horizon / d).payoff_direct
+            for d in (3200, 200, 100)
+        )
+        assert abs(base - fine) >= 10.0 * abs(half - fine)
+
+
 def test_pursuer_perturbation_increases_payoff(make_clean_spec):
     # with the evader at equilibrium, the payoff is the game value plus a
     # pursuer-side square; any fixed probe strictly raises it
@@ -264,6 +291,16 @@ def test_deviation_gain_random_trials(make_clean_spec):
         gain, square = deviation_gain_check(spec, sol, (a, b), w)
         assert gain <= 1e-8
         assert abs(gain - square) <= 1e-6 * (1.0 + abs(gain))
+
+
+def test_deviation_gain_splits_at_knots(example_spec, example_value_sol):
+    # example1's leading interval under its one-instant schedule {1/2}
+    w = piecewise_constant(
+        [0.0, 0.1, 0.23, 0.37], [[1.0, -0.5], [-0.3, 0.8], [0.6, 0.2], [-1.1, 0.4]]
+    )
+    gain, square = deviation_gain_check(example_spec, example_value_sol, (0.0, 0.5), w)
+    assert gain < 0
+    assert abs(gain - square) <= 1e-10 * (1.0 + abs(gain))
 
 
 def test_deviation_gain_inadmissible_interval_raises(example_spec, example_value_sol):
