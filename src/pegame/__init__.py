@@ -34,7 +34,6 @@ from .game_model import (
 from .riccati import (
     RiccatiProblem,
     RiccatiSolution,
-    StepControl,
     eval_solution,
     make_gap_problem,
     make_value_problem,
@@ -87,7 +86,6 @@ __all__ = [
     "RiccatiProblem",
     "RiccatiSolution",
     "SchemaError",
-    "StepControl",
     "StepUnderflow",
     "Strategy",
     "Trajectory",

@@ -4,16 +4,20 @@ Game specs travel as JSON (schema version 1): matrices are row-major
 nested arrays, times and scalars are numbers, and ``{"preset":
 "example1"}`` loads the bundled worked example.  Reports are printed to
 stdout with floats at 17 significant digits so identical configurations
-produce byte-identical output.  Exit codes: 0 success, 1 domain failures
-(only with --strict where a report is still the normal outcome), 2
-usage/parse errors and arguments the library rejects.
+produce byte-identical output.  Each command's arguments are declared
+once, in ``_COMMANDS``; the parser is built from that table and each
+handler reads the parsed arguments.  Exit codes: 0 success; 1 domain
+failures, failed checks under --strict (the report is still printed),
+and reports that hold a non-finite number (not printed); 2 usage and
+parse errors, non-finite numeric arguments, and arguments the library
+rejects.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
@@ -121,18 +125,6 @@ def _write(obj: Any, out: list[str]) -> None:
 # spec (de)serialization
 
 
-def escape_report_to_dict(report) -> dict:
-    return {
-        "found": report.found,
-        "t_escape": report.t_escape,
-        "bracket": list(report.bracket) if report.bracket else None,
-        "method": report.method,
-        "norm_at_detection": report.norm_at_detection,
-        "floor": report.floor,
-        "terminal_time": report.terminal_time,
-    }
-
-
 def spec_to_dict(spec: GameSpec) -> dict:
     doc = {"version": SCHEMA_VERSION}
     for name in _MATRIX_FIELDS:
@@ -148,7 +140,7 @@ def spec_from_dict(doc: dict) -> GameSpec:
         raise SchemaError("top-level document must be an object")
     if "preset" in doc:
         name = doc["preset"]
-        maker = _PRESETS.get(name)
+        maker = _PRESETS.get(name) if isinstance(name, str) else None
         if maker is None:
             raise SchemaError(
                 f"unknown preset {name!r}; available: {sorted(_PRESETS)}"
@@ -169,7 +161,7 @@ def spec_from_dict(doc: dict) -> GameSpec:
     for name in _MATRIX_FIELDS:
         try:
             arr = np.array(doc[name], dtype=float)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(f"{name} is not a numeric matrix: {exc}") from exc
         if arr.ndim != 2:
             raise SchemaError(f"{name} must be a nested (row-major) array")
@@ -178,7 +170,7 @@ def spec_from_dict(doc: dict) -> GameSpec:
         x0 = np.array(doc["x0"], dtype=float).reshape(-1)
         t0 = float(doc["t0"])
         tf = float(doc["tf"])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"bad scalar field: {exc}") from exc
 
     if not (np.isfinite(t0) and np.isfinite(tf) and t0 < tf):
@@ -261,17 +253,12 @@ def write_trajectory_csv(path: str, traj) -> None:
 
 
 # ---------------------------------------------------------------------------
-# command implementations
+# command implementations: each reads the parsed arguments and returns
+# (exit code, report)
 
 
-@dataclass
-class RunConfig:
-    """One resolved CLI invocation."""
-
-    command: str
-    spec: GameSpec | None
-    options: dict = field(default_factory=dict)
-    strict: bool = False
+def _spec(args: argparse.Namespace) -> GameSpec:
+    return load_spec(args.spec) if args.spec else _PRESETS[args.preset]()
 
 
 def _violation_dict(v) -> dict:
@@ -295,25 +282,23 @@ def _certificates_json(certs) -> list[dict]:
     ]
 
 
-def _cmd_validate(config: RunConfig) -> tuple[int, dict]:
-    report = validate_spec(config.spec)
+def _cmd_validate(args) -> tuple[int, dict]:
+    report = validate_spec(_spec(args))
     doc = {
         "command": "validate",
         "passed": report.passed,
         "assumption1_max_eig": report.assumption1_max_eig,
         "violations": [_violation_dict(v) for v in report.violations],
     }
-    code = 1 if (config.strict and not report.passed) else 0
-    return code, doc
+    return (1 if (args.strict and not report.passed) else 0), doc
 
 
-def _cmd_riccati(config: RunConfig) -> tuple[int, dict]:
-    spec = config.spec
+def _cmd_riccati(args) -> tuple[int, dict]:
+    spec = _spec(args)
     sol = solve_value_riccati(spec)
     residual = riccati_residual(sol, make_value_problem(spec), 100)
-    out = config.options.get("out")
-    if out:
-        write_matrix_csv(out, sol)
+    if args.out:
+        write_matrix_csv(args.out, sol)
     P0 = eval_solution(sol, spec.t0)
     doc = {
         "command": "riccati",
@@ -323,19 +308,16 @@ def _cmd_riccati(config: RunConfig) -> tuple[int, dict]:
         "residual": residual,
         "value_at_t0": P0.tolist(),
         "game_value": float(spec.x0 @ P0 @ spec.x0),
-        "csv": out,
+        "csv": args.out,
     }
     return 0, doc
 
 
-def _cmd_schedule(config: RunConfig) -> tuple[int, dict]:
-    spec = config.spec
+def _cmd_schedule(args) -> tuple[int, dict]:
+    spec = _spec(args)
     sol = solve_value_riccati(spec)
     sched = optimal_schedule(
-        spec,
-        sol,
-        config.options.get("margin"),
-        compute_slack=not config.options.get("no_slack", False),
+        spec, sol, args.margin, compute_slack=not args.no_slack
     )
     doc = {
         "command": "schedule",
@@ -348,70 +330,48 @@ def _cmd_schedule(config: RunConfig) -> tuple[int, dict]:
     return 0, doc
 
 
-def _cmd_check_schedule(config: RunConfig) -> tuple[int, dict]:
-    spec = config.spec
+def _cmd_check_schedule(args) -> tuple[int, dict]:
+    spec = _spec(args)
     sol = solve_value_riccati(spec)
-    instants = config.options.get("instants", [])
-    certs = check_admissibility(spec, sol, instants)
+    certs = check_admissibility(spec, sol, args.instants)
     passed = all(c.passed for c in certs)
     doc = {
         "command": "check-schedule",
-        "instants": list(instants),
+        "instants": list(args.instants),
         "pass": passed,
         "intervals": _certificates_json(certs),
     }
-    return (1 if (config.strict and not passed) else 0), doc
+    return (1 if (args.strict and not passed) else 0), doc
 
 
-def _pursuer_strategy(name: str, spec, sol) -> Strategy:
-    if name in ("ce", "certainty-equivalent"):
-        return Strategy.certainty_equivalent()
-    if name == "open-loop":
-        return open_loop_pair(spec, sol)[0]
-    raise SchemaError(f"unknown pursuer strategy {name!r}")
-
-
-def _evader_strategy(config: RunConfig, spec, sol) -> Strategy:
-    name = config.options.get("evader", "equilibrium")
-    if name == "equilibrium":
-        return Strategy.evader_equilibrium()
-    if name == "open-loop":
+def _evader_strategy(args, spec, sol) -> Strategy:
+    if args.evader == "open-loop":
         return open_loop_pair(spec, sol)[1]
-    if name == "deviation":
-        w = config.options.get("w")
+    if args.evader == "deviation":
+        w = args.w
         if w is None:
-            c = float(config.options.get("c", 1.0))
             w = np.zeros(spec.n_e)
-            w[0] = -c
+            w[0] = -args.c
         return Strategy.deviation(np.asarray(w, dtype=float), absolute=True)
-    if name == "risky":
-        interval = config.options.get("interval")
-        if interval is None:
-            instants = config.options.get("instants", [])
-            bounds = [spec.t0, *instants, spec.tf]
-            interval = (bounds[0], bounds[1])
-        return risky_strategy(
-            spec,
-            sol,
-            interval,
-            scale=float(config.options.get("scale", 1.0)),
-        )
-    raise SchemaError(f"unknown evader strategy {name!r}")
+    if args.evader == "risky":
+        # the leading interval of the schedule
+        bounds = [spec.t0, *args.instants, spec.tf]
+        return risky_strategy(spec, sol, (bounds[0], bounds[1]), scale=args.scale)
+    return Strategy.evader_equilibrium()
 
 
-def _cmd_simulate(config: RunConfig) -> tuple[int, dict]:
-    spec = config.spec
+def _cmd_simulate(args) -> tuple[int, dict]:
+    spec = _spec(args)
     sol = solve_value_riccati(spec)
-    instants = config.options.get("instants", [])
-    pursuer = _pursuer_strategy(config.options.get("pursuer", "ce"), spec, sol)
-    evader = _evader_strategy(config, spec, sol)
-    traj = simulate(
-        spec, sol, instants, pursuer, evader, config.options.get("step")
-    )
+    if args.pursuer == "open-loop":
+        pursuer = open_loop_pair(spec, sol)[0]
+    else:
+        pursuer = Strategy.certainty_equivalent()
+    evader = _evader_strategy(args, spec, sol)
+    traj = simulate(spec, sol, args.instants, pursuer, evader, args.step)
     direct, completed = payoff_two_ways(traj, spec, sol)
-    out = config.options.get("out")
-    if out:
-        write_trajectory_csv(out, traj)
+    if args.out:
+        write_trajectory_csv(args.out, traj)
     doc = {
         "command": "simulate",
         "payoff_direct": direct,
@@ -419,37 +379,36 @@ def _cmd_simulate(config: RunConfig) -> tuple[int, dict]:
         "game_value": game_value(spec, sol),
         "events": list(traj.events),
         "terminal_cost": traj.terminal_cost,
-        "csv": out,
+        "csv": args.out,
     }
     return 0, doc
 
 
-def _cmd_sweep(config: RunConfig) -> tuple[int, dict]:
-    spec = config.spec
+def _cmd_sweep(args) -> tuple[int, dict]:
+    spec = _spec(args)
     sol = solve_value_riccati(spec)
-    c_values = config.options.get("c_values", [0.0, 1.0, 2.0])
     payoffs = deviation_sweep(
         spec,
-        c_values,
-        schedule=config.options.get("instants", []),
-        pursuer=config.options.get("pursuer_mode", "open_loop"),
-        step=config.options.get("step"),
+        args.c,
+        schedule=args.instants,
+        pursuer=args.pursuer_mode,
+        step=args.step,
         value_sol=sol,
     )
     doc = {
         "command": "sweep",
-        "c_values": list(c_values),
+        "c_values": list(args.c),
         "payoffs": payoffs.tolist(),
         "game_value": game_value(spec, sol),
     }
     return 0, doc
 
 
-def _cmd_slack(config: RunConfig) -> tuple[int, dict]:
-    spec = config.spec
+def _cmd_slack(args) -> tuple[int, dict]:
+    spec = _spec(args)
     sol = solve_value_riccati(spec)
-    t_prev = float(config.options.get("t_prev", spec.t0))
-    upper = float(config.options.get("upper", spec.tf))
+    t_prev = spec.t0 if args.t_prev is None else args.t_prev
+    upper = spec.tf if args.upper is None else args.upper
     sup = max_next_instance(spec, sol, t_prev, upper)
     doc = {
         "command": "slack",
@@ -460,19 +419,17 @@ def _cmd_slack(config: RunConfig) -> tuple[int, dict]:
     return 0, doc
 
 
-def _cmd_reachability(config: RunConfig) -> tuple[int, dict]:
-    opts = config.options
-    if opts.get("t1") is not None:
+def _cmd_reachability(args) -> tuple[int, dict]:
+    if args.t1 is not None:
         # worked-example convention: the equilibrium evader input has
         # magnitude 2/3, so its effort budget over [0, t1] is 2*t1/9
-        t1 = float(opts["t1"])
-        budget = 2.0 * t1 / 9.0
-        horizon = t1
+        budget = 2.0 * args.t1 / 9.0
+        horizon = args.t1
         weight = 0.5
+    elif args.budget is None or args.horizon is None:
+        raise SchemaError("reachability needs --t1 or --budget with --horizon")
     else:
-        budget = float(opts["budget"])
-        horizon = float(opts["horizon"])
-        weight = float(opts.get("re_scalar", 1.0))
+        budget, horizon, weight = args.budget, args.horizon, args.re_scalar
     radius = reachable_radius(budget, horizon, weight)
     doc = {
         "command": "reachability",
@@ -481,60 +438,115 @@ def _cmd_reachability(config: RunConfig) -> tuple[int, dict]:
         "re_scalar": weight,
         "radius": radius,
     }
-    out = opts.get("out")
-    if out:
-        center = opts.get("center", [1.0, 0.0])
-        thetas = np.linspace(0.0, 2.0 * np.pi, int(opts.get("samples", 64)))
+    if args.out:
+        x, y = args.center
         lines = ["x,y"]
-        for th in thetas:
+        for th in np.linspace(0.0, 2.0 * np.pi, args.samples):
             lines.append(
-                format_float(center[0] + radius * np.cos(th))
+                format_float(x + radius * np.cos(th))
                 + ","
-                + format_float(center[1] + radius * np.sin(th))
+                + format_float(y + radius * np.sin(th))
             )
-        with open(out, "w", encoding="utf-8") as fh:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
-        doc["csv"] = out
+        doc["csv"] = args.out
     return 0, doc
-
-
-_COMMANDS = {
-    "validate": _cmd_validate,
-    "riccati": _cmd_riccati,
-    "schedule": _cmd_schedule,
-    "check-schedule": _cmd_check_schedule,
-    "simulate": _cmd_simulate,
-    "sweep": _cmd_sweep,
-    "slack": _cmd_slack,
-    "reachability": _cmd_reachability,
-}
-
-
-def run(config: RunConfig) -> tuple[int, dict]:
-    """Dispatch one command; returns (exit_code, report)."""
-    handler = _COMMANDS.get(config.command)
-    if handler is None:
-        raise SchemaError(f"unknown command {config.command!r}")
-    return handler(config)
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
 
 
-def _float_list(text: str) -> list[float]:
+def _finite(text: str) -> float:
+    """A float argument; nan and inf are rejected."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
+def _finite_list(text: str) -> list[float]:
     text = text.strip()
     if not text:
         return []
-    return [float(tok) for tok in text.split(",")]
+    return [_finite(tok) for tok in text.split(",")]
 
 
-def _add_spec_args(p: argparse.ArgumentParser) -> None:
-    g = p.add_mutually_exclusive_group()
-    g.add_argument("--spec", help="path to a game-spec JSON file")
-    g.add_argument(
-        "--preset", choices=sorted(_PRESETS), help="named built-in game"
-    )
+def _step(text: str) -> float:
+    step = _finite(text)
+    if not step > 0:
+        raise argparse.ArgumentTypeError(f"--step must be positive, got {step}")
+    return step
+
+
+def _point(text: str) -> list[float]:
+    point = _finite_list(text)
+    if len(point) != 2:
+        raise argparse.ArgumentTypeError(f"need two numbers x,y, got {text!r}")
+    return point
+
+
+_STRICT = ("--strict", {"action": "store_true"})
+_INSTANTS = ("--instants", {"type": _finite_list, "default": []})
+_STEP = ("--step", {"type": _step})
+
+# Every command once: its handler, its help, whether it reads a game spec
+# (--spec or --preset), and its other arguments.
+_COMMANDS = {
+    "validate": (_cmd_validate, "check a game spec's well-posedness", True, [
+        _STRICT,
+    ]),
+    "riccati": (_cmd_riccati, "solve the value flow, export CSV", True, [
+        ("--out", {"help": "CSV output path"}),
+    ]),
+    "schedule": (_cmd_schedule, "minimum-communication schedule", True, [
+        ("--margin", {"type": _finite}),
+        ("--no-slack", {"action": "store_true"}),
+    ]),
+    "check-schedule": (_cmd_check_schedule, "certify a given schedule", True, [
+        _INSTANTS,
+        _STRICT,
+    ]),
+    "simulate": (_cmd_simulate, "closed-loop run, payoff two ways", True, [
+        _INSTANTS,
+        ("--pursuer", {
+            "default": "ce", "choices": ["ce", "certainty-equivalent", "open-loop"],
+        }),
+        ("--evader", {
+            "default": "equilibrium",
+            "choices": ["equilibrium", "open-loop", "deviation", "risky"],
+        }),
+        ("--c", {"type": _finite, "default": 1.0, "help": "deviation magnitude"}),
+        ("--w", {"type": _finite_list, "help": "deviation vector"}),
+        ("--scale", {"type": _finite, "default": 1.0, "help": "risky kick scale"}),
+        _STEP,
+        ("--out", {"help": "trajectory CSV output path"}),
+    ]),
+    "sweep": (_cmd_sweep, "payoffs of scaled constant deviations", True, [
+        ("--c", {"type": _finite_list, "default": [0.0, 1.0, 2.0]}),
+        _INSTANTS,
+        ("--pursuer-mode", {
+            "default": "open_loop", "choices": ["open_loop", "certainty_equivalent"],
+        }),
+        _STEP,
+    ]),
+    "slack": (_cmd_slack, "supremum of the next admissible instant", True, [
+        ("--t-prev", {"type": _finite}),
+        ("--upper", {"type": _finite}),
+    ]),
+    "reachability": (_cmd_reachability, "evader budget-limited reach radius", False, [
+        ("--budget", {"type": _finite}),
+        ("--horizon", {"type": _finite}),
+        ("--re-scalar", {"type": _finite, "default": 1.0}),
+        ("--t1", {"type": _finite}),
+        ("--out", {"help": "circle sample CSV output path"}),
+        ("--samples", {"type": int, "default": 64}),
+        ("--center", {"type": _point, "default": [1.0, 0.0]}),
+    ]),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -547,137 +559,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="check a game spec's well-posedness")
-    _add_spec_args(p)
-    p.add_argument("--strict", action="store_true")
-
-    p = sub.add_parser("riccati", help="solve the value flow, export CSV")
-    _add_spec_args(p)
-    p.add_argument("--out", help="CSV output path")
-
-    p = sub.add_parser("schedule", help="minimum-communication schedule")
-    _add_spec_args(p)
-    p.add_argument("--margin", type=float, default=None)
-    p.add_argument("--no-slack", action="store_true")
-
-    p = sub.add_parser("check-schedule", help="certify a given schedule")
-    _add_spec_args(p)
-    p.add_argument("--instants", type=_float_list, default=[])
-    p.add_argument("--strict", action="store_true")
-
-    p = sub.add_parser("simulate", help="closed-loop run, payoff two ways")
-    _add_spec_args(p)
-    p.add_argument("--instants", type=_float_list, default=[])
-    p.add_argument(
-        "--pursuer", default="ce", choices=["ce", "certainty-equivalent", "open-loop"]
-    )
-    p.add_argument(
-        "--evader",
-        default="equilibrium",
-        choices=["equilibrium", "open-loop", "deviation", "risky"],
-    )
-    p.add_argument("--c", type=float, default=1.0, help="deviation magnitude")
-    p.add_argument("--w", type=_float_list, default=None, help="deviation vector")
-    p.add_argument("--scale", type=float, default=1.0, help="risky kick scale")
-    p.add_argument("--step", type=float, default=None)
-    p.add_argument("--out", help="trajectory CSV output path")
-
-    p = sub.add_parser("sweep", help="payoffs of scaled constant deviations")
-    _add_spec_args(p)
-    p.add_argument("--c", type=_float_list, default=[0.0, 1.0, 2.0])
-    p.add_argument("--instants", type=_float_list, default=[])
-    p.add_argument(
-        "--pursuer-mode",
-        default="open_loop",
-        choices=["open_loop", "certainty_equivalent"],
-    )
-    p.add_argument("--step", type=float, default=None)
-
-    p = sub.add_parser("slack", help="supremum of the next admissible instant")
-    _add_spec_args(p)
-    p.add_argument("--t-prev", type=float, default=None)
-    p.add_argument("--upper", type=float, default=None)
-
-    p = sub.add_parser("reachability", help="evader budget-limited reach radius")
-    p.add_argument("--budget", type=float, default=None)
-    p.add_argument("--horizon", type=float, default=None)
-    p.add_argument("--re-scalar", type=float, default=1.0)
-    p.add_argument("--t1", type=float, default=None)
-    p.add_argument("--out", help="circle sample CSV output path")
-    p.add_argument("--samples", type=int, default=64)
-    p.add_argument("--center", type=_float_list, default=[1.0, 0.0])
-
+    for name, (handler, help_text, reads_spec, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
+        if reads_spec:
+            g = p.add_mutually_exclusive_group()
+            g.add_argument("--spec", help="path to a game-spec JSON file")
+            g.add_argument(
+                "--preset",
+                choices=sorted(_PRESETS),
+                default="example1",
+                help="named built-in game",
+            )
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
     return parser
 
 
-def _needs_spec(command: str) -> bool:
-    return command != "reachability"
+def _non_finite_field(report: dict) -> str | None:
+    """The first report field that holds a non-finite number, if any."""
 
+    def finite(obj) -> bool:
+        if isinstance(obj, dict):
+            return all(finite(v) for v in obj.values())
+        if isinstance(obj, (list, tuple)):
+            return all(finite(v) for v in obj)
+        return not isinstance(obj, (float, np.floating)) or math.isfinite(obj)
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    spec = None
-    if _needs_spec(args.command):
-        if getattr(args, "spec", None):
-            spec = load_spec(args.spec)
-        else:
-            preset = getattr(args, "preset", None) or "example1"
-            spec = _PRESETS[preset]()
-
-    step = getattr(args, "step", None)
-    if step is not None and not step > 0:
-        raise SchemaError(f"--step must be positive, got {step}")
-
-    options: dict[str, Any] = {}
-    if args.command == "riccati":
-        options["out"] = args.out
-    elif args.command == "schedule":
-        options["margin"] = args.margin
-        options["no_slack"] = args.no_slack
-    elif args.command == "check-schedule":
-        options["instants"] = args.instants
-    elif args.command == "simulate":
-        options.update(
-            instants=args.instants,
-            pursuer=args.pursuer,
-            evader=args.evader,
-            c=args.c,
-            w=args.w,
-            scale=args.scale,
-            step=args.step,
-            out=args.out,
-        )
-    elif args.command == "sweep":
-        options.update(
-            c_values=args.c,
-            instants=args.instants,
-            pursuer_mode=args.pursuer_mode,
-            step=args.step,
-        )
-    elif args.command == "slack":
-        if args.t_prev is not None:
-            options["t_prev"] = args.t_prev
-        if args.upper is not None:
-            options["upper"] = args.upper
-    elif args.command == "reachability":
-        if args.t1 is None and (args.budget is None or args.horizon is None):
-            raise SchemaError("reachability needs --t1 or --budget with --horizon")
-        options.update(
-            budget=args.budget,
-            horizon=args.horizon,
-            re_scalar=args.re_scalar,
-            t1=args.t1,
-            out=args.out,
-            samples=args.samples,
-            center=args.center,
-        )
-
-    return RunConfig(
-        command=args.command,
-        spec=spec,
-        options=options,
-        strict=getattr(args, "strict", False),
-    )
+    return next((key for key, value in report.items() if not finite(value)), None)
 
 
 def main(argv=None) -> int:
@@ -687,9 +596,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        config = config_from_args(args)
-        code, report = run(config)
-    except (ParseError, SchemaError) as exc:
+        # overflow shows in the report, which is checked below
+        with np.errstate(all="ignore"):
+            code, report = args.handler(args)
+    except (ParseError, SchemaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except _DOMAIN_ERRORS as exc:
@@ -698,6 +608,10 @@ def main(argv=None) -> int:
     except ValueError as exc:  # a library argument check: bad input
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    field = _non_finite_field(report)
+    if field is not None:
+        print(f"error: report field {field!r} is not finite", file=sys.stderr)
+        return 1
     sys.stdout.write(dumps_canonical(report) + "\n")
     return code
 

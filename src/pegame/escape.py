@@ -17,6 +17,12 @@ scanning the smallest singular value of X for dips and refining each dip
 by golden-section; a dip counts as an escape only when the reconstructed
 flow value there exceeds the blow-up guard.  LU sign changes of det X are
 kept as an additional candidate source.
+
+Both detectors resolve escape times to ``TIME_TOL_REL`` of the search
+span and share the blow-up guard ``riccati.DEFAULT_BLOWUP``; the scan
+has ``SCAN_POINTS`` points.  ``_escape_inside`` applies the determinant
+detector to one sensing interval and decides whether its escape lies
+inside it, for the scheduler and the simulator.
 """
 from __future__ import annotations
 
@@ -29,13 +35,18 @@ from .game_model import GameSpec
 from .riccati import (
     DEFAULT_BLOWUP,
     RiccatiProblem,
-    StepControl,
+    RiccatiSolution,
     _gap_problem,
     _integrate_backward,
     _sym,
+    eval_solution,
 )
 
-TIME_TOL_REL = 1e-9
+TIME_TOL_REL = 1e-9  # escape-time resolution, relative to the search span
+SCAN_POINTS = 2001   # uniform scan of the span by the determinant detector
+# an escape within this share of the horizon above an interval's start
+# falls outside the interval: the estimate resets at the start
+BOUNDARY_TOL_REL = 1e-8
 _GOLDEN = 0.5 * (np.sqrt(5.0) - 1.0)
 
 
@@ -52,29 +63,23 @@ class EscapeReport:
     terminal_time: float
 
 
-def _default_time_tol(terminal_time: float, floor: float) -> float:
+def _time_tol(terminal_time: float, floor: float) -> float:
     return TIME_TOL_REL * max(terminal_time - floor, 1e-12)
 
 
-def detect_escape_norm(
-    problem: RiccatiProblem,
-    floor: float,
-    time_tol: float | None = None,
-    step_control: StepControl | None = None,
-) -> EscapeReport:
+def detect_escape_norm(problem: RiccatiProblem, floor: float) -> EscapeReport:
     """Escape search by backward integration with a blow-up guard.
 
     On a guard trip the crossing time is bracketed by re-integration from
     the last finite node; the adaptive step near a pole is usually already
-    far below ``time_tol`` so refinement rarely iterates.
+    far below the time resolution so refinement rarely iterates.
     """
-    ctrl = step_control or StepControl()
     t1 = problem.terminal_time
     if not floor < t1:
         raise ValueError("floor must lie below the terminal time")
-    tol = time_tol if time_tol is not None else _default_time_tol(t1, floor)
+    tol = _time_tol(t1, floor)
 
-    run = _integrate_backward(problem.rhs, t1, problem.terminal_value, floor, ctrl)
+    run = _integrate_backward(problem.rhs, t1, problem.terminal_value, floor)
     if run.status == "reached":
         return EscapeReport(
             found=False,
@@ -94,7 +99,7 @@ def detect_escape_norm(
 
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        sub = _integrate_backward(problem.rhs, hi, X_hi, mid, ctrl, span_hint=span)
+        sub = _integrate_backward(problem.rhs, hi, X_hi, mid, span_hint=span)
         if sub.status == "reached":
             hi = float(sub.ts[-1])
             X_hi = sub.xs[-1]
@@ -181,10 +186,6 @@ def detect_escape_radon(
     terminal_time: float,
     terminal_value: np.ndarray,
     floor: float,
-    time_tol: float | None = None,
-    *,
-    scan_points: int = 2001,
-    blowup: float = DEFAULT_BLOWUP,
 ) -> EscapeReport:
     """Escape search for the constant-coefficient gap flow via its
     linear representation; reports the largest singularity below the
@@ -192,16 +193,12 @@ def detect_escape_radon(
     terminal_time = float(terminal_time)
     if not floor < terminal_time:
         raise ValueError("floor must lie below the terminal time")
-    tol = (
-        time_tol
-        if time_tol is not None
-        else _default_time_tol(terminal_time, floor)
-    )
+    tol = _time_tol(terminal_time, floor)
     n = spec.n_x
     stacked = _StackedFlow(_gap_problem(spec, terminal_time, terminal_value))
     H, Z0n = stacked.H, stacked.Z0
 
-    ts = np.linspace(terminal_time, floor, scan_points)
+    ts = np.linspace(terminal_time, floor, SCAN_POINTS)
     delta = ts[0] - ts[1]
     E = la.expm(-H * delta)
 
@@ -213,11 +210,11 @@ def detect_escape_radon(
     for j in range(1, chunk + 1):
         E_pows[j] = E_pows[j - 1] @ E
     Z_start = Z0n.copy()
-    X_blocks = np.empty((scan_points, n, n))
-    scales = np.empty(scan_points)
+    X_blocks = np.empty((SCAN_POINTS, n, n))
+    scales = np.empty(SCAN_POINTS)
     k = 0
-    while k < scan_points:
-        m = min(chunk, scan_points - k)
+    while k < SCAN_POINTS:
+        m = min(chunk, SCAN_POINTS - k)
         block = E_pows[:m] @ Z_start
         X_blocks[k : k + m] = block[:, :n, :]
         scales[k : k + m] = np.linalg.norm(block, axis=(1, 2))
@@ -234,9 +231,9 @@ def detect_escape_radon(
     # are worth refining (sign changes always are).
     deep = 0.3 * float(np.median(sigmas))
     candidates: list[tuple[float, float]] = []  # (t_high, t_low) brackets
-    for k in range(1, scan_points):
+    for k in range(1, SCAN_POINTS):
         sign_change = signs[k - 1] * signs[k] < 0
-        if k + 1 < scan_points:
+        if k + 1 < SCAN_POINTS:
             neighbor = min(sigmas[k - 1], sigmas[k + 1])
             local_min = sigmas[k] <= neighbor
         else:
@@ -247,7 +244,7 @@ def detect_escape_radon(
         )
         if sign_change or prominent:
             t_high = ts[k - 1]
-            t_low = ts[k + 1] if k + 1 < scan_points else ts[k]
+            t_low = ts[k + 1] if k + 1 < SCAN_POINTS else ts[k]
             candidates.append((t_high, t_low))
             if len(candidates) >= 200:
                 break
@@ -269,7 +266,7 @@ def detect_escape_radon(
                 fd = sigma_min(d)
         t_hat = 0.5 * (a + b)
         nrm = _flow_norm(stacked, t_hat)
-        if nrm >= blowup:
+        if nrm >= DEFAULT_BLOWUP:
             t_hat = float(min(max(t_hat, floor), terminal_time))
             half = float(0.5 * max(b - a, tol))
             return EscapeReport(
@@ -294,3 +291,13 @@ def detect_escape_radon(
         floor=float(floor),
         terminal_time=terminal_time,
     )
+
+
+def _escape_inside(
+    spec: GameSpec, value_sol: RiccatiSolution, a: float, b: float
+) -> tuple[EscapeReport, bool]:
+    """Determinant search on [a, b] for the gap flow that ends at -P(b),
+    and whether its escape lies inside the interval [a, b)."""
+    rep = detect_escape_radon(spec, b, -eval_solution(value_sol, b), a)
+    inside = bool(rep.found and rep.t_escape > a + BOUNDARY_TOL_REL * spec.horizon)
+    return rep, inside

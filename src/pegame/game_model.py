@@ -151,9 +151,7 @@ def _asymmetry(M: np.ndarray) -> float:
     return float(np.linalg.norm(M - M.T) / (1.0 + np.linalg.norm(M)))
 
 
-def validate_spec(
-    spec: GameSpec, *, tol_sym: float = TOL_SYM, tol_psd: float = TOL_PSD
-) -> ValidationReport:
+def validate_spec(spec: GameSpec) -> ValidationReport:
     """Check the game's sign and well-posedness conventions.
 
     Raises on structural defects (shape mismatch, asymmetric weights);
@@ -164,13 +162,13 @@ def validate_spec(
     _check_dimensions(spec)
     for name in ("Q", "Q_f", "R_p", "R_e"):
         asym = _asymmetry(getattr(spec, name))
-        if asym > tol_sym:
+        if asym > TOL_SYM:
             raise NonSymmetric(f"{name} asymmetric: relative Frobenius {asym:.3e}")
 
     violations: list[Violation] = []
     for name in ("Q", "Q_f"):
         min_eig = float(np.linalg.eigvalsh(getattr(spec, name))[0])
-        if min_eig < -tol_psd:
+        if min_eig < -TOL_PSD:
             violations.append(
                 Violation(
                     name=f"{name}_psd",
@@ -198,7 +196,7 @@ def validate_spec(
         )
 
     max_eig = float(np.linalg.eigvalsh(spec.controllability_gap())[-1])
-    if max_eig >= -tol_psd:
+    if max_eig >= -TOL_PSD:
         violations.append(
             Violation(
                 name="controllability_dominance",

@@ -20,7 +20,9 @@ propagates it exactly on a uniform grid with one matrix exponential,
 restarting from [I; X] at every node to keep U well conditioned (Davison
 and Maki, IEEE TAC 1973), and stores node derivatives for cubic-Hermite
 dense output.  The adaptive Dormand-Prince 4(5) integrator below stays as
-an independent check: the norm blow-up escape detector runs on it.
+an independent check: the norm blow-up escape detector runs on it, with
+the fixed tolerances ``RTOL`` and ``ATOL``, steps between ``H_MIN_REL``
+and ``H_MAX_REL`` of the span, and the blow-up guard ``DEFAULT_BLOWUP``.
 """
 from __future__ import annotations
 
@@ -32,9 +34,13 @@ import scipy.linalg as la
 from .errors import FiniteEscape, OutOfRange, StepUnderflow
 from .game_model import GameSpec
 
-DEFAULT_BLOWUP = 1e9
+DEFAULT_BLOWUP = 1e9  # spectral-norm guard above which a flow has escaped
 STEPS = 1000       # uniform steps of an exact solve
-H_MAX_REL = 1e-3   # adaptive integrator: largest step, relative to the span
+# adaptive integrator: error tolerances, and the largest and smallest step
+# relative to the span
+RTOL = 1e-10
+ATOL = 1e-13
+H_MAX_REL = 1e-3
 H_MIN_REL = 1e-12
 
 
@@ -50,27 +56,6 @@ def _guard_norm(X: np.ndarray, threshold: float) -> float:
     if fro < threshold:
         return fro  # ||X||_2 <= ||X||_F, cannot have crossed
     return float(np.linalg.norm(X, 2))
-
-
-@dataclass(frozen=True)
-class StepControl:
-    """Adaptive-step configuration of the Dormand-Prince integrator.
-
-    ``h_max``/``h_min`` default to ``1e-3`` and ``1e-12`` times the
-    integration span when left unset.  ``blowup`` is the spectral-norm
-    guard above which the flow is declared escaped.
-    """
-
-    rtol: float = 1e-10
-    atol: float = 1e-13
-    h_max: float | None = None
-    h_min: float | None = None
-    blowup: float = DEFAULT_BLOWUP
-
-    def resolve(self, span: float) -> tuple[float, float]:
-        h_max = self.h_max if self.h_max is not None else H_MAX_REL * span
-        h_min = self.h_min if self.h_min is not None else H_MIN_REL * span
-        return h_max, h_min
 
 
 @dataclass(frozen=True)
@@ -277,7 +262,6 @@ def _integrate_backward(
     t_start: float,
     X_start: np.ndarray,
     floor: float,
-    ctrl: StepControl,
     span_hint: float | None = None,
 ) -> IntegrationRun:
     """March backward from (t_start, X_start) toward ``floor``.
@@ -288,7 +272,7 @@ def _integrate_backward(
     the guard.
     """
     span = span_hint if span_hint is not None else max(t_start - floor, 1e-300)
-    h_max, h_min = ctrl.resolve(span)
+    h_max, h_min = H_MAX_REL * span, H_MIN_REL * span
     time_eps = 1e-14 * max(1.0, abs(t_start), abs(floor))
 
     t = float(t_start)
@@ -309,7 +293,7 @@ def _integrate_backward(
             X_new, err = _dp_step(rhs, t, X, -h_try)
         finite = bool(np.isfinite(X_new).all() and np.isfinite(err).all())
         if finite:
-            denom = ctrl.atol + ctrl.rtol * np.maximum(np.abs(X), np.abs(X_new))
+            denom = ATOL + RTOL * np.maximum(np.abs(X), np.abs(X_new))
             enorm = float(np.sqrt(np.mean((err / denom) ** 2)))
         else:
             enorm = np.inf
@@ -317,8 +301,8 @@ def _integrate_backward(
         if enorm <= 1.0:
             t = floor if last else t - h_try
             X = _sym(X_new)
-            nrm = _guard_norm(X, ctrl.blowup)
-            if nrm >= ctrl.blowup:
+            nrm = _guard_norm(X, DEFAULT_BLOWUP)
+            if nrm >= DEFAULT_BLOWUP:
                 status = "blowup"
                 t_trip = t
                 norm_trip = nrm
@@ -334,8 +318,8 @@ def _integrate_backward(
             shrink = 0.2 if not np.isfinite(enorm) else max(0.2, 0.9 * enorm ** -0.2)
             h = h_try * min(shrink, 0.9)
             if h < h_min:
-                nrm = _guard_norm(X, ctrl.blowup)
-                if nrm >= np.sqrt(ctrl.blowup):
+                nrm = _guard_norm(X, DEFAULT_BLOWUP)
+                if nrm >= np.sqrt(DEFAULT_BLOWUP):
                     # The pole itself is strangling the step: count it as escape.
                     status = "blowup"
                     t_trip = t

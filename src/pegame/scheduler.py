@@ -6,46 +6,26 @@ The backward recursion places each instant at the detected escape time of
 the following interval plus a safety margin, which maximizes every
 inter-communication duration and therefore minimizes the count.
 
-Escape exactly at an interval's left endpoint is allowed: the estimate
-resets there, so the half-open interval semantics exclude it.  A small
-boundary tolerance absorbs detector noise at that endpoint.
+Escapes are located by the linear-flow determinant detector, the oracle
+of record.  Escape exactly at an interval's left endpoint is allowed: the
+estimate resets there, so the half-open interval semantics exclude it.
+A boundary tolerance of 1e-8 of the horizon absorbs detector noise at
+that endpoint; ``escape._escape_inside`` holds that rule for the
+scheduler and the simulator alike.  The margin (1e-6 of the horizon,
+unless given) and the slack bisection tolerance (1e-4 of the horizon)
+are module constants.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .errors import DegenerateSchedule, NoFeasibleInstance
-from .escape import EscapeReport, detect_escape_norm, detect_escape_radon
+from .escape import _escape_inside
 from .game_model import GameSpec
-from .riccati import RiccatiSolution, StepControl, eval_solution, make_gap_problem
+from .riccati import RiccatiSolution
 
 MARGIN_REL = 1e-6
 BISECT_TOL_REL = 1e-4
-
-
-def _boundary_tol(spec: GameSpec, time_tol: float | None) -> float:
-    base = 1e-8 * spec.horizon
-    if time_tol is not None:
-        base = max(base, 10.0 * time_tol)
-    return base
-
-
-def _gap_escape(
-    spec: GameSpec,
-    value_sol: RiccatiSolution,
-    terminal_time: float,
-    floor: float,
-    method: str,
-    time_tol: float | None,
-    step_control: StepControl | None,
-) -> EscapeReport:
-    if method == "radon":
-        boundary = -eval_solution(value_sol, terminal_time)
-        return detect_escape_radon(spec, terminal_time, boundary, floor, time_tol)
-    if method == "norm":
-        problem = make_gap_problem(spec, value_sol, terminal_time)
-        return detect_escape_norm(problem, floor, time_tol, step_control)
-    raise ValueError(f"unknown escape method {method!r}")
 
 
 @dataclass(frozen=True)
@@ -90,10 +70,6 @@ def check_admissibility(
     value_sol: RiccatiSolution,
     instants,
     *,
-    method: str = "radon",
-    time_tol: float | None = None,
-    boundary_tol: float | None = None,
-    step_control: StepControl | None = None,
     fail_fast: bool = False,
 ) -> tuple[IntervalCertificate, ...]:
     """Certify every interval of a schedule, including the leading one.
@@ -104,16 +80,10 @@ def check_admissibility(
     ``fail_fast`` the certificate list stops at the first failure.
     """
     instants = spec.checked_instants(instants)
-    btol = (
-        boundary_tol
-        if boundary_tol is not None
-        else _boundary_tol(spec, time_tol)
-    )
     bounds = [spec.t0, *instants, spec.tf]
     certificates = []
     for a, b in zip(bounds, bounds[1:]):
-        rep = _gap_escape(spec, value_sol, b, a, method, time_tol, step_control)
-        inside = bool(rep.found and rep.t_escape > a + btol)
+        rep, inside = _escape_inside(spec, value_sol, a, b)
         certificates.append(
             IntervalCertificate(
                 t_start=float(a),
@@ -132,10 +102,7 @@ def optimal_schedule(
     value_sol: RiccatiSolution,
     margin: float | None = None,
     *,
-    method: str = "radon",
-    time_tol: float | None = None,
     compute_slack: bool = True,
-    step_control: StepControl | None = None,
 ) -> CommSchedule:
     """Backward recursion: each instant sits just above the escape time of
     the interval it opens.
@@ -151,9 +118,7 @@ def optimal_schedule(
     instants: list[float] = []
     t_next = spec.tf
     for _ in range(10000):
-        rep = _gap_escape(
-            spec, value_sol, t_next, spec.t0, method, time_tol, step_control
-        )
+        rep = _escape_inside(spec, value_sol, spec.t0, t_next)[0]
         if not rep.found:
             break
         t_star = float(rep.t_escape)
@@ -171,27 +136,12 @@ def optimal_schedule(
     else:
         raise DegenerateSchedule("backward recursion failed to terminate")
 
-    certificates = check_admissibility(
-        spec,
-        value_sol,
-        instants,
-        method=method,
-        time_tol=time_tol,
-        step_control=step_control,
-    )
+    certificates = check_admissibility(spec, value_sol, instants)
     slack: tuple[float, ...] = ()
     if compute_slack:
         bounds = [spec.t0, *instants, spec.tf]
         slack = tuple(
-            max_next_instance(
-                spec,
-                value_sol,
-                bounds[i],
-                bounds[i + 2],
-                method=method,
-                time_tol=time_tol,
-                step_control=step_control,
-            )
+            max_next_instance(spec, value_sol, bounds[i], bounds[i + 2])
             for i in range(len(instants))
         )
     return CommSchedule(
@@ -207,12 +157,6 @@ def max_next_instance(
     value_sol: RiccatiSolution,
     t_prev: float,
     upper: float,
-    *,
-    method: str = "radon",
-    time_tol: float | None = None,
-    bisect_tol: float | None = None,
-    boundary_tol: float | None = None,
-    step_control: StepControl | None = None,
 ) -> float:
     """Supremum of admissible next communication times after ``t_prev``.
 
@@ -225,26 +169,14 @@ def max_next_instance(
         raise ValueError(
             f"need t0 <= t_prev < upper <= tf, got t_prev={t_prev}, upper={upper}"
         )
-    btol = (
-        boundary_tol
-        if boundary_tol is not None
-        else _boundary_tol(spec, time_tol)
-    )
-    tol = (
-        float(bisect_tol)
-        if bisect_tol is not None
-        else BISECT_TOL_REL * spec.horizon
-    )
+    tol = BISECT_TOL_REL * spec.horizon
 
     def feasible(tau: float) -> bool:
-        rep = _gap_escape(
-            spec, value_sol, tau, t_prev, method, time_tol, step_control
-        )
-        return (not rep.found) or rep.t_escape <= t_prev + btol
+        return not _escape_inside(spec, value_sol, t_prev, tau)[1]
 
     if feasible(upper):
         return upper
-    probe = t_prev + max(tol * 1e-2, 1e-8 * spec.horizon)
+    probe = t_prev + tol * 1e-2
     if probe >= upper or not feasible(probe):
         raise NoFeasibleInstance(
             f"no admissible instant just above t_prev={t_prev}; numerical fault"

@@ -26,13 +26,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 import scipy.linalg as la
 
 from .errors import InadmissibleInterval, IntervalAdmissible, NegativeBudget
-from .escape import _flow_norm, _StackedFlow, detect_escape_radon
+from .escape import _escape_inside, _flow_norm, _StackedFlow
 from .game_model import GameSpec
 from .riccati import (
     DEFAULT_BLOWUP,
@@ -296,7 +296,7 @@ class Trajectory:
         return float(self.running_cost[-1] + self.terminal_cost)
 
 
-def _closed_loop(spec, value_sol, schedule, pursuer, evaders, step, breakpoints=()):
+def _closed_loop(spec, value_sol, schedule, pursuer, evaders, step):
     """One closed-loop run per evader strategy, batched.
 
     The state is carried as z = [x; e], e = x - x_hat, and the coefficient
@@ -310,7 +310,7 @@ def _closed_loop(spec, value_sol, schedule, pursuer, evaders, step, breakpoints=
             raise ValueError(f"{side} strategy required, got side={strategy.side!r}")
     instants = spec.checked_instants(getattr(schedule, "instants", schedule))
     step = float(step) if step is not None else DEFAULT_STEP_REL * spec.horizon
-    knots = (*pursuer.knots, *(k for e in evaders for k in e.knots), *breakpoints)
+    knots = (*pursuer.knots, *(k for e in evaders for k in e.knots))
     cuts = {*instants, *(float(t) for t in knots if spec.t0 < float(t) < spec.tf)}
     grid = _grid([spec.t0, *sorted(cuts), spec.tf], step)
 
@@ -353,21 +353,19 @@ def simulate(
     pursuer: Strategy,
     evader: Strategy,
     step: float | None = None,
-    *,
-    extra_breakpoints: Sequence[float] = (),
 ) -> Trajectory:
     """Fixed-step joint integration of state and estimate.
 
     ``schedule`` is a CommSchedule or an iterable of instants.  Steps are
     split exactly at communication events (where the estimate resets to
-    the true state), at the strategies' knots and at any declared
-    breakpoints, with at least ten substeps per segment; a segment reads
+    the true state) and at the strategies' knots, with at least ten
+    substeps per segment; a segment reads
     its inputs from its own piece, up to the left limit at its end.  The
     three payoff integrals ride along as quadrature states of the same
     fourth-order scheme.
     """
     t, z, integrals, inputs, instants = _closed_loop(
-        spec, value_sol, schedule, pursuer, [evader], step, extra_breakpoints
+        spec, value_sol, schedule, pursuer, [evader], step
     )
     x, e = np.split(z[:, 0], 2, axis=-1)
     return Trajectory(
@@ -456,11 +454,6 @@ def open_loop_pair(
 # deviation analysis
 
 
-def _interval_escape(spec, value_sol, a, b):
-    boundary = -eval_solution(value_sol, b)
-    return detect_escape_radon(spec, b, boundary, a)
-
-
 def _gap_flow(spec, value_sol, b):
     """Pointwise-exact gap flow G of the interval ending at b; the
     interval's error-value flow is M = G + P."""
@@ -490,9 +483,8 @@ def deviation_gain_check(
     a, b = float(interval[0]), float(interval[1])
     if not (spec.t0 <= a < b <= spec.tf):
         raise ValueError(f"interval {interval} outside the horizon")
-    rep = _interval_escape(spec, value_sol, a, b)
-    btol = 1e-8 * spec.horizon
-    if rep.found and rep.t_escape > a + btol:
+    rep, inside = _escape_inside(spec, value_sol, a, b)
+    if inside:
         raise InadmissibleInterval(
             f"interval [{a}, {b}) contains an escape at {rep.t_escape:.9g}"
         )
@@ -545,19 +537,17 @@ def risky_strategy(
     spec: GameSpec,
     value_sol: RiccatiSolution,
     interval: tuple[float, float],
-    kick_w0: np.ndarray | None = None,
-    kick_len: float | None = None,
     scale: float = 1.0,
-    *,
-    standoff: float | None = None,
 ) -> Strategy:
     """Two-phase deviation for an interval whose error-value flow escapes.
 
-    Phase one injects ``scale * kick_w0`` to build estimation error while
-    the error-value flow is still undefined; phase two plays the
+    Phase one injects ``scale`` times the basis input with the strongest
+    immediate effect on the state, building estimation error while the
+    error-value flow is still undefined; phase two plays the
     gain-maximizing error feedback -R_e^-1 C'M~ e, where M~ is the
-    error-value solution truncated a standoff above its escape time (and
-    frozen below the truncation).  Both phases add to the equilibrium
+    error-value solution truncated a standoff above its escape time (1e-4
+    of the time left to the interval end) and frozen below the
+    truncation, where the kick ends.  Both phases add to the equilibrium
     feedback, so the play stays affine: K_h = L and K_x = R_e^-1 C'P - L
     with L = R_e^-1 C'M~ after the kick.  The extracted gain grows
     quadratically in ``scale``, which is the working demonstration that an
@@ -566,32 +556,21 @@ def risky_strategy(
     a, b = float(interval[0]), float(interval[1])
     if not (spec.t0 <= a < b <= spec.tf):
         raise ValueError(f"interval {interval} outside the horizon")
-    rep = _interval_escape(spec, value_sol, a, b)
-    btol = 1e-8 * spec.horizon
-    if not (rep.found and rep.t_escape > a + btol):
+    rep, inside = _escape_inside(spec, value_sol, a, b)
+    if not inside:
         raise IntervalAdmissible(
             f"interval [{a}, {b}) is escape-free; the deviation cannot profit"
         )
     t_star = float(rep.t_escape)
-    standoff = (
-        float(standoff) if standoff is not None else 1e-4 * max(b - t_star, 1e-12)
-    )
-    t_trunc = min(t_star + standoff, 0.5 * (t_star + b))
+    t_trunc = min(t_star + 1e-4 * max(b - t_star, 1e-12), 0.5 * (t_star + b))
     gap = _gap_flow(spec, value_sol, b)
 
-    t_switch = a + float(kick_len) if kick_len is not None else t_trunc
-    if not (a < t_switch < b):
-        raise ValueError("kick must end strictly inside the interval")
-
-    if kick_w0 is None:
-        # basis direction with the strongest immediate effect on the state
-        col = int(np.argmax(np.linalg.norm(spec.C, axis=0)))
-        kick_w0 = np.eye(spec.n_e)[col]
-    kick = float(scale) * np.asarray(kick_w0, dtype=float).reshape(spec.n_e)
+    col = int(np.argmax(np.linalg.norm(spec.C, axis=0)))
+    kick = float(scale) * np.eye(spec.n_e)[col]
     evader_gain = _gain(spec.R_e, spec.C)
 
     def terms(s: _Stages):
-        kicking = (s.t <= t_switch)[..., None]
+        kicking = (s.t <= t_trunc)[..., None]
         tt = np.clip(s.t, t_trunc, b)
         M = gap.value(tt) + _eval_many(value_sol, tt)
         L = np.where(kicking[..., None], 0.0, evader_gain @ M)
@@ -606,23 +585,19 @@ def deviation_sweep(
     *,
     schedule=(),
     pursuer: str = "open_loop",
-    direction: np.ndarray | None = None,
-    absolute: bool = True,
     step: float | None = None,
     value_sol: RiccatiSolution | None = None,
 ) -> np.ndarray:
-    """Payoffs of constant evader deviations scaled by each ``c``.
+    """Payoffs of the constant evader inputs ``[-c, 0, ...]``, played
+    instead of the equilibrium feedback, for each ``c``.
 
-    With the default direction the evader input is ``[-c, 0, ...]``; the
-    pursuer either commits to the open-loop pair or runs the
+    The pursuer either commits to the open-loop pair or runs the
     certainty-equivalent estimator over ``schedule``.  All deviations run
     as one batch.
     """
     value_sol = value_sol if value_sol is not None else solve_value_riccati(spec)
-    if direction is None:
-        direction = np.zeros(spec.n_e)
-        direction[0] = -1.0
-    direction = np.asarray(direction, dtype=float).reshape(spec.n_e)
+    direction = np.zeros(spec.n_e)
+    direction[0] = -1.0
 
     if pursuer == "open_loop":
         pursuer_strategy, _ = open_loop_pair(spec, value_sol)
@@ -632,7 +607,7 @@ def deviation_sweep(
         raise ValueError(f"unsupported pursuer choice {pursuer!r}")
 
     evaders = [
-        Strategy.deviation(float(c) * direction, absolute=absolute) for c in c_values
+        Strategy.deviation(float(c) * direction, absolute=True) for c in c_values
     ]
     if not evaders:
         return np.array([])

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 
 import numpy as np
@@ -6,6 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pegame.cli import (
+    _COMMANDS,
+    _finite,
+    _finite_list,
+    _point,
+    _step,
     dumps_canonical,
     load_spec,
     main,
@@ -231,21 +238,6 @@ def test_spec_file_and_csv_determinism(capsys, tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def test_escape_report_serializes(example_spec, example_value_sol):
-    from pegame.cli import escape_report_to_dict
-    from pegame.escape import detect_escape_radon
-    from pegame.riccati import eval_solution
-
-    rep = detect_escape_radon(
-        example_spec, 1.0, -eval_solution(example_value_sol, 1.0), 0.0
-    )
-    doc = json.loads(dumps_canonical(escape_report_to_dict(rep)))
-    assert doc["found"] is True
-    assert doc["method"] == "radon_determinant"
-    assert doc["t_escape"] == pytest.approx(0.5, abs=1e-6)
-    assert doc["floor"] == 0.0
-
-
 def test_usage_error_exit_code(capsys):
     assert main(["no-such-command"]) == 2
     assert main([]) == 2
@@ -348,26 +340,313 @@ def test_rejected_argument_is_usage_error(capsys, argv):
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
 
-# Reports of the README's example1 commands, as printed before the closed
-# loop became one batched recurrence.
+def one_line_error(code, out, err, expected_code=2):
+    assert code == expected_code and out == ""
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("preset", [[], {"a": 1}], ids=["list", "object"])
+def test_unhashable_preset_is_schema_error(capsys, tmp_path, preset):
+    with pytest.raises(SchemaError, match="unknown preset"):
+        spec_from_dict({"preset": preset})
+    path = tmp_path / "preset.json"
+    path.write_text(json.dumps({"preset": preset}))
+    one_line_error(*run_cli(capsys, "validate", "--spec", str(path)))
+
+
+@pytest.mark.parametrize("field", ["t0", "tf", "x0", "A"])
+def test_int_too_large_for_a_float_is_schema_error(capsys, tmp_path, field):
+    doc = spec_to_dict(example_one_spec())
+    huge = 10**400
+    if field == "x0":
+        doc["x0"][0] = huge
+    elif field == "A":
+        doc["A"][0][0] = huge
+    else:
+        doc[field] = huge
+    with pytest.raises(SchemaError):
+        spec_from_dict(doc)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    one_line_error(*run_cli(capsys, "validate", "--spec", str(path)))
+
+
+FINITE_TYPES = (_finite, _finite_list, _step, _point)
+FLOAT_OPTIONS = [
+    (command, flag)
+    for command, (_, _, _, arguments) in _COMMANDS.items()
+    for flag, options in arguments
+    if options.get("type") in FINITE_TYPES
+]
+
+
+def test_every_float_option_is_finite():
+    typed = {
+        (command, flag)
+        for command, (_, _, _, arguments) in _COMMANDS.items()
+        for flag, options in arguments
+        if "type" in options
+    }
+    assert typed - set(FLOAT_OPTIONS) == {("reachability", "--samples")}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "command,flag", FLOAT_OPTIONS, ids=[f"{c}{f}" for c, f in FLOAT_OPTIONS]
+)
+def test_non_finite_argument_is_usage_error(capsys, command, flag, value):
+    code, out, err = run_cli(capsys, command, f"{flag}={value}")
+    assert code == 2 and out == ""
+    assert "Traceback" not in err and "finite" in err
+
+
+def test_center_needs_two_entries(capsys, tmp_path):
+    for center in ("1", "1,2,3", ""):
+        code, out, err = run_cli(
+            capsys, "reachability", "--t1", "0.75", "--out",
+            str(tmp_path / "c.csv"), f"--center={center}",
+        )
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert "--center" in err
+    assert not (tmp_path / "c.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv,field",
+    [
+        (["sweep", "--preset", "example1", "--c", "1e200"], "payoffs"),
+        (["simulate", "--preset", "example1", "--evader", "risky", "--scale", "1e200"],
+         "payoff_direct"),
+        (["reachability", "--budget", "1e300", "--horizon", "1e300"], "radius"),
+    ],
+    ids=["sweep", "simulate", "reachability"],
+)
+def test_non_finite_report_is_not_printed(capsys, argv, field):
+    code, out, err = run_cli(capsys, *argv)
+    one_line_error(code, out, err, expected_code=1)
+    assert f"report field {field!r} is not finite" in err
+
+
+def test_unwritable_output_is_usage_error(capsys, tmp_path):
+    missing = tmp_path / "no-such-dir" / "value.csv"
+    one_line_error(*run_cli(capsys, "riccati", "--preset", "example1", "--out", str(missing)))
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-strict JSON constant {token}")
+
+
+def run_clean(argv):
+    """Run the CLI in-process; the outcome must be an exit code of 0, 1 or
+    2 with no traceback, and strict JSON on stdout after exit 0."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv
+    if code == 0:
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
+    return code
+
+
+JSON_VALUES = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(min_value=-(10**400), max_value=10**400),
+        st.floats(width=64),
+        st.text(max_size=8),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    ),
+    max_leaves=10,
+)
+SPEC_FIELDS = ["version", "preset", "A", "B", "C", "Q", "Q_f", "R_p", "R_e",
+               "t0", "tf", "x0"]
+
+
+@st.composite
+def spec_documents(draw):
+    """Whole random documents, and the example1 spec with some fields
+    replaced by random values, written as JSON text (NaN literals and
+    huge integers included)."""
+    if draw(st.booleans()):
+        return json.dumps(draw(JSON_VALUES))
+    doc = spec_to_dict(example_one_spec())
+    for name in draw(st.lists(st.sampled_from(SPEC_FIELDS), max_size=3)):
+        doc[name] = draw(JSON_VALUES)
+    return json.dumps(doc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(text=spec_documents())
+def test_fuzz_validate_spec(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("fuzz") / "spec.json"
+    path.write_text(text)
+    run_clean(["validate", "--spec", str(path)])
+
+
+# values for fuzzed flags: valid, out of range, non-finite and malformed
+NUMBERS = st.one_of(
+    st.sampled_from(["nan", "inf", "1e200", "-1", "0", "0.25", "0.5", "0.8",
+                     "1", "2", "x", "", "1e-300"]),
+    st.floats(min_value=-2.0, max_value=2.0).map(repr),
+)
+LISTS = st.lists(NUMBERS, max_size=3).map(",".join)
+STEPS = st.sampled_from(["0", "-1", "nan", "inf", "x", "1e200", "0.01", "0.05"])
+
+
+def flag_values(options, tmp_dir):
+    if "choices" in options:
+        return st.sampled_from([*options["choices"], "bogus"])
+    kind = options.get("type")
+    if kind is _step:  # a tiny step is only slow
+        return STEPS
+    if kind in (_finite_list, _point):
+        return LISTS
+    if kind is _finite:
+        return NUMBERS
+    if kind is int:
+        return st.integers(min_value=-3, max_value=200).map(str)
+    # output paths, one in a missing directory
+    return st.sampled_from([str(tmp_dir / "out.csv"), str(tmp_dir / "no" / "out.csv")])
+
+
+@st.composite
+def command_lines(draw, tmp_dir):
+    """One command with a random subset of its flags, each with a value
+    drawn for its type."""
+    command = draw(st.sampled_from(list(_COMMANDS)))
+    argv = [command]
+    for flag, options in _COMMANDS[command][3]:
+        if not draw(st.booleans()):
+            continue
+        if options.get("action") == "store_true":
+            argv.append(flag)
+        else:
+            argv.append(f"{flag}={draw(flag_values(options, tmp_dir))}")
+    return argv
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_fuzz_command_flags(tmp_path_factory, data):
+    tmp_dir = tmp_path_factory.getbasetemp()
+    run_clean(data.draw(command_lines(tmp_dir)))
+
+
+# Reports of the README's example1 commands (riccati without --out), as
+# printed before the closed loop became one batched recurrence (simulate,
+# sweep) and before the CLI became table-driven (the others): the exit
+# code, then fields.  Floats match to 1e-12 relative; ints, bools, strings
+# and nulls exactly.
+THIRD = 0.33333333333333492
 GOLDEN = {
-    ("simulate", "--preset", "example1", "--instants", "0.5"): {
+    ("simulate", "--preset", "example1", "--instants", "0.5"): (0, {
         "payoff_direct": 0.33333333333333381,
-        "payoff_completed_square": 0.33333333333333492,
-        "game_value": 0.33333333333333492,
+        "payoff_completed_square": THIRD,
+        "game_value": THIRD,
         "terminal_cost": 0.11111111111114852,
-    },
-    ("sweep", "--preset", "example1", "--c", "0,1,2"): {
+    }),
+    ("sweep", "--preset", "example1", "--c", "0,1,2"): (0, {
         "payoffs": [0.55555555555538905, 1.7222222222216537, 3.8888888888882525],
-        "game_value": 0.33333333333333492,
-    },
+        "game_value": THIRD,
+    }),
+    ("validate", "--preset", "example1"): (0, {
+        "command": "validate",
+        "passed": False,
+        "assumption1_max_eig": 2.0,
+        "violations": [{
+            "name": "controllability_dominance",
+            "measured": 2.0,
+            "severity": "warning",
+            "message": "controllability gap not negative definite (max eig "
+            "2.000e+00); not satisfied (solution may still exist)",
+        }],
+    }),
+    ("riccati", "--preset", "example1"): (0, {
+        "command": "riccati",
+        "kind": "value",
+        "grid_points": 1001,
+        "reached_floor": True,
+        "residual": 1.473561720801787e-12,
+        "value_at_t0": [
+            [0.33333333333333282, 0.0, -0.33333333333333337, 0.0],
+            [0.0, 0.33333333333333282, 0.0, -0.33333333333333337],
+            [-0.33333333333333337, 0.0, THIRD, 0.0],
+            [0.0, -0.33333333333333337, 0.0, THIRD],
+        ],
+        "game_value": THIRD,
+        "csv": None,
+    }),
+    ("schedule", "--preset", "example1"): (0, {
+        "command": "schedule",
+        "N": 1,
+        "instants": [0.50000100000000003],
+        "margin": 9.9999999999999995e-07,
+        "slack_sup": [0.74996973245239262],
+        "certificates": [
+            {"start": 0.0, "end": 0.50000100000000003, "escape_found": False,
+             "t_escape": None},
+            {"start": 0.50000100000000003, "end": 1.0, "escape_found": False,
+             "t_escape": None},
+        ],
+    }),
+    ("check-schedule", "--preset", "example1", "--instants", "0.8", "--strict"): (1, {
+        "command": "check-schedule",
+        "instants": [0.80000000000000004],
+        "pass": False,
+        "intervals": [
+            {"start": 0.0, "end": 0.80000000000000004, "escape_found": True,
+             "t_escape": 0.10000000000000003},
+            {"start": 0.80000000000000004, "end": 1.0, "escape_found": False,
+             "t_escape": None},
+        ],
+    }),
+    ("slack", "--preset", "example1", "--t-prev", "0"): (0, {
+        "command": "slack",
+        "t_prev": 0.0,
+        "upper": 1.0,
+        "sup_next_instant": 0.74996973245239262,
+    }),
+    ("reachability", "--t1", "0.75"): (0, {
+        "command": "reachability",
+        "effort_budget": 0.16666666666666666,
+        "horizon": 0.75,
+        "re_scalar": 0.5,
+        "radius": 0.5,
+    }),
 }
 
 
-@pytest.mark.parametrize("argv", list(GOLDEN), ids=["simulate", "sweep"])
+def assert_pinned(got, expected, where):
+    if isinstance(expected, float):
+        assert isinstance(got, (int, float)) and not isinstance(got, bool), where
+        assert got == pytest.approx(expected, rel=1e-12, abs=0.0), where
+    elif isinstance(expected, list):
+        assert isinstance(got, list) and len(got) == len(expected), where
+        for k, (g, e) in enumerate(zip(got, expected)):
+            assert_pinned(g, e, f"{where}[{k}]")
+    elif isinstance(expected, dict):
+        assert isinstance(got, dict) and list(got) == list(expected), where
+        for key in expected:
+            assert_pinned(got[key], expected[key], f"{where}.{key}")
+    else:
+        assert type(got) is type(expected) and got == expected, where
+
+
+@pytest.mark.parametrize(
+    "argv",
+    list(GOLDEN),
+    ids=["simulate", "sweep", "validate", "riccati", "schedule", "check-schedule",
+         "slack", "reachability"],
+)
 def test_readme_reports_pinned(capsys, argv):
     code, out, _ = run_cli(capsys, *argv)
-    assert code == 0
+    expected_code, fields = GOLDEN[argv]
+    assert code == expected_code
     doc = json.loads(out)
-    for key, expected in GOLDEN[argv].items():
-        assert doc[key] == pytest.approx(expected, rel=1e-12, abs=0.0), key
+    for key, expected in fields.items():
+        assert_pinned(doc[key], expected, key)

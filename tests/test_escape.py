@@ -4,7 +4,7 @@ import scipy.linalg as la
 
 from pegame.game_model import GameSpec, example_one_spec
 from pegame.riccati import (
-    StepControl,
+    DEFAULT_BLOWUP,
     _integrate_backward,
     eval_solution,
     make_gap_problem,
@@ -26,7 +26,7 @@ def test_norm_detector_example_one(example_spec, example_value_sol):
     lo, hi = rep.bracket
     assert 0.0 <= lo < hi <= 1.0
     assert hi - lo <= 1e-9
-    assert rep.norm_at_detection >= StepControl().blowup / 10
+    assert rep.norm_at_detection >= DEFAULT_BLOWUP / 10
 
 
 def test_radon_detector_example_one(example_spec, example_value_sol):
@@ -125,13 +125,12 @@ def test_bracket_is_certified_finite(example_spec, example_value_sol):
     problem = make_gap_problem(example_spec, example_value_sol, 1.0)
     rep = detect_escape_norm(problem, 0.0)
     _, hi = rep.bracket
-    ctrl = StepControl()
     rerun = _integrate_backward(
-        problem.rhs, problem.terminal_time, problem.terminal_value, hi, ctrl
+        problem.rhs, problem.terminal_time, problem.terminal_value, hi
     )
     assert rerun.status == "reached"
     norm_at_hi = np.linalg.norm(rerun.xs[-1], 2)
-    assert norm_at_hi >= ctrl.blowup / 10
+    assert norm_at_hi >= DEFAULT_BLOWUP / 10
 
 
 def test_matrix_exponential_against_series():

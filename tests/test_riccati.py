@@ -4,7 +4,6 @@ import pytest
 from pegame.errors import FiniteEscape, OutOfRange
 from pegame.game_model import GameSpec, example_one_spec
 from pegame.riccati import (
-    StepControl,
     _hermite,
     _integrate_backward,
     eval_solution,
@@ -144,9 +143,7 @@ def test_error_value_equals_gap_plus_value(example_spec, example_value_sol):
         F = spec.A + S @ P
         return -(F.T @ M + M @ F - P @ W @ P - M @ S @ M)
 
-    run = _integrate_backward(
-        error_value_rhs, b, np.zeros((4, 4)), a, StepControl()
-    )
+    run = _integrate_backward(error_value_rhs, b, np.zeros((4, 4)), a)
     assert run.status == "reached"
     gap_sol = solve_riccati(make_gap_problem(spec, example_value_sol, b), a)
     for t in np.linspace(a, b, 17):
@@ -235,11 +232,3 @@ def test_floor_at_or_above_terminal_time_rejected(example_spec):
         with pytest.raises(ValueError, match="floor must lie below the terminal time"):
             solve_riccati(problem, floor)
 
-
-def test_step_control_resolution():
-    ctrl = StepControl()
-    h_max, h_min = ctrl.resolve(2.0)
-    assert h_max == pytest.approx(2e-3)
-    assert h_min == pytest.approx(2e-12)
-    custom = StepControl(h_max=0.1, h_min=1e-9)
-    assert custom.resolve(2.0) == (0.1, 1e-9)
