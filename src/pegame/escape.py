@@ -16,17 +16,19 @@ and the bundled example's root is a double one), so zeros are located by
 scanning the smallest singular value of X for dips and refining each dip
 by golden-section; a dip counts as an escape only when the reconstructed
 flow value there exceeds the blow-up guard.  LU sign changes of det X are
-kept as an additional candidate source.
+kept as an additional candidate source.  ``_slack_root`` runs the same
+search in the terminal time, for the scheduler's slack supremum.
 
 Both detectors resolve escape times to ``TIME_TOL_REL`` of the search
-span and share the blow-up guard ``riccati.DEFAULT_BLOWUP``; the scan
-has ``SCAN_POINTS`` points.  ``_escape_inside`` applies the determinant
+span and share the blow-up guard ``riccati.DEFAULT_BLOWUP``; scans have
+``SCAN_POINTS`` points.  ``_escape_inside`` applies the determinant
 detector to one sensing interval and decides whether its escape lies
 inside it, for the scheduler and the simulator.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 import scipy.linalg as la
@@ -38,6 +40,7 @@ from .riccati import (
     RiccatiSolution,
     _gap_problem,
     _integrate_backward,
+    _eval_many,
     _sym,
     eval_solution,
 )
@@ -62,6 +65,11 @@ class EscapeReport:
     floor: float
     terminal_time: float
 
+    @classmethod
+    def missed(cls, method: str, floor: float, terminal_time: float) -> "EscapeReport":
+        """The report of a search that found no escape."""
+        return cls(False, None, None, method, None, float(floor), terminal_time)
+
 
 def _time_tol(terminal_time: float, floor: float) -> float:
     return TIME_TOL_REL * max(terminal_time - floor, 1e-12)
@@ -81,15 +89,7 @@ def detect_escape_norm(problem: RiccatiProblem, floor: float) -> EscapeReport:
 
     run = _integrate_backward(problem.rhs, t1, problem.terminal_value, floor)
     if run.status == "reached":
-        return EscapeReport(
-            found=False,
-            t_escape=None,
-            bracket=None,
-            method="norm_blowup",
-            norm_at_detection=None,
-            floor=float(floor),
-            terminal_time=t1,
-        )
+        return EscapeReport.missed("norm_blowup", floor, t1)
 
     lo = float(run.t_trip)
     hi = float(run.ts[-1])
@@ -150,15 +150,17 @@ class _StackedFlow:
         except np.linalg.LinAlgError:
             pass
 
-    def _stacked(self, t):
-        dt = np.asarray(t, dtype=float) - self.t1
-        if self._eig is not None:
-            w, V, VZ = self._eig
-            return (V @ (np.exp(w * dt[..., None])[..., :, None] * VZ)).real
-        return la.expm(self.H * dt[..., None, None]) @ self.Z0
+    def _step(self, dt, Z=None) -> np.ndarray:
+        """exp(H dt) @ Z for a step or an array of steps; Z defaults to Z0."""
+        if self._eig is None:
+            return la.expm(self.H * dt[..., None, None]) @ (self.Z0 if Z is None else Z)
+        w, V, VZ = self._eig
+        if Z is not None:
+            VZ = np.linalg.solve(V, Z.astype(complex))
+        return (V @ (np.exp(w * dt[..., None])[..., :, None] * VZ)).real
 
-    def __call__(self, t: float) -> np.ndarray:
-        return _normalize(self._stacked(t))
+    def _stacked(self, t):
+        return self._step(np.asarray(t, dtype=float) - self.t1)
 
     def value(self, t) -> np.ndarray:
         """The flow Y X^-1 at t, or a stack of it at an array of times;
@@ -176,9 +178,51 @@ def _flow_norm(stacked: _StackedFlow, t: float) -> float:
             val = stacked.value(t)
     except np.linalg.LinAlgError:
         return np.inf
-    if not np.isfinite(val).all():
-        return np.inf
-    return float(np.linalg.norm(val, 2))
+    return float(np.linalg.norm(val, 2)) if np.isfinite(val).all() else np.inf
+
+
+def _powers(E: np.ndarray, count: int) -> np.ndarray:
+    """E^0, ..., E^(count - 1) by repeated multiplication."""
+    return np.stack(list(accumulate([E] * (count - 1), np.matmul, initial=np.eye(len(E)))))
+
+
+def _dips(s: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """Scan points k >= 1 worth refining, in scan order: sign changes of
+    det X, and local minima of the normalised sigma_min ``s`` at most 0.9
+    of the smaller neighbour or 0.3 of the median.  Flat noise makes endless
+    shallow minima, so only the first 200 count."""
+    nb = np.append(np.where(s[2:] < s[:-2], s[2:], s[:-2]), s[-2])
+    prominent = (s[1:] <= nb) & ((s[1:] <= 0.9 * nb) | (s[1:] <= 0.3 * float(np.median(s))))
+    return np.flatnonzero(prominent | (signs[:-1] * signs[1:] < 0))[:200] + 1
+
+
+def _first_pole(grid, Z, sigma_min, tol, flow_norm):
+    """Golden-section refinement of the dips of a scan of stacks Z = [X; Y]
+    at ``grid``, in scan order, to 1e-2 of ``tol``; the first minimum of
+    ``sigma_min`` that is a pole (where ``flow_norm`` reaches the guard)
+    gives its bracket and norm, else None."""
+    X = Z[:, : Z.shape[-1]]
+    s = np.linalg.svd(X, compute_uv=False)[:, -1] / np.linalg.norm(Z, axis=(1, 2))
+    for k in _dips(s, np.linalg.slogdet(X)[0]):
+        a, b = sorted((grid[k - 1], grid[min(k + 1, len(grid) - 1)]))
+        c = b - _GOLDEN * (b - a)
+        d = a + _GOLDEN * (b - a)
+        fc, fd = sigma_min(c), sigma_min(d)
+        width = np.inf  # far from zero, rounding can stall the bracket above tol
+        while width > b - a > 1e-2 * tol:
+            width = b - a
+            if fc < fd:
+                b, d, fd = d, c, fc
+                c = b - _GOLDEN * (b - a)
+                fc = sigma_min(c)
+            else:
+                a, c, fc = c, d, fd
+                d = a + _GOLDEN * (b - a)
+                fd = sigma_min(d)
+        nrm = flow_norm(0.5 * (a + b))
+        if nrm >= DEFAULT_BLOWUP:
+            return a, b, nrm
+    return None
 
 
 def detect_escape_radon(
@@ -196,101 +240,37 @@ def detect_escape_radon(
     tol = _time_tol(terminal_time, floor)
     n = spec.n_x
     stacked = _StackedFlow(_gap_problem(spec, terminal_time, terminal_value))
-    H, Z0n = stacked.H, stacked.Z0
 
     ts = np.linspace(terminal_time, floor, SCAN_POINTS)
-    delta = ts[0] - ts[1]
-    E = la.expm(-H * delta)
+    E = la.expm(-stacked.H * (ts[0] - ts[1]))
 
     # chunked propagation: the chain Z_{k+1} = E Z_k evaluated in batched
-    # blocks, renormalizing at chunk boundaries only
-    chunk = 64
-    E_pows = np.empty((chunk + 1, 2 * n, 2 * n))
-    E_pows[0] = np.eye(2 * n)
-    for j in range(1, chunk + 1):
-        E_pows[j] = E_pows[j - 1] @ E
-    Z_start = Z0n.copy()
-    X_blocks = np.empty((SCAN_POINTS, n, n))
-    scales = np.empty(SCAN_POINTS)
-    k = 0
-    while k < SCAN_POINTS:
-        m = min(chunk, SCAN_POINTS - k)
-        block = E_pows[:m] @ Z_start
-        X_blocks[k : k + m] = block[:, :n, :]
-        scales[k : k + m] = np.linalg.norm(block, axis=(1, 2))
-        Z_start = _normalize(E_pows[m] @ Z_start)
-        k += m
-    sigmas = np.linalg.svd(X_blocks, compute_uv=False)[:, -1] / scales
-    signs = np.linalg.slogdet(X_blocks)[0]
+    # blocks of 64, renormalizing at block boundaries only
+    E_pows = _powers(E, 65)
+    blocks, Z_start = [], stacked.Z0
+    for k in range(0, SCAN_POINTS, 64):
+        blocks.append(E_pows[: min(64, SCAN_POINTS - k)] @ Z_start)
+        Z_start = _normalize(E_pows[len(blocks[-1])] @ Z_start)
+    Z = np.concatenate(blocks)
 
     def sigma_min(t: float) -> float:
-        return float(np.linalg.svd(stacked(t)[:n], compute_uv=False)[-1])
+        return float(np.linalg.svd(_normalize(stacked._stacked(t))[:n], compute_uv=False)[-1])
 
-    # Candidate dips, walked from the terminal time downward.  Flat noise
-    # produces endless shallow "local minima"; only prominent or deep dips
-    # are worth refining (sign changes always are).
-    deep = 0.3 * float(np.median(sigmas))
-    candidates: list[tuple[float, float]] = []  # (t_high, t_low) brackets
-    for k in range(1, SCAN_POINTS):
-        sign_change = signs[k - 1] * signs[k] < 0
-        if k + 1 < SCAN_POINTS:
-            neighbor = min(sigmas[k - 1], sigmas[k + 1])
-            local_min = sigmas[k] <= neighbor
-        else:
-            neighbor = sigmas[k - 1]
-            local_min = sigmas[k] <= neighbor
-        prominent = local_min and (
-            sigmas[k] <= 0.9 * neighbor or sigmas[k] <= deep
+    hit = _first_pole(ts, Z, sigma_min, tol, lambda t: _flow_norm(stacked, t))
+    if hit is not None:
+        a, b, nrm = hit
+        t_hat = float(min(max(0.5 * (a + b), floor), terminal_time))
+        half = float(0.5 * max(b - a, tol))
+        return EscapeReport(
+            found=True,
+            t_escape=t_hat,
+            bracket=(float(max(t_hat - half, floor)), float(min(t_hat + half, terminal_time))),
+            method="radon_determinant",
+            norm_at_detection=float(min(nrm, np.finfo(float).max)),
+            floor=float(floor),
+            terminal_time=terminal_time,
         )
-        if sign_change or prominent:
-            t_high = ts[k - 1]
-            t_low = ts[k + 1] if k + 1 < SCAN_POINTS else ts[k]
-            candidates.append((t_high, t_low))
-            if len(candidates) >= 200:
-                break
-
-    width_target = max(1e-2 * tol, 1e-15 * (terminal_time - floor))
-    for t_high, t_low in candidates:
-        a, b = t_low, t_high  # ascending for the golden search
-        c = b - _GOLDEN * (b - a)
-        d = a + _GOLDEN * (b - a)
-        fc, fd = sigma_min(c), sigma_min(d)
-        while b - a > width_target:
-            if fc < fd:
-                b, d, fd = d, c, fc
-                c = b - _GOLDEN * (b - a)
-                fc = sigma_min(c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + _GOLDEN * (b - a)
-                fd = sigma_min(d)
-        t_hat = 0.5 * (a + b)
-        nrm = _flow_norm(stacked, t_hat)
-        if nrm >= DEFAULT_BLOWUP:
-            t_hat = float(min(max(t_hat, floor), terminal_time))
-            half = float(0.5 * max(b - a, tol))
-            return EscapeReport(
-                found=True,
-                t_escape=t_hat,
-                bracket=(
-                    float(max(t_hat - half, floor)),
-                    float(min(t_hat + half, terminal_time)),
-                ),
-                method="radon_determinant",
-                norm_at_detection=float(min(nrm, np.finfo(float).max)),
-                floor=float(floor),
-                terminal_time=terminal_time,
-            )
-
-    return EscapeReport(
-        found=False,
-        t_escape=None,
-        bracket=None,
-        method="radon_determinant",
-        norm_at_detection=None,
-        floor=float(floor),
-        terminal_time=terminal_time,
-    )
+    return EscapeReport.missed("radon_determinant", floor, terminal_time)
 
 
 def _escape_inside(
@@ -301,3 +281,33 @@ def _escape_inside(
     rep = detect_escape_radon(spec, b, -eval_solution(value_sol, b), a)
     inside = bool(rep.found and rep.t_escape > a + BOUNDARY_TOL_REL * spec.horizon)
     return rep, inside
+
+
+def _slack_root(
+    spec: GameSpec, value_sol: RiccatiSolution, t_prev: float, upper: float
+) -> float | None:
+    """Least tau in (t_a, upper] whose gap flow, ending at -P(tau), has its
+    pole at t_a, the boundary-tolerance point above ``t_prev``; None when
+    the scan finds none.  At t_a that flow is V U^-1 for
+    [U; V] = exp(H (t_a - tau)) [I; -P(tau)], so the pole is a zero of
+    sigma_min(U), scanned and refined in tau as the detector does in t."""
+    n = spec.n_x
+    t_a = t_prev + BOUNDARY_TOL_REL * spec.horizon
+    flow = _StackedFlow(_gap_problem(spec, upper, np.zeros((n, n))))
+
+    def sigma_min(tau: float) -> float:
+        Z0 = np.vstack((np.eye(n), -_eval_many(value_sol, tau)))
+        Z = flow._step(np.asarray(t_a - tau), Z0)
+        return float(np.linalg.svd(Z[:n], compute_uv=False)[-1] / np.linalg.norm(Z))
+
+    def flow_norm(tau: float) -> float:
+        ending = _gap_problem(spec, tau, -_eval_many(value_sol, tau))
+        return _flow_norm(_StackedFlow(ending), t_a)
+
+    taus = np.linspace(t_a, upper, SCAN_POINTS)
+    pw = _powers(la.expm(flow.H * (taus[0] - taus[1])), 65)
+    # the scan's exp(H (t_a - tau_k)) = E^k = (E^64)^(k // 64) E^(k % 64)
+    Phi = (_powers(pw[64], -(-SCAN_POINTS // 64))[:, None] @ pw[:64]).reshape(-1, 2 * n, 2 * n)
+    Z = Phi[:SCAN_POINTS, :, :n] - Phi[:SCAN_POINTS, :, n:] @ _eval_many(value_sol, taus)
+    hit = _first_pole(taus, Z, sigma_min, _time_tol(upper, t_a), flow_norm)
+    return None if hit is None else float(0.5 * (hit[0] + hit[1]))

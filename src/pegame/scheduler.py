@@ -11,21 +11,20 @@ of record.  Escape exactly at an interval's left endpoint is allowed: the
 estimate resets there, so the half-open interval semantics exclude it.
 A boundary tolerance of 1e-8 of the horizon absorbs detector noise at
 that endpoint; ``escape._escape_inside`` holds that rule for the
-scheduler and the simulator alike.  The margin (1e-6 of the horizon,
-unless given) and the slack bisection tolerance (1e-4 of the horizon)
-are module constants.
+scheduler and the simulator alike.  The margin is 1e-6 of the horizon
+unless given.  Slack suprema come from one root-find in the flow's
+terminal time (``escape._slack_root``), to 1e-9 of the searched span.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .errors import DegenerateSchedule, NoFeasibleInstance
-from .escape import _escape_inside
+from .escape import _escape_inside, _slack_root
 from .game_model import GameSpec
 from .riccati import RiccatiSolution
 
 MARGIN_REL = 1e-6
-BISECT_TOL_REL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -48,7 +47,8 @@ class CommSchedule:
 
     ``slack_sup[i]`` is the supremum to which instant ``i`` could be
     delayed, holding its neighbours fixed, without creating an escape in
-    the preceding interval; the schedule must stay strictly below it.
+    the preceding interval: the root of that escape's entry, found to 1e-9
+    of the interval.  The schedule stays strictly below it.
     """
 
     instants: tuple[float, ...]
@@ -161,31 +161,21 @@ def max_next_instance(
     """Supremum of admissible next communication times after ``t_prev``.
 
     A candidate time is feasible when the gap flow run backward from it
-    stays finite strictly above ``t_prev``; the supremum is located by
-    bisection and is itself a strict bound for the schedule.
+    stays finite strictly above ``t_prev``.  Unless ``upper`` is feasible,
+    the supremum is the least time whose flow has its pole at the boundary
+    tolerance above ``t_prev``: one scan and root-find in that time, to
+    ``escape.TIME_TOL_REL``.  The time one margin below it must pass the
+    interval check; the supremum itself is a strict bound for the schedule.
     """
     t_prev, upper = float(t_prev), float(upper)
     if not (spec.t0 <= t_prev < upper <= spec.tf):
         raise ValueError(
             f"need t0 <= t_prev < upper <= tf, got t_prev={t_prev}, upper={upper}"
         )
-    tol = BISECT_TOL_REL * spec.horizon
-
-    def feasible(tau: float) -> bool:
-        return not _escape_inside(spec, value_sol, t_prev, tau)[1]
-
-    if feasible(upper):
+    if not _escape_inside(spec, value_sol, t_prev, upper)[1]:
         return upper
-    probe = t_prev + tol * 1e-2
-    if probe >= upper or not feasible(probe):
-        raise NoFeasibleInstance(
-            f"no admissible instant just above t_prev={t_prev}; numerical fault"
-        )
-    lo, hi = probe, upper
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    root = _slack_root(spec, value_sol, t_prev, upper)
+    below = t_prev if root is None else root - MARGIN_REL * spec.horizon
+    if below <= t_prev or _escape_inside(spec, value_sol, t_prev, below)[1]:
+        raise NoFeasibleInstance(f"no certified slack supremum above t_prev={t_prev}")
+    return root

@@ -46,6 +46,7 @@ from .riccati import (
 
 DEFAULT_STEP_REL = 1.0 / 2000.0
 MIN_SUBSTEPS = 10
+MAX_STEPS = 10**6  # RK4 steps of one run; a step that needs more is refused
 BLOCK = 128  # RK4 steps per batched evaluation; bounds the stage arrays
 
 
@@ -199,6 +200,8 @@ def _grid(bounds, step: float):
     is the final node.  Returns each step's start, length and end."""
     if not step > 0:
         raise ValueError("step must be positive")
+    if bounds[-1] - bounds[0] > MAX_STEPS * step:
+        raise ValueError(f"step {step:g} needs more than {MAX_STEPS} RK4 steps")
     t, h = [], []
     for a, b in zip(bounds, bounds[1:]):
         n = max(MIN_SUBSTEPS, math.ceil((b - a) / step))

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import time
 
 import numpy as np
 import pytest
@@ -345,6 +346,16 @@ def one_line_error(code, out, err, expected_code=2):
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_step_too_small_for_the_horizon_is_usage_error(capsys, command):
+    # 1e9 RK4 steps would exhaust memory; the step count is refused up front
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, command, "--preset", "example1", "--step", "1e-9")
+    assert time.perf_counter() - start < 1.0
+    one_line_error(code, out, err)
+    assert "RK4 steps" in err
+
+
 @pytest.mark.parametrize("preset", [[], {"a": 1}], ids=["list", "object"])
 def test_unhashable_preset_is_schema_error(capsys, tmp_path, preset):
     with pytest.raises(SchemaError, match="unknown preset"):
@@ -541,7 +552,9 @@ def test_fuzz_command_flags(tmp_path_factory, data):
 # printed before the closed loop became one batched recurrence (simulate,
 # sweep) and before the CLI became table-driven (the others): the exit
 # code, then fields.  Floats match to 1e-12 relative; ints, bools, strings
-# and nulls exactly.
+# and nulls exactly.  The slack supremum is the root of the slack
+# root-find, within 1e-12 of the closed form 3/4 + 1e-8/2; the bisection
+# before it returned a midpoint 3.0e-5 below that.
 THIRD = 0.33333333333333492
 GOLDEN = {
     ("simulate", "--preset", "example1", "--instants", "0.5"): (0, {
@@ -586,7 +599,7 @@ GOLDEN = {
         "N": 1,
         "instants": [0.50000100000000003],
         "margin": 9.9999999999999995e-07,
-        "slack_sup": [0.74996973245239262],
+        "slack_sup": [0.75000000500066144],
         "certificates": [
             {"start": 0.0, "end": 0.50000100000000003, "escape_found": False,
              "t_escape": None},
@@ -609,7 +622,7 @@ GOLDEN = {
         "command": "slack",
         "t_prev": 0.0,
         "upper": 1.0,
-        "sup_next_instant": 0.74996973245239262,
+        "sup_next_instant": 0.75000000500066144,
     }),
     ("reachability", "--t1", "0.75"): (0, {
         "command": "reachability",

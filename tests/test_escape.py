@@ -10,7 +10,7 @@ from pegame.riccati import (
     make_gap_problem,
     solve_value_riccati,
 )
-from pegame.escape import detect_escape_norm, detect_escape_radon
+from pegame.escape import _dips, detect_escape_norm, detect_escape_radon
 
 
 def escape_time_formula(t_next):
@@ -145,3 +145,37 @@ def test_matrix_exponential_against_series():
             term = term @ H / k
             series = series + term
         assert np.abs(la.expm(H) - series).max() <= 1e-12
+
+
+def _dips_loop(sigmas, signs):
+    # the per-point candidate walk that _dips vectorises, kept as reference
+    deep = 0.3 * float(np.median(sigmas))
+    found = []
+    for k in range(1, len(sigmas)):
+        sign_change = signs[k - 1] * signs[k] < 0
+        if k + 1 < len(sigmas):
+            neighbor = min(sigmas[k - 1], sigmas[k + 1])
+        else:
+            neighbor = sigmas[k - 1]
+        local_min = sigmas[k] <= neighbor
+        prominent = local_min and (sigmas[k] <= 0.9 * neighbor or sigmas[k] <= deep)
+        if sign_change or prominent:
+            found.append(k)
+            if len(found) >= 200:
+                break
+    return found
+
+
+def test_dips_match_the_candidate_loop():
+    rng = np.random.default_rng(99)
+    for trial in range(200):
+        size = int(rng.integers(3, 2001))
+        sigmas = rng.random(size)
+        if trial % 4 == 1:  # plateaus and exact ties between neighbours
+            sigmas = np.round(sigmas * 4) / 4
+        if trial % 4 == 2:  # one smooth dip in flat noise
+            sigmas = np.abs(np.linspace(-1, 1, size)) + 1e-3 * rng.random(size)
+        if trial % 4 == 3:
+            sigmas[rng.integers(0, size, 5)] = np.nan
+        signs = rng.choice([-1.0, 0.0, 1.0], size=size, p=[0.05, 0.05, 0.9])
+        assert _dips(sigmas, signs).tolist() == _dips_loop(sigmas, signs), trial

@@ -4,7 +4,12 @@ import pytest
 from pegame.errors import DegenerateSchedule, UnsortedInstants
 from pegame.game_model import GameSpec, example_one_spec
 from pegame.riccati import solve_value_riccati
-from pegame.scheduler import check_admissibility, max_next_instance, optimal_schedule
+from pegame.scheduler import (
+    MARGIN_REL,
+    check_admissibility,
+    max_next_instance,
+    optimal_schedule,
+)
 
 
 def _with_horizon(spec, tf):
@@ -96,6 +101,14 @@ def test_max_next_instance_from_start(example_spec, example_value_sol):
     assert sup == pytest.approx(0.75, abs=1e-3)
 
 
+@pytest.mark.parametrize("t_prev", [0.0, 0.1, 0.2, 0.3])
+def test_max_next_instance_closed_form(example_spec, example_value_sol, t_prev):
+    # the flow from tau escapes at (4 tau - 3)/2, which reaches t_prev + 1e-8
+    # (the boundary tolerance above t_prev) at tau = 3/4 + (t_prev + 1e-8)/2
+    sup = max_next_instance(example_spec, example_value_sol, t_prev, 1.0)
+    assert abs(sup - (0.75 + 0.5 * (t_prev + 1e-8))) <= 1e-9
+
+
 def test_max_next_instance_after_boundary_escape(example_spec, example_value_sol):
     # from terminal 1 the escape is exactly at 0.5, excluded by the
     # half-open interval, so the whole remaining horizon is feasible
@@ -119,6 +132,20 @@ def test_max_next_instance_trivial_flow():
     )
     sol = solve_value_riccati(trivial)
     assert max_next_instance(trivial, sol, 0.2, 0.9) == 0.9
+
+
+def test_schedule_far_from_time_zero(example_spec):
+    # at t ~ 1e5 one ulp exceeds the golden-section target width; the
+    # search must still stop, and the shifted example's answers shift
+    spec = GameSpec(
+        A=example_spec.A, B=example_spec.B, C=example_spec.C, Q=example_spec.Q,
+        Q_f=example_spec.Q_f, R_p=example_spec.R_p, R_e=example_spec.R_e,
+        t0=1e5, tf=1e5 + 1.0, x0=example_spec.x0,
+    )
+    sched = optimal_schedule(spec, solve_value_riccati(spec))
+    assert sched.N == 1 and sched.admissible
+    assert sched.instants[0] == pytest.approx(1e5 + 0.5, abs=1e-5)
+    assert sched.slack_sup[0] == pytest.approx(1e5 + 0.75, abs=1e-5)
 
 
 def test_degenerate_schedule_raises(example_spec):
@@ -201,3 +228,34 @@ def test_random_search_never_beats_recursion(make_escape_spec):
         assert not all(c.passed for c in certs), (
             f"found an admissible schedule with {n_fewer} instants: {instants}"
         )
+
+
+def test_slack_supremum_is_tight_on_random_games(make_escape_spec):
+    # every instant lies strictly below its supremum; delaying it to just
+    # below the supremum keeps the schedule admissible, and delaying it to
+    # just above (while still below the next instant) breaks it
+    rng = np.random.default_rng(4242)
+    games = 0
+    for trial in range(40):
+        spec = make_escape_spec(rng, n=2 + trial % 2)
+        sol = solve_value_riccati(spec)
+        sched = optimal_schedule(spec, sol)
+        if sched.N < 2:
+            continue
+        games += 1
+        bounds = [*sched.instants, spec.tf]
+        for i, (t_i, sup) in enumerate(zip(sched.instants, sched.slack_sup)):
+            assert t_i < sup <= bounds[i + 1]
+            for delta in (1e-7 * spec.horizon, MARGIN_REL * spec.horizon):
+                moved = list(sched.instants)
+                if sup - delta > t_i:
+                    moved[i] = sup - delta
+                    certs = check_admissibility(spec, sol, moved)
+                    assert all(c.passed for c in certs), (trial, i, delta)
+                if sup + delta < bounds[i + 1]:
+                    moved[i] = sup + delta
+                    certs = check_admissibility(spec, sol, moved, fail_fast=True)
+                    assert not all(c.passed for c in certs), (trial, i, delta)
+        if games == 5:
+            break
+    assert games == 5
