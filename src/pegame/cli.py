@@ -420,16 +420,9 @@ def _cmd_slack(args) -> tuple[int, dict]:
 
 
 def _cmd_reachability(args) -> tuple[int, dict]:
-    if args.t1 is not None:
-        # worked-example convention: the equilibrium evader input has
-        # magnitude 2/3, so its effort budget over [0, t1] is 2*t1/9
-        budget = 2.0 * args.t1 / 9.0
-        horizon = args.t1
-        weight = 0.5
-    elif args.budget is None or args.horizon is None:
-        raise SchemaError("reachability needs --t1 or --budget with --horizon")
-    else:
-        budget, horizon, weight = args.budget, args.horizon, args.re_scalar
+    if args.budget is None or args.horizon is None:
+        raise SchemaError("reachability needs --budget and --horizon")
+    budget, horizon, weight = args.budget, args.horizon, args.re_scalar
     radius = reachable_radius(budget, horizon, weight)
     doc = {
         "command": "reachability",
@@ -541,7 +534,6 @@ _COMMANDS = {
         ("--budget", {"type": _finite}),
         ("--horizon", {"type": _finite}),
         ("--re-scalar", {"type": _finite, "default": 1.0}),
-        ("--t1", {"type": _finite}),
         ("--out", {"help": "circle sample CSV output path"}),
         ("--samples", {"type": int, "default": 64}),
         ("--center", {"type": _point, "default": [1.0, 0.0]}),

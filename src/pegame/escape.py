@@ -4,30 +4,26 @@ Two independent detectors cross-validate each other:
 
 * norm blow-up: integrate the nonlinear flow backward and bracket the time
   where the spectral norm crosses the guard threshold.
-* linear-flow determinant: write the constant-coefficient gap flow as
-  Y(t) X(t)^-1 where [X; Y] obeys the linear ODE of the gap problem's
-  Hamiltonian H = [[A, -C R_e^-1 C'], [Q, -A']]; escapes are the zeros of
-  det X(t).  The linear flow has no finite-time singularity in exact
-  arithmetic, which makes this the oracle of record.
+* Maslov count (``_Count``): the gap flow is V U^-1 for the linear flow
+  [U; V]' = H [U; V] with the gap problem's Hamiltonian
+  H = [[A, -C R_e^-1 C'], [Q, -A']], so it escapes where the plane of
+  [U; V] meets the vertical plane {U = 0}; the Maslov index of the path
+  counts those meetings with multiplicity, so the bundled example's
+  double root, where det U keeps its sign, counts twice.  Every jump has
+  one sign, as the crossing form on ker U is (V x)' C R_e^-1 C' (V x) >= 0
+  (Robbin and Salamon, Topology 32, 1993; Coppel, LNM 220, 1971).  The
+  linear flow has no finite-time singularity: the oracle of record.
 
-det X can touch zero without a sign change (its roots carry the
-multiplicity of the number of simultaneously diverging eigendirections,
-and the bundled example's root is a double one), so zeros are located by
-scanning the smallest singular value of X for dips and refining each dip
-by golden-section; a dip counts as an escape only when the reconstructed
-flow value there exceeds the blow-up guard.  LU sign changes of det X are
-kept as an additional candidate source.  ``_slack_root`` runs the same
-search in the terminal time, for the scheduler's slack supremum.
-
-Both detectors resolve escape times to ``TIME_TOL_REL`` of the search
-span and share the blow-up guard ``riccati.DEFAULT_BLOWUP``; scans have
-``SCAN_POINTS`` points.  ``_escape_inside`` applies the determinant
-detector to one sensing interval and decides whether its escape lies
-inside it, for the scheduler and the simulator.
+Escape times are resolved to ``TIME_TOL_REL`` of the search span.
+``_escape_inside`` decides whether an interval's escape lies inside it,
+for the scheduler and the simulator: within ``BOUNDARY_TOL_REL`` of the
+horizon of its start it sits on the start, where the estimate resets.
+``_slack_root`` runs the count in the terminal time.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -35,7 +31,6 @@ import scipy.linalg as la
 
 from .game_model import GameSpec
 from .riccati import (
-    DEFAULT_BLOWUP,
     RiccatiProblem,
     RiccatiSolution,
     _gap_problem,
@@ -43,14 +38,13 @@ from .riccati import (
     _eval_many,
     _sym,
     eval_solution,
+    make_value_problem,
 )
 
 TIME_TOL_REL = 1e-9  # escape-time resolution, relative to the search span
-SCAN_POINTS = 2001   # uniform scan of the span by the determinant detector
 # an escape within this share of the horizon above an interval's start
 # falls outside the interval: the estimate resets at the start
 BOUNDARY_TOL_REL = 1e-8
-_GOLDEN = 0.5 * (np.sqrt(5.0) - 1.0)
 
 
 @dataclass(frozen=True)
@@ -71,10 +65,6 @@ class EscapeReport:
         return cls(False, None, None, method, None, float(floor), terminal_time)
 
 
-def _time_tol(terminal_time: float, floor: float) -> float:
-    return TIME_TOL_REL * max(terminal_time - floor, 1e-12)
-
-
 def detect_escape_norm(problem: RiccatiProblem, floor: float) -> EscapeReport:
     """Escape search by backward integration with a blow-up guard.
 
@@ -85,7 +75,7 @@ def detect_escape_norm(problem: RiccatiProblem, floor: float) -> EscapeReport:
     t1 = problem.terminal_time
     if not floor < t1:
         raise ValueError("floor must lie below the terminal time")
-    tol = _time_tol(t1, floor)
+    tol = TIME_TOL_REL * max(t1 - floor, 1e-12)
 
     run = _integrate_backward(problem.rhs, t1, problem.terminal_value, floor)
     if run.status == "reached":
@@ -109,21 +99,8 @@ def detect_escape_norm(problem: RiccatiProblem, floor: float) -> EscapeReport:
             X_hi = sub.xs[-1]
             norm_det = float(sub.norm_trip)
 
-    t_star = 0.5 * (lo + hi)
-    return EscapeReport(
-        found=True,
-        t_escape=max(t_star, floor),
-        bracket=(max(lo, floor), hi),
-        method="norm_blowup",
-        norm_at_detection=norm_det,
-        floor=float(floor),
-        terminal_time=t1,
-    )
-
-
-def _normalize(Z: np.ndarray) -> np.ndarray:
-    nrm = np.linalg.norm(Z)
-    return Z / nrm if nrm > 0 else Z
+    t_star, bracket = max(0.5 * (lo + hi), floor), (max(lo, floor), hi)
+    return EscapeReport(True, t_star, bracket, "norm_blowup", norm_det, float(floor), t1)
 
 
 class _StackedFlow:
@@ -139,7 +116,8 @@ class _StackedFlow:
         n = problem.n
         self.n = n
         self.H = problem.hamiltonian
-        self.Z0 = _normalize(np.vstack([np.eye(n), problem.terminal_value]))
+        Z0 = np.vstack([np.eye(n), problem.terminal_value])
+        self.Z0 = Z0 / np.linalg.norm(Z0)
         self.t1 = problem.terminal_time
         self._eig = None
         try:
@@ -150,79 +128,130 @@ class _StackedFlow:
         except np.linalg.LinAlgError:
             pass
 
-    def _step(self, dt, Z=None) -> np.ndarray:
-        """exp(H dt) @ Z for a step or an array of steps; Z defaults to Z0."""
-        if self._eig is None:
-            return la.expm(self.H * dt[..., None, None]) @ (self.Z0 if Z is None else Z)
-        w, V, VZ = self._eig
-        if Z is not None:
-            VZ = np.linalg.solve(V, Z.astype(complex))
-        return (V @ (np.exp(w * dt[..., None])[..., :, None] * VZ)).real
-
-    def _stacked(self, t):
-        return self._step(np.asarray(t, dtype=float) - self.t1)
-
     def value(self, t) -> np.ndarray:
         """The flow Y X^-1 at t, or a stack of it at an array of times;
         raises LinAlgError at a pole."""
-        Z = self._stacked(t)
+        dt = np.asarray(t, dtype=float) - self.t1
+        if self._eig is None:
+            Z = la.expm(self.H * dt[..., None, None]) @ self.Z0
+        else:
+            w, V, VZ = self._eig
+            Z = (V @ (np.exp(w * dt[..., None])[..., :, None] * VZ)).real
         U, V = Z[..., : self.n, :], Z[..., self.n :, :]
         # the symmetric part of (V U^-1)' is that of V U^-1
         return _sym(np.linalg.solve(U.swapaxes(-1, -2), V.swapaxes(-1, -2)))
 
 
-def _flow_norm(stacked: _StackedFlow, t: float) -> float:
-    """Spectral norm of the flow at t; infinite at a pole."""
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            val = stacked.value(t)
-    except np.linalg.LinAlgError:
-        return np.inf
-    return float(np.linalg.norm(val, 2)) if np.isfinite(val).all() else np.inf
+def _orth(Z: np.ndarray) -> np.ndarray:
+    """An orthonormal frame of the column span of Z, or of each of a stack."""
+    return np.linalg.qr(Z)[0]
 
 
-def _powers(E: np.ndarray, count: int) -> np.ndarray:
-    """E^0, ..., E^(count - 1) by repeated multiplication."""
-    return np.stack(list(accumulate([E] * (count - 1), np.matmul, initial=np.eye(len(E)))))
+def _eigen_angles(Q: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """Arguments in (-pi, pi] of the eigenvalues of W = G G' for
+    G = (i G_M)^-1 G_Q, with G_Z = U + iV unitary for an orthonormal frame
+    Z = [U; V] of a Lagrangian plane (stacks broadcast).  (i G_M)^-1 takes
+    M's plane to {U = 0}, which a plane [U; V] meets in ker U, where
+    G_Z z = -conj(G_Z) z: so W has the eigenvalue -1 with multiplicity
+    dim(Q ∩ M), and its eigenvalues depend on the planes only."""
+    n = Q.shape[-1]
+    G_M = M[..., :n, :] + 1j * M[..., n:, :]
+    G = -1j * G_M.conj().swapaxes(-1, -2) @ (Q[..., :n, :] + 1j * Q[..., n:, :])
+    return np.angle(np.linalg.eigvals(G @ G.swapaxes(-1, -2)))
 
 
-def _dips(s: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """Scan points k >= 1 worth refining, in scan order: sign changes of
-    det X, and local minima of the normalised sigma_min ``s`` at most 0.9
-    of the smaller neighbour or 0.3 of the median.  Flat noise makes endless
-    shallow minima, so only the first 200 count."""
-    nb = np.append(np.where(s[2:] < s[:-2], s[2:], s[:-2]), s[-2])
-    prominent = (s[1:] <= nb) & ((s[1:] <= 0.9 * nb) | (s[1:] <= 0.3 * float(np.median(s))))
-    return np.flatnonzero(prominent | (signs[:-1] * signs[1:] < 0))[:200] + 1
+class _Count:
+    """Maslov count of the meetings of two Lagrangian paths on a grid.
 
+    The path Q(s) = exp(K (s - start)) Z0 moves by the constant
+    Hamiltonian K; ``partner(s)`` gives frames of the other path M(s) at
+    an array of times, moved by a constant Hamiltonian of norm at most
+    ``partner_speed``.  With W(s) from ``_eigen_angles``, Phi the lift of
+    arg det W and S the sum of the arguments of W's eigenvalues, Phi - S
+    jumps by 2 pi exactly where an eigenvalue passes -1, so
+    N(s) = (Phi(s) - Phi(start) - S(s) + S(start)) / 2 pi is an integer
+    that counts the meetings with multiplicity.
 
-def _first_pole(grid, Z, sigma_min, tol, flow_norm):
-    """Golden-section refinement of the dips of a scan of stacks Z = [X; Y]
-    at ``grid``, in scan order, to 1e-2 of ``tol``; the first minimum of
-    ``sigma_min`` that is a pole (where ``flow_norm`` reaches the guard)
-    gives its bracket and norm, else None."""
-    X = Z[:, : Z.shape[-1]]
-    s = np.linalg.svd(X, compute_uv=False)[:, -1] / np.linalg.norm(Z, axis=(1, 2))
-    for k in _dips(s, np.linalg.slogdet(X)[0]):
-        a, b = sorted((grid[k - 1], grid[min(k + 1, len(grid) - 1)]))
-        c = b - _GOLDEN * (b - a)
-        d = a + _GOLDEN * (b - a)
-        fc, fd = sigma_min(c), sigma_min(d)
-        width = np.inf  # far from zero, rounding can stall the bracket above tol
-        while width > b - a > 1e-2 * tol:
-            width = b - a
-            if fc < fd:
-                b, d, fd = d, c, fc
-                c = b - _GOLDEN * (b - a)
-                fc = sigma_min(c)
+    Bound: |Phi'| <= 2n (||K||_2 + partner_speed).  Proof: Gram-Schmidt of
+    exp(K s) Z0 gives a frame F = [U; V] with F' = K F - F T for an n x n
+    T.  With G = U + iV and J = [[0, I], [-I, 0]],
+    Im tr(G^* G') = tr(U^T V' - V^T U') = tr(F^T J F') = tr(F^T J K F),
+    since F^T J F = U^T V - V^T U = 0 on a Lagrangian plane.  J K is
+    symmetric with ||J K||_2 = ||K||_2, and F has n unit columns, so
+    |tr(F^T J K F)| <= n ||K||_2.  As |det G| = 1,
+    det W = (-1)^n det(G_Q)^2 / det(G_M)^2, so Phi' = 2 Im tr(G_Q^* G_Q')
+    - 2 Im tr(G_M^* G_M'), and W depends on the planes only.  So a spacing
+    of pi / (4n (||K||_2 + partner_speed)) keeps every lift step at most
+    pi/2, and N_{k+1} - N_k = -round((S_{k+1} - S_k) / 2 pi).  Frames are
+    propagated in blocks of 4n steps, which span ||K|| |s| <= pi: each
+    block's propagators have condition number at most e^(2 pi).
+    """
+
+    def __init__(self, K, Z0, start, end, partner, partner_speed=0.0):
+        n = Z0.shape[-1]
+        self.K, self.partner = K, partner
+        rate = 4 * n * (la.norm(K, 2) + partner_speed) / np.pi
+        self.s = np.linspace(start, end, max(1, int(np.ceil(abs(end - start) * rate))) + 1)
+        self.h = self.s[1] - self.s[0]
+        self.tol = TIME_TOL_REL * max(abs(end - start), 1e-12)
+        steps = np.stack(list(accumulate([la.expm(K * self.h)] * (4 * n), np.matmul)))
+        frames = [_orth(Z0)]
+        while len(frames) < len(self.s):
+            frames.extend(_orth(steps @ frames[-1]))
+        self.frames = np.stack(frames[: len(self.s)])
+        self.S = _eigen_angles(self.frames, partner(self.s)).sum(axis=-1)
+        self.N = -np.cumsum(np.rint(np.diff(self.S, prepend=self.S[0]) / (2 * np.pi))).astype(int)
+
+    def _jump(self, s: float, k: int) -> tuple[int, np.ndarray]:
+        """Minus the change of N from grid point k to s in its cell, and
+        W's eigenvalue arguments at s."""
+        frame = _orth(la.expm(self.K * (s - self.s[k])) @ self.frames[k])
+        a = _eigen_angles(frame, self.partner(np.asarray(s)))
+        return int(np.rint((a.sum() - self.S[k]) / (2 * np.pi))), a
+
+    def count(self, s: float) -> int:
+        """N at s, lifted from the grid point that opens the cell of s."""
+        k = int(np.clip((s - self.s[0]) // self.h, 0, len(self.s) - 2))
+        return int(self.N[k]) - self._jump(s, k)[0]
+
+    @cached_property
+    def first(self) -> float | None:
+        """The first meeting, or None: in the first cell where N changes,
+        the sign change of the angle of W's eigenvalue nearest -1, signed
+        by whether N has changed (which flips at a double meeting too), by
+        regula falsi with the Illinois rule, to 1e-2 of the tolerance."""
+        jumped = np.flatnonzero(self.N)
+        if jumped.size == 0:
+            return None
+        k = int(jumped[0]) - 1
+
+        def signed_angle(s: float) -> float:
+            moved, a = self._jump(s, k)
+            return (np.pi - np.abs(a).max()) * (1.0 if moved else -1.0)
+
+        a, b = float(self.s[k]), float(self.s[k + 1])
+        fa, fb, side = signed_angle(a), signed_angle(b), 0
+        if fb <= 0:  # the meeting sits on the grid point
+            return b
+        for _ in range(100):  # converges superlinearly; the cap is a guard
+            c = a - fa * (b - a) / (fb - fa)
+            if abs(b - a) <= 1e-2 * self.tol or c in (a, b) or (fc := signed_angle(c)) == 0:
+                break
+            if fc < 0:
+                a, fa, fb, side = c, fc, fb / 2 if side < 0 else fb, -1
             else:
-                a, c, fc = c, d, fd
-                d = a + _GOLDEN * (b - a)
-                fd = sigma_min(d)
-        nrm = flow_norm(0.5 * (a + b))
-        if nrm >= DEFAULT_BLOWUP:
-            return a, b, nrm
-    return None
+                b, fb, fa, side = c, fc, fa / 2 if side > 0 else fa, 1
+        return float(c)
+
+
+def _gap_count(spec: GameSpec, terminal_time: float, terminal_value, floor: float) -> _Count:
+    """Count of the gap flow ending at ``terminal_value`` against the plane
+    [0; I], down to ``floor``; its first meeting is the largest pole."""
+    n = spec.n_x
+    H = _gap_problem(spec, terminal_time, terminal_value).hamiltonian
+    V0 = np.vstack((np.zeros((n, n)), np.eye(n)))
+    Z0 = np.vstack((np.eye(n), terminal_value))
+    return _Count(H, Z0, float(terminal_time), float(floor), lambda s: V0)
 
 
 def detect_escape_radon(
@@ -234,80 +263,57 @@ def detect_escape_radon(
     """Escape search for the constant-coefficient gap flow via its
     linear representation; reports the largest singularity below the
     terminal time."""
-    terminal_time = float(terminal_time)
+    terminal_time, floor = float(terminal_time), float(floor)
     if not floor < terminal_time:
         raise ValueError("floor must lie below the terminal time")
-    tol = _time_tol(terminal_time, floor)
-    n = spec.n_x
-    stacked = _StackedFlow(_gap_problem(spec, terminal_time, terminal_value))
+    flow = _gap_count(spec, terminal_time, np.array(terminal_value, dtype=float), floor)
+    if flow.first is None:
+        return EscapeReport.missed("radon_determinant", floor, terminal_time)
+    t, half = flow.first, 0.5 * flow.tol
+    bracket = (max(t - half, floor), min(t + half, terminal_time))
+    return EscapeReport(True, t, bracket, "radon_determinant", None, floor, terminal_time)
 
-    ts = np.linspace(terminal_time, floor, SCAN_POINTS)
-    E = la.expm(-stacked.H * (ts[0] - ts[1]))
 
-    # chunked propagation: the chain Z_{k+1} = E Z_k evaluated in batched
-    # blocks of 64, renormalizing at block boundaries only
-    E_pows = _powers(E, 65)
-    blocks, Z_start = [], stacked.Z0
-    for k in range(0, SCAN_POINTS, 64):
-        blocks.append(E_pows[: min(64, SCAN_POINTS - k)] @ Z_start)
-        Z_start = _normalize(E_pows[len(blocks[-1])] @ Z_start)
-    Z = np.concatenate(blocks)
-
-    def sigma_min(t: float) -> float:
-        return float(np.linalg.svd(_normalize(stacked._stacked(t))[:n], compute_uv=False)[-1])
-
-    hit = _first_pole(ts, Z, sigma_min, tol, lambda t: _flow_norm(stacked, t))
-    if hit is not None:
-        a, b, nrm = hit
-        t_hat = float(min(max(0.5 * (a + b), floor), terminal_time))
-        half = float(0.5 * max(b - a, tol))
-        return EscapeReport(
-            found=True,
-            t_escape=t_hat,
-            bracket=(float(max(t_hat - half, floor)), float(min(t_hat + half, terminal_time))),
-            method="radon_determinant",
-            norm_at_detection=float(min(nrm, np.finfo(float).max)),
-            floor=float(floor),
-            terminal_time=terminal_time,
-        )
-    return EscapeReport.missed("radon_determinant", floor, terminal_time)
+def _interval(flow: _Count, a: float, tol: float) -> tuple[bool, float | None]:
+    """Whether ``flow`` has a pole inside the interval that starts at a (N
+    nonzero at a + tol), and its largest pole if at or above a - tol."""
+    pole = flow.first if flow.first is not None and flow.first >= a - tol else None
+    return flow.count(a + tol) != 0, pole
 
 
 def _escape_inside(
     spec: GameSpec, value_sol: RiccatiSolution, a: float, b: float
-) -> tuple[EscapeReport, bool]:
-    """Determinant search on [a, b] for the gap flow that ends at -P(b),
-    and whether its escape lies inside the interval [a, b)."""
-    rep = detect_escape_radon(spec, b, -eval_solution(value_sol, b), a)
-    inside = bool(rep.found and rep.t_escape > a + BOUNDARY_TOL_REL * spec.horizon)
-    return rep, inside
+) -> tuple[bool, float | None]:
+    """``_interval`` of [a, b) for the gap flow that ends at -P(b), counted
+    down to a - tol, tol the boundary tolerance."""
+    tol = BOUNDARY_TOL_REL * spec.horizon
+    return _interval(_gap_count(spec, b, -eval_solution(value_sol, b), a - tol), a, tol)
 
 
 def _slack_root(
     spec: GameSpec, value_sol: RiccatiSolution, t_prev: float, upper: float
 ) -> float | None:
     """Least tau in (t_a, upper] whose gap flow, ending at -P(tau), has its
-    pole at t_a, the boundary-tolerance point above ``t_prev``; None when
-    the scan finds none.  At t_a that flow is V U^-1 for
-    [U; V] = exp(H (t_a - tau)) [I; -P(tau)], so the pole is a zero of
-    sigma_min(U), scanned and refined in tau as the detector does in t."""
+    pole at t_a, the boundary-tolerance point above ``t_prev``, or None.
+
+    That flow at t_a is V U^-1 for [U; V] = exp(H (t_a - tau)) [I; -P(tau)],
+    so its pole is where the plane of [I; -P(tau)] meets
+    exp(H (tau - t_a)) [0; I], a path moved by the gap Hamiltonian H.  The
+    former is the value flow's plane [I; P(tau)], moved by the value
+    Hamiltonian H_v, reflected by D = diag(I, -I); D H_v D is Hamiltonian
+    (J D = -D J) with the norm of H_v, so ``_Count``'s lift bound along tau
+    is 2n (||H||_2 + ||H_v||_2).  The count starts at 0 and, as the plane
+    at t = tau never meets [0; I], equals at ``upper`` the count at t_a of
+    the flow ending at ``upper``: None means that flow has no pole there.
+    """
     n = spec.n_x
+    H = _gap_problem(spec, upper, np.zeros((n, n))).hamiltonian
     t_a = t_prev + BOUNDARY_TOL_REL * spec.horizon
-    flow = _StackedFlow(_gap_problem(spec, upper, np.zeros((n, n))))
 
-    def sigma_min(tau: float) -> float:
-        Z0 = np.vstack((np.eye(n), -_eval_many(value_sol, tau)))
-        Z = flow._step(np.asarray(t_a - tau), Z0)
-        return float(np.linalg.svd(Z[:n], compute_uv=False)[-1] / np.linalg.norm(Z))
+    def partner(tau):
+        P = _eval_many(value_sol, tau)
+        return _orth(np.concatenate((np.broadcast_to(np.eye(n), P.shape), -P), axis=-2))
 
-    def flow_norm(tau: float) -> float:
-        ending = _gap_problem(spec, tau, -_eval_many(value_sol, tau))
-        return _flow_norm(_StackedFlow(ending), t_a)
-
-    taus = np.linspace(t_a, upper, SCAN_POINTS)
-    pw = _powers(la.expm(flow.H * (taus[0] - taus[1])), 65)
-    # the scan's exp(H (t_a - tau_k)) = E^k = (E^64)^(k // 64) E^(k % 64)
-    Phi = (_powers(pw[64], -(-SCAN_POINTS // 64))[:, None] @ pw[:64]).reshape(-1, 2 * n, 2 * n)
-    Z = Phi[:SCAN_POINTS, :, :n] - Phi[:SCAN_POINTS, :, n:] @ _eval_many(value_sol, taus)
-    hit = _first_pole(taus, Z, sigma_min, _time_tol(upper, t_a), flow_norm)
-    return None if hit is None else float(0.5 * (hit[0] + hit[1]))
+    speed = la.norm(make_value_problem(spec).hamiltonian, 2)
+    V0 = np.vstack((np.zeros((n, n)), np.eye(n)))
+    return _Count(H, V0, t_a, float(upper), partner, speed).first

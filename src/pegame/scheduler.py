@@ -2,27 +2,28 @@
 
 The pursuer must refresh its state estimate before the gap flow, run
 backward from the next communication time with boundary -P there, escapes.
-The backward recursion places each instant at the detected escape time of
-the following interval plus a safety margin, which maximizes every
-inter-communication duration and therefore minimizes the count.
+The backward recursion places each instant at the largest escape time of
+the flow ending at the next instant, plus a safety margin, which maximizes
+every inter-communication duration and therefore minimizes the count.
 
-Escapes are located by the linear-flow determinant detector, the oracle
-of record.  Escape exactly at an interval's left endpoint is allowed: the
-estimate resets there, so the half-open interval semantics exclude it.
-A boundary tolerance of 1e-8 of the horizon absorbs detector noise at
-that endpoint; ``escape._escape_inside`` holds that rule for the
-scheduler and the simulator alike.  The margin is 1e-6 of the horizon
-unless given.  Slack suprema come from one root-find in the flow's
-terminal time (``escape._slack_root``), to 1e-9 of the searched span.
+Escapes are counted on the linear flow (``escape._Count``), the oracle of
+record.  Escape at an interval's left endpoint is allowed: the estimate
+resets there.  A boundary tolerance of 1e-8 of the horizon absorbs
+detector noise there: [a, b) passes when the count of the flow ending at b
+is zero at a + tol (``escape._interval``, shared with the simulator).  The
+recursion counts each flow once: that count gives the next instant and
+certifies the interval that instant opens.  The margin is 1e-6 of the
+horizon unless given.  Slack suprema come from one count and root-find in
+the flow's terminal time (``escape._slack_root``), to 1e-9 of the span.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .errors import DegenerateSchedule, NoFeasibleInstance
-from .escape import _escape_inside, _slack_root
+from .escape import BOUNDARY_TOL_REL, _escape_inside, _gap_count, _interval, _slack_root
 from .game_model import GameSpec
-from .riccati import RiccatiSolution
+from .riccati import RiccatiSolution, eval_solution
 
 MARGIN_REL = 1e-6
 
@@ -83,16 +84,8 @@ def check_admissibility(
     bounds = [spec.t0, *instants, spec.tf]
     certificates = []
     for a, b in zip(bounds, bounds[1:]):
-        rep, inside = _escape_inside(spec, value_sol, a, b)
-        certificates.append(
-            IntervalCertificate(
-                t_start=float(a),
-                t_end=float(b),
-                escape_found=inside,
-                t_escape=float(rep.t_escape) if rep.found else None,
-            )
-        )
-        if fail_fast and inside:
+        certificates.append(IntervalCertificate(a, b, *_escape_inside(spec, value_sol, a, b)))
+        if fail_fast and certificates[-1].escape_found:
             break
     return tuple(certificates)
 
@@ -107,21 +100,25 @@ def optimal_schedule(
     """Backward recursion: each instant sits just above the escape time of
     the interval it opens.
 
-    Stops when the next escape falls below the start of the game.  Raises
-    DegenerateSchedule when an escape lands within the margin of the start
-    time, where the required slack collapses.
+    Stops when the count vanishes above the start of the game, within the
+    boundary tolerance.  Raises DegenerateSchedule when an escape lands
+    within the margin of the start time, where the required slack
+    collapses.
     """
     margin = float(margin) if margin is not None else MARGIN_REL * spec.horizon
     if margin < 0:
         raise ValueError("margin must be nonnegative")
+    tol = BOUNDARY_TOL_REL * spec.horizon
 
     instants: list[float] = []
+    flows = []
     t_next = spec.tf
     for _ in range(10000):
-        rep = _escape_inside(spec, value_sol, spec.t0, t_next)[0]
-        if not rep.found:
+        flow = _gap_count(spec, t_next, -eval_solution(value_sol, t_next), spec.t0 - tol)
+        flows.insert(0, flow)
+        if flow.count(spec.t0 + tol) == 0:
             break
-        t_star = float(rep.t_escape)
+        t_star = flow.first
         if t_star <= spec.t0 + margin:
             raise DegenerateSchedule(
                 f"escape at {t_star:.9g} within margin of t0={spec.t0}"
@@ -136,10 +133,13 @@ def optimal_schedule(
     else:
         raise DegenerateSchedule("backward recursion failed to terminate")
 
-    certificates = check_admissibility(spec, value_sol, instants)
+    bounds = [spec.t0, *instants, spec.tf]
+    certificates = tuple(
+        IntervalCertificate(a, b, *_interval(flow, a, tol))
+        for flow, a, b in zip(flows, bounds, bounds[1:])
+    )
     slack: tuple[float, ...] = ()
     if compute_slack:
-        bounds = [spec.t0, *instants, spec.tf]
         slack = tuple(
             max_next_instance(spec, value_sol, bounds[i], bounds[i + 2])
             for i in range(len(instants))
@@ -161,9 +161,9 @@ def max_next_instance(
     """Supremum of admissible next communication times after ``t_prev``.
 
     A candidate time is feasible when the gap flow run backward from it
-    stays finite strictly above ``t_prev``.  Unless ``upper`` is feasible,
-    the supremum is the least time whose flow has its pole at the boundary
-    tolerance above ``t_prev``: one scan and root-find in that time, to
+    stays finite strictly above ``t_prev``.  The supremum is the least time
+    whose flow has its pole at the boundary tolerance above ``t_prev``, or
+    ``upper`` when there is none: one count and root-find in that time, to
     ``escape.TIME_TOL_REL``.  The time one margin below it must pass the
     interval check; the supremum itself is a strict bound for the schedule.
     """
@@ -172,10 +172,10 @@ def max_next_instance(
         raise ValueError(
             f"need t0 <= t_prev < upper <= tf, got t_prev={t_prev}, upper={upper}"
         )
-    if not _escape_inside(spec, value_sol, t_prev, upper)[1]:
-        return upper
     root = _slack_root(spec, value_sol, t_prev, upper)
-    below = t_prev if root is None else root - MARGIN_REL * spec.horizon
-    if below <= t_prev or _escape_inside(spec, value_sol, t_prev, below)[1]:
+    if root is None:
+        return upper
+    below = root - MARGIN_REL * spec.horizon
+    if below <= t_prev or _escape_inside(spec, value_sol, t_prev, below)[0]:
         raise NoFeasibleInstance(f"no certified slack supremum above t_prev={t_prev}")
     return root

@@ -32,10 +32,9 @@ import numpy as np
 import scipy.linalg as la
 
 from .errors import InadmissibleInterval, IntervalAdmissible, NegativeBudget
-from .escape import _escape_inside, _flow_norm, _StackedFlow
+from .escape import _escape_inside, _StackedFlow
 from .game_model import GameSpec
 from .riccati import (
-    DEFAULT_BLOWUP,
     RiccatiSolution,
     _eval_many,
     _hermite,
@@ -457,12 +456,6 @@ def open_loop_pair(
 # deviation analysis
 
 
-def _gap_flow(spec, value_sol, b):
-    """Pointwise-exact gap flow G of the interval ending at b; the
-    interval's error-value flow is M = G + P."""
-    return _StackedFlow(make_gap_problem(spec, value_sol, b))
-
-
 def deviation_gain_check(
     spec: GameSpec,
     value_sol: RiccatiSolution,
@@ -486,26 +479,25 @@ def deviation_gain_check(
     a, b = float(interval[0]), float(interval[1])
     if not (spec.t0 <= a < b <= spec.tf):
         raise ValueError(f"interval {interval} outside the horizon")
-    rep, inside = _escape_inside(spec, value_sol, a, b)
+    inside, pole = _escape_inside(spec, value_sol, a, b)
     if inside:
         raise InadmissibleInterval(
-            f"interval [{a}, {b}) contains an escape at {rep.t_escape:.9g}"
+            f"interval [{a}, {b}) contains an escape at {pole:.9g}"
         )
-    gap = _gap_flow(spec, value_sol, b)
+    # the interval's gap flow G; its error-value flow is M = G + P
+    gap = _StackedFlow(make_gap_problem(spec, value_sol, b))
 
-    # An escape at the interval start gives the error-value flow a simple
-    # pole there, or puts it past the blow-up guard at the start.  The
+    # An escape at the interval start (a pole within the boundary
+    # tolerance of it) gives the error-value flow a simple pole there.  The
     # square integrand still has a finite limit at the start (the error
     # vanishes linearly while the flow has a simple pole), equal to the raw
     # formula with M e replaced by residue * C w; the start uses that limit.
     n, n_e = spec.n_x, spec.n_e
     residue = np.zeros((n, n))
-    pole_at_start = rep.found and (
-        rep.t_escape >= a or _flow_norm(gap, a) >= DEFAULT_BLOWUP
-    )
+    pole_at_start = pole is not None
     if pole_at_start:
         offset = 1e-6 * (b - a)
-        residue = offset * gap.value(rep.t_escape + offset)
+        residue = offset * gap.value(pole + offset)
 
     w_fn = _signal(w)
     pursuer_gain, evader_gain = _gain(spec.R_p, spec.B), _gain(spec.R_e, spec.C)
@@ -559,14 +551,13 @@ def risky_strategy(
     a, b = float(interval[0]), float(interval[1])
     if not (spec.t0 <= a < b <= spec.tf):
         raise ValueError(f"interval {interval} outside the horizon")
-    rep, inside = _escape_inside(spec, value_sol, a, b)
+    inside, t_star = _escape_inside(spec, value_sol, a, b)
     if not inside:
         raise IntervalAdmissible(
             f"interval [{a}, {b}) is escape-free; the deviation cannot profit"
         )
-    t_star = float(rep.t_escape)
     t_trunc = min(t_star + 1e-4 * max(b - t_star, 1e-12), 0.5 * (t_star + b))
-    gap = _gap_flow(spec, value_sol, b)
+    gap = _StackedFlow(make_gap_problem(spec, value_sol, b))
 
     col = int(np.argmax(np.linalg.norm(spec.C, axis=0)))
     kick = float(scale) * np.eye(spec.n_e)[col]

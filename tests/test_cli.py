@@ -23,6 +23,10 @@ from pegame.cli import (
 from pegame.errors import ParseError, SchemaError
 from pegame.game_model import example_one_spec
 
+# example1's evader reach at t1 = 3/4: its equilibrium input has magnitude
+# 2/3 and weight 1/2, so its effort budget over [0, 3/4] is 2 * 0.75 / 9
+EXAMPLE1_REACH = ("--budget", "0.16666666666666666", "--horizon", "0.75", "--re-scalar", "0.5")
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -194,7 +198,7 @@ def test_slack_command(capsys):
 
 
 def test_reachability_command(capsys, tmp_path):
-    code, out, _ = run_cli(capsys, "reachability", "--t1", "0.75")
+    code, out, _ = run_cli(capsys, "reachability", *EXAMPLE1_REACH)
     assert code == 0
     doc = json.loads(out)
     assert doc["radius"] == pytest.approx(0.5)
@@ -414,7 +418,7 @@ def test_non_finite_argument_is_usage_error(capsys, command, flag, value):
 def test_center_needs_two_entries(capsys, tmp_path):
     for center in ("1", "1,2,3", ""):
         code, out, err = run_cli(
-            capsys, "reachability", "--t1", "0.75", "--out",
+            capsys, "reachability", *EXAMPLE1_REACH, "--out",
             str(tmp_path / "c.csv"), f"--center={center}",
         )
         assert code == 2 and out == "" and "Traceback" not in err
@@ -552,10 +556,12 @@ def test_fuzz_command_flags(tmp_path_factory, data):
 # printed before the closed loop became one batched recurrence (simulate,
 # sweep) and before the CLI became table-driven (the others): the exit
 # code, then fields.  Floats match to 1e-12 relative; ints, bools, strings
-# and nulls exactly.  The slack supremum is the root of the slack
-# root-find, within 1e-12 of the closed form 3/4 + 1e-8/2; the bisection
-# before it returned a midpoint 3.0e-5 below that.
+# and nulls exactly.  The slack supremum is pinned at its closed form
+# 3/4 + 1e-8/2: the Maslov count's root-find gives 0.75000000500001862, the
+# golden-section refine before it 0.75000000500066144, and the bisection
+# before that a midpoint 3.0e-5 below.
 THIRD = 0.33333333333333492
+SLACK = 0.75 + 0.5e-8
 GOLDEN = {
     ("simulate", "--preset", "example1", "--instants", "0.5"): (0, {
         "payoff_direct": 0.33333333333333381,
@@ -599,7 +605,7 @@ GOLDEN = {
         "N": 1,
         "instants": [0.50000100000000003],
         "margin": 9.9999999999999995e-07,
-        "slack_sup": [0.75000000500066144],
+        "slack_sup": [SLACK],
         "certificates": [
             {"start": 0.0, "end": 0.50000100000000003, "escape_found": False,
              "t_escape": None},
@@ -622,9 +628,9 @@ GOLDEN = {
         "command": "slack",
         "t_prev": 0.0,
         "upper": 1.0,
-        "sup_next_instant": 0.75000000500066144,
+        "sup_next_instant": SLACK,
     }),
-    ("reachability", "--t1", "0.75"): (0, {
+    ("reachability", *EXAMPLE1_REACH): (0, {
         "command": "reachability",
         "effort_budget": 0.16666666666666666,
         "horizon": 0.75,

@@ -5,12 +5,15 @@ import scipy.linalg as la
 from pegame.game_model import GameSpec, example_one_spec
 from pegame.riccati import (
     DEFAULT_BLOWUP,
+    _gap_problem,
     _integrate_backward,
     eval_solution,
     make_gap_problem,
     solve_value_riccati,
 )
-from pegame.escape import _dips, detect_escape_norm, detect_escape_radon
+from pegame import escape
+from pegame.escape import detect_escape_norm, detect_escape_radon
+from pegame.scheduler import optimal_schedule
 
 
 def escape_time_formula(t_next):
@@ -147,35 +150,150 @@ def test_matrix_exponential_against_series():
         assert np.abs(la.expm(H) - series).max() <= 1e-12
 
 
-def _dips_loop(sigmas, signs):
-    # the per-point candidate walk that _dips vectorises, kept as reference
-    deep = 0.3 * float(np.median(sigmas))
-    found = []
-    for k in range(1, len(sigmas)):
-        sign_change = signs[k - 1] * signs[k] < 0
-        if k + 1 < len(sigmas):
-            neighbor = min(sigmas[k - 1], sigmas[k + 1])
-        else:
-            neighbor = sigmas[k - 1]
-        local_min = sigmas[k] <= neighbor
-        prominent = local_min and (sigmas[k] <= 0.9 * neighbor or sigmas[k] <= deep)
-        if sign_change or prominent:
-            found.append(k)
-            if len(found) >= 200:
-                break
-    return found
+# ---------------------------------------------------------------------------
+# the Maslov count against closed forms
 
 
-def test_dips_match_the_candidate_loop():
-    rng = np.random.default_rng(99)
-    for trial in range(200):
-        size = int(rng.integers(3, 2001))
-        sigmas = rng.random(size)
-        if trial % 4 == 1:  # plateaus and exact ties between neighbours
-            sigmas = np.round(sigmas * 4) / 4
-        if trial % 4 == 2:  # one smooth dip in flat noise
-            sigmas = np.abs(np.linspace(-1, 1, size)) + 1e-3 * rng.random(size)
-        if trial % 4 == 3:
-            sigmas[rng.integers(0, size, 5)] = np.nan
-        signs = rng.choice([-1.0, 0.0, 1.0], size=size, p=[0.05, 0.05, 0.9])
-        assert _dips(sigmas, signs).tolist() == _dips_loop(sigmas, signs), trial
+def _diagonal_game(a, q, c, tf=1.0):
+    """Uncoupled scalar channels: A = diag(a), Q = diag(q), C = diag(c) and
+    R_e = I, so channel k of the gap flow obeys X' = -2 a X + q + c^2 X^2."""
+    n = len(a)
+    return GameSpec(
+        A=np.diag(a), B=np.eye(n), C=np.diag(c), Q=np.diag(q), Q_f=np.eye(n),
+        R_p=np.eye(n), R_e=np.eye(n), t0=0.0, tf=tf, x0=np.zeros(n),
+    )
+
+
+def test_scalar_tan_escapes_are_counted():
+    # X' = 1 + 4 X^2 from X(2) = 0 is tan(2 (t - 2)) / 2: poles at
+    # 2 - pi/4 - k pi/2, two of them above the floor -1
+    spec = _diagonal_game([0.0], [1.0], [2.0], tf=2.0)
+    flow = escape._gap_count(spec, 2.0, np.zeros((1, 1)), -1.0)
+    poles = (2.0 - np.pi / 4, 2.0 - 3 * np.pi / 4)
+    assert abs(flow.count(-1.0)) == 2
+    assert abs(flow.count(0.5 * (poles[0] + poles[1]))) == 1
+    assert flow.count(poles[0] + 1e-6) == 0
+    rep = detect_escape_radon(spec, 2.0, np.zeros((1, 1)), -1.0)
+    assert rep.found and abs(rep.t_escape - poles[0]) <= 1e-12
+    assert rep.norm_at_detection is None
+
+
+def test_scalar_tanh_escape():
+    # X' = -2X + X^2 = (X - 1)^2 - 1: from X(1) = x1 < 0, X - 1 = -coth(t - c)
+    # with coth(1 - c) = 1 - x1, so the pole is at c = 1 - artanh(1/(1 - x1))
+    spec = _diagonal_game([1.0], [0.0], [1.0])
+    for x1, floor in ((-1.0, 0.0), (-0.2, -0.5)):
+        t_star = 1.0 - np.arctanh(1.0 / (1.0 - x1))  # 0.451, -0.199
+        rep = detect_escape_radon(spec, 1.0, [[x1]], floor)
+        assert rep.found and abs(rep.t_escape - t_star) <= 1e-12
+        assert rep.bracket[0] <= t_star <= rep.bracket[1]
+    assert not detect_escape_radon(spec, 1.0, [[-0.2]], 0.0).found
+
+
+def test_count_is_the_number_of_escaping_blocks():
+    # rotated diagonal game: channel k with rate w = sqrt(q c^2) escapes
+    # from 0 at 1 - pi/(2w) and again a period pi/w earlier, below 0 here
+    rates = np.array([0.5, 1.5, 2.5, 3.5])
+    poles = 1.0 - np.pi / (2 * rates)  # -2.14, -0.05, 0.37, 0.55
+    O = np.linalg.qr(np.random.default_rng(3).standard_normal((4, 4)))[0]
+    base = _diagonal_game(np.zeros(4), rates**2, np.ones(4))
+    spec = GameSpec(
+        A=base.A, B=base.B, C=O @ base.C, Q=O @ base.Q @ O.T, Q_f=base.Q_f,
+        R_p=base.R_p, R_e=base.R_e, t0=0.0, tf=1.0, x0=base.x0,
+    )
+    flow = escape._gap_count(spec, 1.0, np.zeros((4, 4)), 0.0)
+    for t in np.linspace(0.0, 1.0, 41):
+        assert abs(flow.count(t)) == int(np.sum(poles >= t)), t
+    assert abs(flow.first - poles[-1]) <= 1e-12
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-6])
+def test_perturbed_double_root_splits(eps):
+    # example1's channels escape together at (4 t1 - 3)/2, a double root of
+    # det U; an evader weight r_e (1 + eps) on the second channel moves its
+    # escape to t1 - r_e (1 + eps) (1 + b (1 - t1)), b = 1/r_p - 1/r_e,
+    # which is 1/2 - eps/2 from t1 = 1
+    ex = example_one_spec()
+    spec = GameSpec(
+        A=ex.A, B=ex.B, C=ex.C, Q=ex.Q, Q_f=ex.Q_f, R_p=ex.R_p,
+        R_e=np.diag([0.5, 0.5 * (1 + eps)]), t0=0.0, tf=1.0, x0=ex.x0,
+    )
+    sol = solve_value_riccati(spec)
+    flow = escape._gap_count(spec, 1.0, -eval_solution(sol, 1.0), 0.0)
+    assert abs(flow.count(0.0)) == 2
+    assert abs(flow.count(0.5 - eps / 4)) == 1
+    assert flow.count(0.5 + eps / 4) == 0
+    assert abs(flow.first - 0.5) <= 1e-11
+    rn = detect_escape_norm(make_gap_problem(spec, sol, 1.0), 0.0)
+    assert abs(rn.t_escape - flow.first) <= 1e-6
+
+
+def test_example_one_double_root_counts_twice(example_spec, example_value_sol):
+    flow = escape._gap_count(example_spec, 1.0, -eval_solution(example_value_sol, 1.0), 0.0)
+    assert flow.count(0.0) == -2
+    assert flow.count(0.5 + 1e-6) == 0
+
+
+def test_long_unstable_horizon_grid_grows():
+    # unstable drift over 40 time units: the grid follows ||H|| * span and
+    # the escape matches the norm detector
+    spec = GameSpec(
+        A=np.array([[2.0, 1.0], [0.0, 1.5]]), B=np.eye(2), C=np.eye(2),
+        Q=0.05 * np.eye(2), Q_f=np.eye(2), R_p=np.eye(2), R_e=np.eye(2),
+        t0=0.0, tf=40.0, x0=np.zeros(2),
+    )
+    X1 = np.zeros((2, 2))
+    problem = _gap_problem(spec, 40.0, X1)
+    flow = escape._gap_count(spec, 40.0, X1, 0.0)
+    rate = 4 * 2 * np.linalg.norm(problem.hamiltonian, 2) / np.pi
+    assert len(flow.s) - 1 == int(np.ceil(40.0 * rate)) > 250
+    rr = detect_escape_radon(spec, 40.0, X1, 0.0)
+    rn = detect_escape_norm(problem, 0.0)
+    assert rr.found and rn.found
+    assert abs(rr.t_escape - rn.t_escape) <= 1e-6
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    """Every ``_Count`` built while the test runs."""
+    made = []
+
+    class Recorded(escape._Count):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(escape, "_Count", Recorded)
+    return made
+
+
+def test_lift_steps_stay_below_a_quarter_turn(make_escape_spec, counts):
+    # the grid spacing pi/(4n (||K|| + partner speed)) bounds each lift
+    # step by pi/2, for the counts in time and in the terminal time alike;
+    # halving a cell splits its step in two without wrapping
+    rng = np.random.default_rng(61)
+    for trial in range(8):
+        spec = make_escape_spec(rng, n=2 + trial % 2)
+        optimal_schedule(spec, solve_value_riccati(spec))
+    assert any(c.h > 0 for c in counts)  # slack counts run up in tau
+    worst = 0.0
+    for c in counts:
+        steps = np.diff(c.S)
+        lift = steps - 2 * np.pi * np.rint(steps / (2 * np.pi))
+        worst = max(worst, float(np.abs(lift).max()))
+        for k in range(0, len(c.s) - 1, 7):
+            mid = c._jump(0.5 * (c.s[k] + c.s[k + 1]), k)[1].sum()
+            halves = np.array([mid - c.S[k], c.S[k + 1] - mid])
+            halves -= 2 * np.pi * np.rint(halves / (2 * np.pi))
+            assert abs(halves.sum() - lift[k]) <= 1e-9
+    assert worst < np.pi / 2
+
+
+def test_schedule_counts_each_flow_once(make_escape_spec, counts):
+    rng = np.random.default_rng(8)
+    for trial in range(4):
+        spec = make_escape_spec(rng, n=2)
+        sol = solve_value_riccati(spec)
+        counts.clear()
+        sched = optimal_schedule(spec, sol, compute_slack=False)
+        assert len(counts) == sched.N + 1
