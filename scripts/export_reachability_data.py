@@ -11,10 +11,16 @@ the pursuer sits exactly on the circle.
 import argparse
 import os
 
-import numpy as np
+# one BLAS thread, fixed before numpy is first imported: on matrices this
+# small a threaded BLAS spends far longer starting its threads than on the
+# arithmetic
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
-from pegame.cli import format_float
-from pegame.simulator import reachable_radius
+import numpy as np  # noqa: E402
+
+from pegame.cli import format_float  # noqa: E402
+from pegame.simulator import reachable_radius  # noqa: E402
 
 
 def main():

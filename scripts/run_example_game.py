@@ -10,13 +10,19 @@ next to the printed summary.
 import argparse
 import os
 
-import numpy as np
+# one BLAS thread, fixed before numpy is first imported: on matrices this
+# small a threaded BLAS spends far longer starting its threads than on the
+# arithmetic
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
-from pegame.cli import write_matrix_csv, write_trajectory_csv
-from pegame.game_model import example_one_spec, validate_spec
-from pegame.riccati import solve_value_riccati
-from pegame.scheduler import optimal_schedule
-from pegame.simulator import (
+import numpy as np  # noqa: E402
+
+from pegame.cli import write_matrix_csv, write_trajectory_csv  # noqa: E402
+from pegame.game_model import example_one_spec, validate_spec  # noqa: E402
+from pegame.riccati import solve_value_riccati  # noqa: E402
+from pegame.scheduler import optimal_schedule  # noqa: E402
+from pegame.simulator import (  # noqa: E402
     Strategy,
     deviation_sweep,
     game_value,

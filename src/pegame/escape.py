@@ -2,8 +2,9 @@
 
 Two independent detectors cross-validate each other:
 
-* norm blow-up: integrate the nonlinear flow backward and bracket the time
-  where the spectral norm crosses the guard threshold.
+* norm blow-up: integrate the nonlinear flow backward until its spectral
+  norm reaches ``CHART_LEVEL``, then in the chart Y = (X - sigma I)^-1,
+  where the pole is a smooth zero of an eigenvalue; refine that zero.
 * Maslov count (``_Count``): the gap flow is V U^-1 for the linear flow
   [U; V]' = H [U; V] with the gap problem's Hamiltonian
   H = [[A, -C R_e^-1 C'], [Q, -A']], so it escapes where the plane of
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
 
 import numpy as np
 import scipy.linalg as la
@@ -34,14 +34,17 @@ from .riccati import (
     RiccatiProblem,
     RiccatiSolution,
     _gap_problem,
+    _guard_norm,
     _integrate_backward,
     _eval_many,
+    _powers,
     _sym,
     eval_solution,
     make_value_problem,
 )
 
 TIME_TOL_REL = 1e-9  # escape-time resolution, relative to the search span
+CHART_LEVEL = 1e2  # spectral norm at which the norm detector changes chart
 # an escape within this share of the horizon above an interval's start
 # falls outside the interval: the estimate resets at the start
 BOUNDARY_TOL_REL = 1e-8
@@ -65,42 +68,103 @@ class EscapeReport:
         return cls(False, None, None, method, None, float(floor), terminal_time)
 
 
-def detect_escape_norm(problem: RiccatiProblem, floor: float) -> EscapeReport:
-    """Escape search by backward integration with a blow-up guard.
+def _chart(problem: RiccatiProblem, t: float, X: np.ndarray):
+    """The flow Y = (X - sigma I)^-1 from its value at t, with s the sign of
+    X's eigenvalue of largest modulus and sigma = -2 s ||X||_2, as a problem
+    in the shared quadratic form; and s and sigma.
 
-    On a guard trip the crossing time is bracketed by re-integration from
-    the last finite node; the adaptive step near a pole is usually already
-    far below the time resolution so refinement rarely iterates.
+    X - sigma I has the sign s and condition number at most 3, so sY is
+    positive definite.  Substituting X = sigma I + Y^-1 into the flow gives
+    Y' + G'Y + YG + D~ + Y N~ Y = 0 with G = -(F + sigma N)', D~ = -N and
+    N~ = -(D + sigma (F + F') + sigma^2 N).  A pole of X with the sign s is
+    where an eigenvalue of sY falls through 0; X meets sigma I where Y
+    blows up."""
+    w = np.linalg.eigvalsh(X)
+    s = 1.0 if w[-1] >= -w[0] else -1.0
+    sigma = -2.0 * s * max(w[-1], -w[0])
+    F, D, N = problem.drift, problem.load, problem.quad
+    shifted = np.linalg.inv(X - sigma * np.eye(problem.n))
+    chart = RiccatiProblem(
+        problem.kind, -(F + sigma * N).T, -N, -(D + sigma * (F + F.T) + sigma**2 * N),
+        t, _sym(shifted), problem.n,
+    )
+    return chart, s, sigma
+
+
+def _chart_root(chart: RiccatiProblem, s: float, above, below, tol: float, span: float):
+    """The zero of the least eigenvalue of sY between the chart's nodes
+    (t_a, Y_a, least_a) above it and (t_b, least_b) at or below it, by
+    ``_illinois``, each evaluation one re-integration from the node above;
+    the bracket of half the time resolution ``tol`` about it, inside the
+    nodes; and Y at the bracket's upper end."""
+    (t_a, Y_a, least_a), (t_b, least_b) = above, below
+
+    def at(t: float) -> np.ndarray:
+        *_, (_, Y) = _integrate_backward(chart.rhs, t_a, Y_a, t, span)
+        return Y
+
+    def minus_least(t: float) -> float:
+        return -np.linalg.eigvalsh(s * at(t))[0]
+
+    root = _illinois(minus_least, t_a, -least_a, t_b, -least_b, tol)
+    lo, hi = max(root - tol / 4, t_b), min(root + tol / 4, t_a)
+    return root, (lo, hi), at(hi)
+
+
+def detect_escape_norm(problem: RiccatiProblem, floor: float) -> EscapeReport:
+    """Escape search by adaptive integration of the nonlinear flow.
+
+    X is integrated until its spectral norm reaches ``CHART_LEVEL``; from
+    there on, Y = (X - sigma I)^-1 from ``_chart``, which turns a pole of X
+    into a smooth zero of the least eigenvalue of sY (Schiff and Shnider,
+    SIAM J. Numer. Anal. 36, 1999).  When ||Y|| reaches the level, X nears
+    sigma I, and the chart is made afresh from X there.  The pole is
+    refined by ``_chart_root`` and reported with a bracket of half the
+    time resolution; ``norm_at_detection`` is ||X||_2 at its upper end.
+    The detector never uses the Hamiltonian, so it checks the count
+    independently.
     """
     t1 = problem.terminal_time
+    floor = float(floor)
     if not floor < t1:
         raise ValueError("floor must lie below the terminal time")
-    tol = TIME_TOL_REL * max(t1 - floor, 1e-12)
-
-    run = _integrate_backward(problem.rhs, t1, problem.terminal_value, floor)
-    if run.status == "reached":
-        return EscapeReport.missed("norm_blowup", floor, t1)
-
-    lo = float(run.t_trip)
-    hi = float(run.ts[-1])
-    X_hi = run.xs[-1]
-    norm_det = float(run.norm_trip)
     span = t1 - floor
-
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        sub = _integrate_backward(problem.rhs, hi, X_hi, mid, span_hint=span)
-        if sub.status == "reached":
-            hi = float(sub.ts[-1])
-            X_hi = sub.xs[-1]
+    tol = TIME_TOL_REL * max(span, 1e-12)
+    for t, X in _integrate_backward(problem.rhs, t1, problem.terminal_value, floor, span):
+        if _guard_norm(X, CHART_LEVEL) >= CHART_LEVEL:
+            break
+    else:
+        return EscapeReport.missed("norm_blowup", floor, t1)
+    eye = np.eye(problem.n)
+    while True:  # one pass per chart
+        chart, s, sigma = _chart(problem, t, X)
+        for t, Y in _integrate_backward(chart.rhs, t, chart.terminal_value, floor, span):
+            w = np.linalg.eigvalsh(s * Y)  # sY is positive definite above the pole
+            if w[0] <= 0:
+                root, bracket, Y = _chart_root(chart, s, above, (t, w[0]), tol, span)
+                norm = np.linalg.norm(sigma * eye + np.linalg.inv(Y), 2)
+                return EscapeReport(True, root, bracket, "norm_blowup", float(norm), floor, t1)
+            if w[-1] >= CHART_LEVEL:
+                X = sigma * eye + np.linalg.inv(Y)
+                break
+            above = (t, Y, w[0])
         else:
-            lo = float(sub.t_trip)
-            hi = float(sub.ts[-1])
-            X_hi = sub.xs[-1]
-            norm_det = float(sub.norm_trip)
+            return EscapeReport.missed("norm_blowup", floor, t1)
 
-    t_star, bracket = max(0.5 * (lo + hi), floor), (max(lo, floor), hi)
-    return EscapeReport(True, t_star, bracket, "norm_blowup", norm_det, float(floor), t1)
+
+def _illinois(f, a: float, fa: float, b: float, fb: float, tol: float) -> float:
+    """Root of f between a, where f < 0, and b, where f > 0, by regula
+    falsi with the Illinois rule, to 1e-2 of ``tol``."""
+    side = 0
+    for _ in range(100):  # converges superlinearly; the cap is a guard
+        c = a - fa * (b - a) / (fb - fa)
+        if abs(b - a) <= 1e-2 * tol or c in (a, b) or (fc := f(c)) == 0:
+            break
+        if fc < 0:
+            a, fa, fb, side = c, fc, fb / 2 if side < 0 else fb, -1
+        else:
+            b, fb, fa, side = c, fc, fa / 2 if side > 0 else fa, 1
+    return float(c)
 
 
 class _StackedFlow:
@@ -194,7 +258,7 @@ class _Count:
         self.s = np.linspace(start, end, max(1, int(np.ceil(abs(end - start) * rate))) + 1)
         self.h = self.s[1] - self.s[0]
         self.tol = TIME_TOL_REL * max(abs(end - start), 1e-12)
-        steps = np.stack(list(accumulate([la.expm(K * self.h)] * (4 * n), np.matmul)))
+        steps = _powers(la.expm(K * self.h), 4 * n)
         frames = [_orth(Z0)]
         while len(frames) < len(self.s):
             frames.extend(_orth(steps @ frames[-1]))
@@ -219,7 +283,7 @@ class _Count:
         """The first meeting, or None: in the first cell where N changes,
         the sign change of the angle of W's eigenvalue nearest -1, signed
         by whether N has changed (which flips at a double meeting too), by
-        regula falsi with the Illinois rule, to 1e-2 of the tolerance."""
+        ``_illinois``."""
         jumped = np.flatnonzero(self.N)
         if jumped.size == 0:
             return None
@@ -230,18 +294,10 @@ class _Count:
             return (np.pi - np.abs(a).max()) * (1.0 if moved else -1.0)
 
         a, b = float(self.s[k]), float(self.s[k + 1])
-        fa, fb, side = signed_angle(a), signed_angle(b), 0
+        fa, fb = signed_angle(a), signed_angle(b)
         if fb <= 0:  # the meeting sits on the grid point
             return b
-        for _ in range(100):  # converges superlinearly; the cap is a guard
-            c = a - fa * (b - a) / (fb - fa)
-            if abs(b - a) <= 1e-2 * self.tol or c in (a, b) or (fc := signed_angle(c)) == 0:
-                break
-            if fc < 0:
-                a, fa, fb, side = c, fc, fb / 2 if side < 0 else fb, -1
-            else:
-                b, fb, fa, side = c, fc, fa / 2 if side > 0 else fa, 1
-        return float(c)
+        return _illinois(signed_angle, a, fa, b, fb, self.tol)
 
 
 def _gap_count(spec: GameSpec, terminal_time: float, terminal_value, floor: float) -> _Count:

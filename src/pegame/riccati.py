@@ -16,17 +16,19 @@ run backward from a terminal condition:
 
 All coefficients are constant, so X = V U^-1 where [U; V] obeys the linear
 flow [U; V]' = H [U; V] with H = [[F, N], [-D, -F']].  ``solve_riccati``
-propagates it exactly on a uniform grid with one matrix exponential,
-restarting from [I; X] at every node to keep U well conditioned (Davison
-and Maki, IEEE TAC 1973), and stores node derivatives for cubic-Hermite
-dense output.  The adaptive Dormand-Prince 4(5) integrator below stays as
-an independent check: the norm blow-up escape detector runs on it, with
-the fixed tolerances ``RTOL`` and ``ATOL``, steps between ``H_MIN_REL``
-and ``H_MAX_REL`` of the span, and the blow-up guard ``DEFAULT_BLOWUP``.
+propagates it exactly on a uniform grid with the powers of one matrix
+exponential, restarting from [I; X] once per block of steps to keep U well
+conditioned (Davison and Maki, IEEE TAC 1973), and stores node derivatives
+for cubic-Hermite dense output; a node past the blow-up guard
+``DEFAULT_BLOWUP`` counts as a pole.  The adaptive Dormand-Prince 4(5)
+integrator below stays as an independent check: the norm escape detector
+runs on it, with the fixed tolerances ``RTOL`` and ``ATOL`` and steps
+between ``H_MIN_REL`` and ``H_MAX_REL`` of the span.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 import scipy.linalg as la
@@ -34,7 +36,7 @@ import scipy.linalg as la
 from .errors import FiniteEscape, OutOfRange, StepUnderflow
 from .game_model import GameSpec
 
-DEFAULT_BLOWUP = 1e9  # spectral-norm guard above which a flow has escaped
+DEFAULT_BLOWUP = 1e9  # spectral-norm guard at which an exact solve has escaped
 STEPS = 1000       # uniform steps of an exact solve
 # adaptive integrator: error tolerances, and the largest and smallest step
 # relative to the span
@@ -49,13 +51,21 @@ def _sym(X: np.ndarray) -> np.ndarray:
     return 0.5 * (X + X.swapaxes(-1, -2))
 
 
-def _guard_norm(X: np.ndarray, threshold: float) -> float:
-    """Spectral norm, evaluated exactly only when the cheap Frobenius
-    bound says the threshold could be crossed."""
-    fro = float(np.linalg.norm(X))
-    if fro < threshold:
-        return fro  # ||X||_2 <= ||X||_F, cannot have crossed
-    return float(np.linalg.norm(X, 2))
+def _guard_norm(X: np.ndarray, threshold: float) -> np.ndarray:
+    """Spectral norm of a matrix, or of each of a stack, evaluated exactly
+    only where the cheap Frobenius bound says the threshold could be
+    crossed; not finite where X is not."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = np.array(np.linalg.norm(X, axis=(-2, -1)))  # ||X||_2 <= ||X||_F
+    over = np.isfinite(norm) & (norm >= threshold)
+    if over.any():
+        norm[over] = np.linalg.norm(X[over], 2, axis=(-2, -1))
+    return norm
+
+
+def _powers(E: np.ndarray, m: int) -> np.ndarray:
+    """E, E^2, ..., E^m, stacked."""
+    return np.stack(list(accumulate([E] * m, np.matmul)))
 
 
 @dataclass(frozen=True)
@@ -195,18 +205,6 @@ def _eval_derivative(sol: RiccatiSolution, t: float) -> np.ndarray:
     return d00 * y0 + d10 * f0 + d01 * y1 + d11 * f1
 
 
-@dataclass(frozen=True)
-class IntegrationRun:
-    """Raw backward-integration record of the adaptive integrator."""
-
-    ts: np.ndarray
-    xs: np.ndarray
-    fs: np.ndarray
-    status: str                 # "reached" | "blowup"
-    t_trip: float | None
-    norm_trip: float | None
-
-
 def _dp_step(rhs, t, X, h):
     k1 = rhs(t, X)
     k2 = rhs(t + 0.2 * h, X + h * (0.2 * k1))
@@ -263,13 +261,14 @@ def _integrate_backward(
     X_start: np.ndarray,
     floor: float,
     span_hint: float | None = None,
-) -> IntegrationRun:
-    """March backward from (t_start, X_start) toward ``floor``.
+):
+    """Yield the accepted nodes (t, X) of an adaptive backward march from
+    (t_start, X_start) down to ``floor``, the start first and the floor
+    last; the caller stops it where it likes.
 
-    Stops early with status "blowup" when the spectral norm crosses the
-    guard, or when the pole squeezes the step below h_min while the norm
-    already exceeds sqrt(guard).  Every recorded node is finite and below
-    the guard.
+    Steps lie between ``H_MIN_REL`` and ``H_MAX_REL`` of the span, which
+    is ``t_start - floor`` unless ``span_hint`` gives it.  Every node is
+    finite.  Raises StepUnderflow when the step falls below the least.
     """
     span = span_hint if span_hint is not None else max(t_start - floor, 1e-300)
     h_max, h_min = H_MAX_REL * span, H_MIN_REL * span
@@ -277,13 +276,7 @@ def _integrate_backward(
 
     t = float(t_start)
     X = _sym(np.array(X_start, dtype=float))
-    with np.errstate(over="ignore", invalid="ignore"):
-        f = rhs(t, X)
-    ts = [t]
-    xs = [X]
-    fs = [f]
-    status = "reached"
-    t_trip = norm_trip = None
+    yield t, X
 
     h = min(h_max, t_start - floor)
     while t - floor > time_eps:
@@ -301,42 +294,17 @@ def _integrate_backward(
         if enorm <= 1.0:
             t = floor if last else t - h_try
             X = _sym(X_new)
-            nrm = _guard_norm(X, DEFAULT_BLOWUP)
-            if nrm >= DEFAULT_BLOWUP:
-                status = "blowup"
-                t_trip = t
-                norm_trip = nrm
-                break
-            with np.errstate(over="ignore", invalid="ignore"):
-                f = rhs(t, X)
-            ts.append(t)
-            xs.append(X)
-            fs.append(f)
+            yield t, X
             grow = 5.0 if enorm == 0.0 else min(5.0, 0.9 * enorm ** -0.2)
             h = min(h_try * max(grow, 0.2), h_max)
         else:
             shrink = 0.2 if not np.isfinite(enorm) else max(0.2, 0.9 * enorm ** -0.2)
             h = h_try * min(shrink, 0.9)
             if h < h_min:
-                nrm = _guard_norm(X, DEFAULT_BLOWUP)
-                if nrm >= np.sqrt(DEFAULT_BLOWUP):
-                    # The pole itself is strangling the step: count it as escape.
-                    status = "blowup"
-                    t_trip = t
-                    norm_trip = nrm
-                    break
                 raise StepUnderflow(
-                    f"step {h:.3e} below h_min {h_min:.3e} at t={t} (norm {nrm:.3e})"
+                    f"step {h:.3e} below h_min {h_min:.3e} at t={t} "
+                    f"(norm {np.linalg.norm(X, 2):.3e})"
                 )
-
-    return IntegrationRun(
-        ts=np.array(ts),
-        xs=np.array(xs),
-        fs=np.array(fs),
-        status=status,
-        t_trip=t_trip,
-        norm_trip=norm_trip,
-    )
 
 
 def _restart(E: np.ndarray, X: np.ndarray, n: int):
@@ -352,8 +320,7 @@ def _restart(E: np.ndarray, X: np.ndarray, n: int):
             X_new = _sym(np.linalg.solve(U.T, Z[n:].T).T)
     except np.linalg.LinAlgError:
         return U, None
-    finite = np.isfinite(X_new).all()
-    if finite and _guard_norm(X_new, DEFAULT_BLOWUP) < DEFAULT_BLOWUP:
+    if _guard_norm(X_new, DEFAULT_BLOWUP) < DEFAULT_BLOWUP:
         return U, X_new
     return U, None
 
@@ -385,10 +352,45 @@ def _escape_in_step(problem: RiccatiProblem, X: np.ndarray, t: float, h: float):
     return t - hi, t - lo
 
 
+def _first(flags: np.ndarray) -> int:
+    """Index of the first true flag, or the number of flags."""
+    return int(np.argmax(flags)) if flags.any() else len(flags)
+
+
+def _block(powers: np.ndarray, X: np.ndarray, n: int):
+    """Exact steps from the node value X with the propagators E^1 ... E^m.
+
+    With [U_j; V_j] = E^j [I; X], returns the node values V_j U_j^-1 and
+    the step factors U_j U_{j-1}^-1 (U_0 = I), each from one batched
+    solve, and the number of steps before the first that ends on or past a
+    pole: where U_j is singular, the node is not finite or is past the
+    blow-up guard, or the factor crosses a pole."""
+    Z = powers[:, :, :n] + powers[:, :, n:] @ X
+    U = Z[:, :n].swapaxes(-1, -2)  # the U_j, transposed
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = _sym(np.linalg.solve(U, Z[:, n:].swapaxes(-1, -2)))
+    except np.linalg.LinAlgError:  # a zero pivot: cut the block before it
+        return _block(powers[: min(_first(np.linalg.det(U) == 0), len(U) - 1)], X, n)
+    good = _first(~(_guard_norm(values, DEFAULT_BLOWUP) < DEFAULT_BLOWUP))
+    U_prev = np.concatenate((np.eye(n)[None], U[:-1]))[:good]
+    factors = np.linalg.solve(U_prev, U[:good]).swapaxes(-1, -2)
+    return values, factors, _first(_crosses_pole(factors))
+
+
 def solve_riccati(problem: RiccatiProblem, floor: float) -> RiccatiSolution:
     """Propagate ``problem`` exactly backward to ``floor``; dense output.
 
-    Raises FiniteEscape when the flow has a pole above the floor.
+    The grid has ``STEPS`` uniform steps of length h.  With E = exp(-H h),
+    the blocks of B steps restart from [I; X] at their first node and
+    reach each of their nodes with a power of E (``_block``).  B is the
+    least of pi / (||H||_2 h) and ceil(sqrt(STEPS)), and at least 1: the
+    first keeps each block's propagators within condition number
+    e^(2 pi), and the second balances building the powers against the
+    calls per block.
+
+    Raises FiniteEscape when the flow has a pole above the floor; the
+    first step that ends on or past one is bisected by ``_escape_in_step``.
     """
     t1 = problem.terminal_time
     floor = float(floor)
@@ -396,43 +398,45 @@ def solve_riccati(problem: RiccatiProblem, floor: float) -> RiccatiSolution:
         raise ValueError("floor must lie below the terminal time")
     n = problem.n
     h = (t1 - floor) / STEPS
-    E = la.expm(-problem.hamiltonian * h)
+    H = problem.hamiltonian
+    with np.errstate(divide="ignore"):
+        block = int(max(1, min(np.ceil(np.sqrt(STEPS)), np.pi / (la.norm(H, 2) * h))))
+    powers = _powers(la.expm(-H * h), block)
     grid = np.linspace(t1, floor, STEPS + 1)
     values = np.empty((STEPS + 1, n, n))
     steps = np.empty((STEPS, n, n))
     values[0] = _sym(problem.terminal_value)
-    tripped = STEPS
-    for k in range(STEPS):
-        steps[k], X = _restart(E, values[k], n)
-        if X is None:
-            tripped = k
+    for k in range(0, STEPS, block):
+        m = min(block, STEPS - k)
+        X, factors, good = _block(powers[:m], values[k], n)
+        values[k + 1 : k + 1 + good] = X[:good]
+        steps[k : k + good] = factors[:good]
+        if good < m:
             break
-        values[k + 1] = X
-    crossed = np.flatnonzero(_crosses_pole(steps[:tripped]))
-    if crossed.size or tripped < STEPS:
-        k = int(crossed[0]) if crossed.size else tripped
-        from .escape import EscapeReport  # deferred: escape builds on this module
+    else:
+        return RiccatiSolution(
+            kind=problem.kind,
+            grid=grid,
+            values=values,
+            derivs=problem.rhs(grid, values),
+            steps=steps,
+        )
+    from .escape import EscapeReport  # deferred: escape builds on this module
 
-        lo, hi = _escape_in_step(problem, values[k], float(grid[k]), h)
-        report = EscapeReport(
-            found=True,
-            t_escape=0.5 * (lo + hi),
-            bracket=(lo, hi),
-            method="radon_determinant",
-            norm_at_detection=None,
-            floor=floor,
-            terminal_time=t1,
-        )
-        raise FiniteEscape(
-            f"{problem.kind} flow escaped near t={report.t_escape:.9g}",
-            report=report,
-        )
-    return RiccatiSolution(
-        kind=problem.kind,
-        grid=grid,
-        values=values,
-        derivs=problem.rhs(grid, values),
-        steps=steps,
+    k += good
+    lo, hi = _escape_in_step(problem, values[k], float(grid[k]), h)
+    report = EscapeReport(
+        found=True,
+        t_escape=0.5 * (lo + hi),
+        bracket=(lo, hi),
+        method="radon_determinant",
+        norm_at_detection=None,
+        floor=floor,
+        terminal_time=t1,
+    )
+    raise FiniteEscape(
+        f"{problem.kind} flow escaped near t={report.t_escape:.9g}",
+        report=report,
     )
 
 

@@ -1,8 +1,16 @@
-import numpy as np
-import pytest
+import os
 
-from pegame.game_model import GameSpec, example_one_spec
-from pegame.riccati import solve_value_riccati
+# one BLAS thread for the small matrices of this suite, fixed before numpy
+# is first imported: a threaded BLAS spends far longer starting its
+# threads than on the arithmetic
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from pegame.game_model import GameSpec, example_one_spec  # noqa: E402
+from pegame.riccati import solve_value_riccati  # noqa: E402
 
 
 def _clean_spec(rng, n=3):

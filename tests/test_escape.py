@@ -6,13 +6,12 @@ from pegame.game_model import GameSpec, example_one_spec
 from pegame.riccati import (
     DEFAULT_BLOWUP,
     _gap_problem,
-    _integrate_backward,
     eval_solution,
     make_gap_problem,
     solve_value_riccati,
 )
 from pegame import escape
-from pegame.escape import detect_escape_norm, detect_escape_radon
+from pegame.escape import TIME_TOL_REL, detect_escape_norm, detect_escape_radon
 from pegame.scheduler import optimal_schedule
 
 
@@ -125,15 +124,14 @@ def test_slack_exists_below_any_terminal(make_escape_spec, example_spec,
 
 
 def test_bracket_is_certified_finite(example_spec, example_value_sol):
+    # the count of the linear flow changes inside the bracket, and at its
+    # upper end the flow, evaluated pointwise-exactly, is finite and large
     problem = make_gap_problem(example_spec, example_value_sol, 1.0)
-    rep = detect_escape_norm(problem, 0.0)
-    _, hi = rep.bracket
-    rerun = _integrate_backward(
-        problem.rhs, problem.terminal_time, problem.terminal_value, hi
-    )
-    assert rerun.status == "reached"
-    norm_at_hi = np.linalg.norm(rerun.xs[-1], 2)
-    assert norm_at_hi >= DEFAULT_BLOWUP / 10
+    lo, hi = detect_escape_norm(problem, 0.0).bracket
+    flow = escape._gap_count(example_spec, 1.0, problem.terminal_value, 0.0)
+    assert flow.count(hi) == 0 != flow.count(lo)
+    norm_at_hi = np.linalg.norm(escape._StackedFlow(problem).value(hi), 2)
+    assert np.isfinite(norm_at_hi) and norm_at_hi >= DEFAULT_BLOWUP / 10
 
 
 def test_matrix_exponential_against_series():
@@ -297,3 +295,65 @@ def test_schedule_counts_each_flow_once(make_escape_spec, counts):
         counts.clear()
         sched = optimal_schedule(spec, sol, compute_slack=False)
         assert len(counts) == sched.N + 1
+
+
+# ---------------------------------------------------------------------------
+# the norm detector's second chart
+
+
+@pytest.mark.parametrize("c", [0.02, 0.05, 0.1, 0.2])
+def test_norm_detector_meets_a_weak_evaders_pole(c):
+    # near a pole X ~ v v' / (c^2 (t - t*)), so the time where ||X|| reaches
+    # a fixed level trails the pole by about 1 / (c^2 level); the detector
+    # locates the pole itself, as the count does
+    spec = GameSpec(
+        A=np.array([[0.5, 1.0], [0.0, 0.3]]), B=np.eye(2), C=c * np.eye(2),
+        Q=0.01 * np.eye(2), Q_f=np.eye(2), R_p=np.eye(2), R_e=np.eye(2),
+        t0=0.0, tf=30.0, x0=np.zeros(2),
+    )
+    X1 = np.zeros((2, 2))
+    rn = detect_escape_norm(_gap_problem(spec, 30.0, X1), 0.0)
+    rr = detect_escape_radon(spec, 30.0, X1, 0.0)
+    assert rn.found and rr.found
+    assert abs(rn.t_escape - rr.t_escape) <= 1e-7
+
+
+@pytest.fixture
+def charts(monkeypatch):
+    """(t, s, sigma) of every chart the norm detector makes."""
+    made, original = [], escape._chart
+
+    def recorded(problem, t, X):
+        chart, s, sigma = original(problem, t, X)
+        made.append((t, s, sigma))
+        return chart, s, sigma
+
+    monkeypatch.setattr(escape, "_chart", recorded)
+    return made
+
+
+def test_norm_detector_past_the_level_without_escape(charts):
+    # X' = -2X + X^2 / 1e4 from 50 grows backward toward the equilibrium
+    # 2e4: it is 2e4 / (1 + 399 exp(-2 (1 - t))), past the chart level at
+    # t = 0.65, and finite throughout
+    spec = _diagonal_game([1.0], [0.0], [0.01])
+    X1 = np.array([[50.0]])
+    assert not detect_escape_norm(_gap_problem(spec, 1.0, X1), -4.0).found
+    assert not detect_escape_radon(spec, 1.0, X1, -4.0).found
+    assert len(charts) == 1 and charts[0][1] == 1.0
+
+
+def test_norm_detector_recharts_for_a_pole_of_the_other_sign(charts):
+    # the first channel, as above, takes X past the chart level with the
+    # sign +1 and never escapes; the second, X' = X^2 from -1/2 at t = 1,
+    # is -1/(t + 1) and escapes to -infinity at t = -1, through the shift
+    # of the first chart, so the detector charts afresh
+    spec = _diagonal_game([1.0, 0.0], [0.0, 0.0], [0.01, 1.0])
+    X1 = np.diag([50.0, -0.5])
+    rn = detect_escape_norm(_gap_problem(spec, 1.0, X1), -2.0)
+    assert rn.found and abs(rn.t_escape + 1.0) <= 1e-9
+    lo, hi = rn.bracket
+    assert lo <= -1.0 <= hi and hi - lo <= TIME_TOL_REL * 3.0
+    assert charts[0][1] == 1.0 and charts[-1][1] == -1.0
+    rr = detect_escape_radon(spec, 1.0, X1, -2.0)
+    assert abs(rn.t_escape - rr.t_escape) <= 1e-9

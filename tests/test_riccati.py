@@ -143,11 +143,13 @@ def test_error_value_equals_gap_plus_value(example_spec, example_value_sol):
         F = spec.A + S @ P
         return -(F.T @ M + M @ F - P @ W @ P - M @ S @ M)
 
-    run = _integrate_backward(error_value_rhs, b, np.zeros((4, 4)), a)
-    assert run.status == "reached"
+    nodes = list(_integrate_backward(error_value_rhs, b, np.zeros((4, 4)), a))
+    ts, xs = map(np.array, zip(*nodes))
+    assert ts[-1] == a
+    fs = np.array([error_value_rhs(t, M) for t, M in zip(ts, xs)])
     gap_sol = solve_riccati(make_gap_problem(spec, example_value_sol, b), a)
     for t in np.linspace(a, b, 17):
-        M = _hermite(run.ts, run.xs, run.fs, t)
+        M = _hermite(ts, xs, fs, t)
         G = eval_solution(gap_sol, t)
         P = eval_solution(example_value_sol, t)
         rel = np.abs(M - (G + P)).max() / (1.0 + np.abs(M).max())
