@@ -11,6 +11,7 @@ __version__ = "0.1.0"
 from .errors import (
     DegenerateSchedule,
     DimensionMismatch,
+    EscapeReport,
     EventOrdering,
     FiniteEscape,
     InadmissibleInterval,
@@ -41,7 +42,7 @@ from .riccati import (
     solve_riccati,
     solve_value_riccati,
 )
-from .escape import EscapeReport, detect_escape_norm, detect_escape_radon
+from .escape import detect_escape_norm, detect_escape_radon
 from .scheduler import (
     CommSchedule,
     IntervalCertificate,

@@ -57,6 +57,7 @@ from .simulator import (
 )
 
 SCHEMA_VERSION = 1
+MAX_SAMPLES = 10**6  # points of a reachability circle CSV
 _MATRIX_FIELDS = ("A", "B", "C", "Q", "Q_f", "R_p", "R_e")
 _PRESETS = {"example1": example_one_spec}
 
@@ -209,47 +210,31 @@ def load_spec(path: str) -> GameSpec:
 # CSV artifacts
 
 
+def _write_csv(path: str, header: list[str], table) -> None:
+    """A header line, then one line per row of the float ``table``."""
+    lines = [",".join(header)]
+    lines += [",".join(format_float(v) for v in row) for row in table]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def write_matrix_csv(path: str, sol) -> None:
     """Time column plus row-major matrix entries, ascending in time."""
     n = sol.values.shape[1]
     header = ["t"] + [f"m{i}_{j}" for i in range(n) for j in range(n)]
-    lines = [",".join(header)]
-    for k in range(len(sol.grid) - 1, -1, -1):
-        row = [format_float(sol.grid[k])]
-        row += [format_float(v) for v in sol.values[k].reshape(-1)]
-        lines.append(",".join(row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    entries = sol.values[::-1].reshape(len(sol.grid), n * n)
+    _write_csv(path, header, np.column_stack([sol.grid[::-1], entries]))
 
 
 def write_trajectory_csv(path: str, traj) -> None:
-    n = traj.x.shape[1]
-    n_p = traj.u_p.shape[1]
-    n_e = traj.u_e.shape[1]
-    header = (
-        ["t"]
-        + [f"x{i}" for i in range(n)]
-        + [f"xhat{i}" for i in range(n)]
-        + [f"e{i}" for i in range(n)]
-        + [f"up{i}" for i in range(n_p)]
-        + [f"ue{i}" for i in range(n_e)]
-        + ["running_cost", "event_flag"]
+    """Time, state, estimate, error, inputs, running cost and a 0/1 flag
+    at communication events, one row per node."""
+    columns = {"x": traj.x, "xhat": traj.x_hat, "e": traj.e, "up": traj.u_p, "ue": traj.u_e}
+    header = ["t"] + [f"{name}{i}" for name, v in columns.items() for i in range(v.shape[1])]
+    table = np.column_stack(
+        [traj.t, *columns.values(), traj.running_cost, np.isin(traj.t, traj.events)]
     )
-    events = set(traj.events)
-    e = traj.e
-    lines = [",".join(header)]
-    for k in range(len(traj.t)):
-        row = [format_float(traj.t[k])]
-        row += [format_float(v) for v in traj.x[k]]
-        row += [format_float(v) for v in traj.x_hat[k]]
-        row += [format_float(v) for v in e[k]]
-        row += [format_float(v) for v in traj.u_p[k]]
-        row += [format_float(v) for v in traj.u_e[k]]
-        row.append(format_float(traj.running_cost[k]))
-        row.append("1" if traj.t[k] in events else "0")
-        lines.append(",".join(row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(path, header + ["running_cost", "event_flag"], table)
 
 
 # ---------------------------------------------------------------------------
@@ -433,15 +418,9 @@ def _cmd_reachability(args) -> tuple[int, dict]:
     }
     if args.out:
         x, y = args.center
-        lines = ["x,y"]
-        for th in np.linspace(0.0, 2.0 * np.pi, args.samples):
-            lines.append(
-                format_float(x + radius * np.cos(th))
-                + ","
-                + format_float(y + radius * np.sin(th))
-            )
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        th = np.linspace(0.0, 2.0 * np.pi, args.samples)
+        circle = np.column_stack([x + radius * np.cos(th), y + radius * np.sin(th)])
+        _write_csv(args.out, ["x", "y"], circle)
         doc["csv"] = args.out
     return 0, doc
 
@@ -473,6 +452,16 @@ def _step(text: str) -> float:
     if not step > 0:
         raise argparse.ArgumentTypeError(f"--step must be positive, got {step}")
     return step
+
+
+def _samples(text: str) -> int:
+    try:
+        samples = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if not 1 <= samples <= MAX_SAMPLES:
+        raise argparse.ArgumentTypeError(f"--samples must be 1 to {MAX_SAMPLES}, got {samples}")
+    return samples
 
 
 def _point(text: str) -> list[float]:
@@ -535,7 +524,7 @@ _COMMANDS = {
         ("--horizon", {"type": _finite}),
         ("--re-scalar", {"type": _finite, "default": 1.0}),
         ("--out", {"help": "circle sample CSV output path"}),
-        ("--samples", {"type": int, "default": 64}),
+        ("--samples", {"type": _samples, "default": 64}),
         ("--center", {"type": _point, "default": [1.0, 0.0]}),
     ]),
 }

@@ -18,17 +18,18 @@ Two independent detectors cross-validate each other:
 Escape times are resolved to ``TIME_TOL_REL`` of the search span.
 ``_escape_inside`` decides whether an interval's escape lies inside it,
 for the scheduler and the simulator: within ``BOUNDARY_TOL_REL`` of the
-horizon of its start it sits on the start, where the estimate resets.
+horizon of its start it sits on the start, where the estimate resets.  It
+hands back the counted flow, which also evaluates the interval's gap flow.
 ``_slack_root`` runs the count in the terminal time.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 import scipy.linalg as la
 
+from .errors import EscapeReport
 from .game_model import GameSpec
 from .riccati import (
     RiccatiProblem,
@@ -48,24 +49,6 @@ CHART_LEVEL = 1e2  # spectral norm at which the norm detector changes chart
 # an escape within this share of the horizon above an interval's start
 # falls outside the interval: the estimate resets at the start
 BOUNDARY_TOL_REL = 1e-8
-
-
-@dataclass(frozen=True)
-class EscapeReport:
-    """Outcome of one escape search on [floor, terminal_time]."""
-
-    found: bool
-    t_escape: float | None
-    bracket: tuple[float, float] | None
-    method: str  # "norm_blowup" | "radon_determinant"
-    norm_at_detection: float | None
-    floor: float
-    terminal_time: float
-
-    @classmethod
-    def missed(cls, method: str, floor: float, terminal_time: float) -> "EscapeReport":
-        """The report of a search that found no escape."""
-        return cls(False, None, None, method, None, float(floor), terminal_time)
 
 
 def _chart(problem: RiccatiProblem, t: float, X: np.ndarray):
@@ -167,45 +150,6 @@ def _illinois(f, a: float, fa: float, b: float, fb: float, tol: float) -> float:
     return float(c)
 
 
-class _StackedFlow:
-    """Pointwise-exact evaluator of a constant-coefficient flow.
-
-    Evaluates exp(H (t - t1)) @ Z0, normalized, for the problem's
-    Hamiltonian H and Z0 = [I; X(t1)].  Uses the eigendecomposition of H
-    when it is well conditioned; falls back to the scaling-and-squaring
-    exponential otherwise (the bundled example's H is nilpotent, hence
-    defective)."""
-
-    def __init__(self, problem: RiccatiProblem):
-        n = problem.n
-        self.n = n
-        self.H = problem.hamiltonian
-        Z0 = np.vstack([np.eye(n), problem.terminal_value])
-        self.Z0 = Z0 / np.linalg.norm(Z0)
-        self.t1 = problem.terminal_time
-        self._eig = None
-        try:
-            w, V = np.linalg.eig(self.H)
-            cond = np.linalg.cond(V)
-            if np.isfinite(cond) and cond < 1e8:
-                self._eig = (w, V, np.linalg.solve(V, self.Z0.astype(complex)))
-        except np.linalg.LinAlgError:
-            pass
-
-    def value(self, t) -> np.ndarray:
-        """The flow Y X^-1 at t, or a stack of it at an array of times;
-        raises LinAlgError at a pole."""
-        dt = np.asarray(t, dtype=float) - self.t1
-        if self._eig is None:
-            Z = la.expm(self.H * dt[..., None, None]) @ self.Z0
-        else:
-            w, V, VZ = self._eig
-            Z = (V @ (np.exp(w * dt[..., None])[..., :, None] * VZ)).real
-        U, V = Z[..., : self.n, :], Z[..., self.n :, :]
-        # the symmetric part of (V U^-1)' is that of V U^-1
-        return _sym(np.linalg.solve(U.swapaxes(-1, -2), V.swapaxes(-1, -2)))
-
-
 def _orth(Z: np.ndarray) -> np.ndarray:
     """An orthonormal frame of the column span of Z, or of each of a stack."""
     return np.linalg.qr(Z)[0]
@@ -249,6 +193,11 @@ class _Count:
     pi/2, and N_{k+1} - N_k = -round((S_{k+1} - S_k) / 2 pi).  Frames are
     propagated in blocks of 4n steps, which span ||K|| |s| <= pi: each
     block's propagators have condition number at most e^(2 pi).
+
+    ``value`` evaluates Q's flow V U^-1.  It and ``_jump`` move the frame
+    at the grid point that opens a time's cell exactly to the time: with
+    K's eigenvectors when their condition number is below 1e8, else with
+    the scaling-and-squaring exponential (example1's K is nilpotent).
     """
 
     def __init__(self, K, Z0, start, end, partner, partner_speed=0.0):
@@ -266,16 +215,48 @@ class _Count:
         self.S = _eigen_angles(self.frames, partner(self.s)).sum(axis=-1)
         self.N = -np.cumsum(np.rint(np.diff(self.S, prepend=self.S[0]) / (2 * np.pi))).astype(int)
 
+    @cached_property
+    def _eig(self):
+        """K's eigenvalues, eigenvectors and their inverse, or None."""
+        try:
+            w, E = np.linalg.eig(self.K)
+        except np.linalg.LinAlgError:
+            return None
+        cond = np.linalg.cond(E)
+        return (w, E, np.linalg.inv(E)) if np.isfinite(cond) and cond < 1e8 else None
+
+    def _cell(self, s) -> np.ndarray:
+        """The grid point that opens the cell of s, or of each of an array."""
+        return np.clip((s - self.s[0]) // self.h, 0, len(self.s) - 2).astype(int)
+
+    def _move(self, s, k) -> np.ndarray:
+        """exp(K (s - s_k)) times the frame at grid point k, for s and k
+        of one shape."""
+        dt = (s - self.s[k])[..., None]
+        if self._eig is None:
+            return la.expm(self.K * dt[..., None]) @ self.frames[k]
+        w, E, E_inv = self._eig
+        return (E @ (np.exp(w * dt)[..., None] * (E_inv @ self.frames[k]))).real
+
+    def value(self, s) -> np.ndarray:
+        """Q's flow V U^-1 at s, or a stack of it at an array of times;
+        raises LinAlgError at a pole."""
+        s = np.asarray(s, dtype=float)
+        UV = self._move(s, self._cell(s)).swapaxes(-1, -2)  # [U' V']
+        n = UV.shape[-2]
+        # the symmetric part of (V U^-1)' is that of V U^-1
+        return _sym(np.linalg.solve(UV[..., :n], UV[..., n:]))
+
     def _jump(self, s: float, k: int) -> tuple[int, np.ndarray]:
         """Minus the change of N from grid point k to s in its cell, and
         W's eigenvalue arguments at s."""
-        frame = _orth(la.expm(self.K * (s - self.s[k])) @ self.frames[k])
+        frame = _orth(self._move(s, k))
         a = _eigen_angles(frame, self.partner(np.asarray(s)))
         return int(np.rint((a.sum() - self.S[k]) / (2 * np.pi))), a
 
     def count(self, s: float) -> int:
         """N at s, lifted from the grid point that opens the cell of s."""
-        k = int(np.clip((s - self.s[0]) // self.h, 0, len(self.s) - 2))
+        k = int(self._cell(s))
         return int(self.N[k]) - self._jump(s, k)[0]
 
     @cached_property
@@ -339,11 +320,12 @@ def _interval(flow: _Count, a: float, tol: float) -> tuple[bool, float | None]:
 
 def _escape_inside(
     spec: GameSpec, value_sol: RiccatiSolution, a: float, b: float
-) -> tuple[bool, float | None]:
+) -> tuple[bool, float | None, _Count]:
     """``_interval`` of [a, b) for the gap flow that ends at -P(b), counted
-    down to a - tol, tol the boundary tolerance."""
+    down to a - tol, tol the boundary tolerance; and that counted flow."""
     tol = BOUNDARY_TOL_REL * spec.horizon
-    return _interval(_gap_count(spec, b, -eval_solution(value_sol, b), a - tol), a, tol)
+    flow = _gap_count(spec, b, -eval_solution(value_sol, b), a - tol)
+    return (*_interval(flow, a, tol), flow)
 
 
 def _slack_root(

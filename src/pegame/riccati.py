@@ -33,7 +33,7 @@ from itertools import accumulate
 import numpy as np
 import scipy.linalg as la
 
-from .errors import FiniteEscape, OutOfRange, StepUnderflow
+from .errors import EscapeReport, FiniteEscape, OutOfRange, StepUnderflow
 from .game_model import GameSpec
 
 DEFAULT_BLOWUP = 1e9  # spectral-norm guard at which an exact solve has escaped
@@ -421,8 +421,6 @@ def solve_riccati(problem: RiccatiProblem, floor: float) -> RiccatiSolution:
             derivs=problem.rhs(grid, values),
             steps=steps,
         )
-    from .escape import EscapeReport  # deferred: escape builds on this module
-
     k += good
     lo, hi = _escape_in_step(problem, values[k], float(grid[k]), h)
     report = EscapeReport(

@@ -84,7 +84,8 @@ def check_admissibility(
     bounds = [spec.t0, *instants, spec.tf]
     certificates = []
     for a, b in zip(bounds, bounds[1:]):
-        certificates.append(IntervalCertificate(a, b, *_escape_inside(spec, value_sol, a, b)))
+        inside, pole, _ = _escape_inside(spec, value_sol, a, b)
+        certificates.append(IntervalCertificate(a, b, inside, pole))
         if fail_fast and certificates[-1].escape_found:
             break
     return tuple(certificates)

@@ -26,20 +26,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
 import scipy.linalg as la
 
 from .errors import InadmissibleInterval, IntervalAdmissible, NegativeBudget
-from .escape import _escape_inside, _StackedFlow
+from .escape import _escape_inside
 from .game_model import GameSpec
 from .riccati import (
     RiccatiSolution,
     _eval_many,
     _hermite,
     eval_solution,
-    make_gap_problem,
     solve_value_riccati,
 )
 
@@ -155,9 +155,9 @@ class Strategy:
     knots: tuple[float, ...] = ()
 
     @staticmethod
-    def certainty_equivalent(offset=None) -> "Strategy":
-        """Equilibrium feedback on the estimate, plus an optional probe."""
-        return _affine("pursuer", offset, estimate=-1.0)
+    def certainty_equivalent() -> "Strategy":
+        """Equilibrium feedback on the estimate."""
+        return _affine("pursuer", None, estimate=-1.0)
 
     @staticmethod
     def pursuer_open_loop(u) -> "Strategy":
@@ -412,14 +412,13 @@ def transition_flow(spec: GameSpec, value_sol: RiccatiSolution):
     Mutual equilibrium play drives the state with A + (C R_e^-1 C' -
     B R_p^-1 B') P, the U block of the value flow's linear
     representation, so Phi(t, t0) = U(t) U(t0)^-1.  The value solve's
-    restart steps carry U from node to node, so Phi at each node is a
-    product of their inverses; between nodes it is cubic Hermite.
+    step factors carry U from node to node, so Phi at each node is a
+    product of their inverses, all inverted in one batched call; between
+    nodes it is cubic Hermite.
     """
-    steps = value_sol.steps
-    phis = np.empty((len(steps) + 1, spec.n_x, spec.n_x))
-    phis[-1] = np.eye(spec.n_x)
-    for k in range(len(steps) - 1, -1, -1):
-        phis[k] = np.linalg.solve(steps[k], phis[k + 1])
+    inverses = np.linalg.inv(value_sol.steps[::-1])
+    products = accumulate(inverses, lambda phi, inv: inv @ phi, initial=np.eye(spec.n_x))
+    phis = np.stack(list(products)[::-1])
     closed_loop = spec.A + spec.controllability_gap() @ value_sol.values
     derivs = closed_loop @ phis
     return lambda t: _hermite(value_sol.grid, phis, derivs, t)
@@ -456,6 +455,25 @@ def open_loop_pair(
 # deviation analysis
 
 
+def _counted_gap(spec: GameSpec, value_sol: RiccatiSolution, interval, escapes: bool):
+    """The bounds a < b of ``interval``, its gap flow G's largest pole at
+    or above a (or None), and G as counted to check the interval: the
+    error-value flow is M = G.value + P.  Raises InadmissibleInterval if
+    the interval holds an escape and ``escapes`` is false, and
+    IntervalAdmissible if it holds none and ``escapes`` is true."""
+    a, b = float(interval[0]), float(interval[1])
+    if not (spec.t0 <= a < b <= spec.tf):
+        raise ValueError(f"interval {interval} outside the horizon")
+    inside, pole, gap = _escape_inside(spec, value_sol, a, b)
+    if inside and not escapes:
+        raise InadmissibleInterval(f"interval [{a}, {b}) contains an escape at {pole:.9g}")
+    if escapes and not inside:
+        raise IntervalAdmissible(
+            f"interval [{a}, {b}) is escape-free; the deviation cannot profit"
+        )
+    return a, b, pole, gap
+
+
 def deviation_gain_check(
     spec: GameSpec,
     value_sol: RiccatiSolution,
@@ -472,20 +490,12 @@ def deviation_gain_check(
     e' = (A + C R_e^-1 C'P) e + C w with e = 0 at the interval start. The
     gain int (|e|^2_{P B R_p^-1 B' P} - |w|^2_{R_e}) dt collapses, by the
     error-value flow M of the interval, to -int |w + R_e^-1 C'M e|^2_{R_e} dt,
-    so it is never positive.  Steps split at the knots of ``w``, as in
-    ``simulate``.  Returns (gain, completed_square); callers assert their
-    agreement and nonpositivity.
+    so it is never positive; M = G + P comes from the count of the gap
+    flow G that certifies the interval.  Steps split at the knots of ``w``,
+    as in ``simulate``.  Returns (gain, completed_square); callers assert
+    their agreement and nonpositivity.
     """
-    a, b = float(interval[0]), float(interval[1])
-    if not (spec.t0 <= a < b <= spec.tf):
-        raise ValueError(f"interval {interval} outside the horizon")
-    inside, pole = _escape_inside(spec, value_sol, a, b)
-    if inside:
-        raise InadmissibleInterval(
-            f"interval [{a}, {b}) contains an escape at {pole:.9g}"
-        )
-    # the interval's gap flow G; its error-value flow is M = G + P
-    gap = _StackedFlow(make_gap_problem(spec, value_sol, b))
+    a, b, pole, gap = _counted_gap(spec, value_sol, interval, escapes=False)
 
     # An escape at the interval start (a pole within the boundary
     # tolerance of it) gives the error-value flow a simple pole there.  The
@@ -546,18 +556,11 @@ def risky_strategy(
     feedback, so the play stays affine: K_h = L and K_x = R_e^-1 C'P - L
     with L = R_e^-1 C'M~ after the kick.  The extracted gain grows
     quadratically in ``scale``, which is the working demonstration that an
-    inadmissible schedule forfeits any payoff bound.
+    inadmissible schedule forfeits any payoff bound.  M = G + P and the
+    escape time come from the one count of the interval's gap flow G.
     """
-    a, b = float(interval[0]), float(interval[1])
-    if not (spec.t0 <= a < b <= spec.tf):
-        raise ValueError(f"interval {interval} outside the horizon")
-    inside, t_star = _escape_inside(spec, value_sol, a, b)
-    if not inside:
-        raise IntervalAdmissible(
-            f"interval [{a}, {b}) is escape-free; the deviation cannot profit"
-        )
+    a, b, t_star, gap = _counted_gap(spec, value_sol, interval, escapes=True)
     t_trunc = min(t_star + 1e-4 * max(b - t_star, 1e-12), 0.5 * (t_star + b))
-    gap = _StackedFlow(make_gap_problem(spec, value_sol, b))
 
     col = int(np.argmax(np.linalg.norm(spec.C, axis=0)))
     kick = float(scale) * np.eye(spec.n_e)[col]

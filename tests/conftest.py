@@ -11,6 +11,7 @@ import pytest  # noqa: E402
 
 from pegame.game_model import GameSpec, example_one_spec  # noqa: E402
 from pegame.riccati import solve_value_riccati  # noqa: E402
+from pegame.simulator import Strategy  # noqa: E402
 
 
 def _clean_spec(rng, n=3):
@@ -76,3 +77,19 @@ def make_clean_spec():
 @pytest.fixture(scope="session")
 def make_escape_spec():
     return _escape_spec
+
+
+@pytest.fixture(scope="session")
+def probed():
+    """The certainty-equivalent pursuer plus an input series, the probe."""
+
+    def make(probe):
+        ce = Strategy.certainty_equivalent()
+
+        def terms(s):
+            K_x, K_h, v = ce.terms(s)
+            return K_x, K_h, v + probe(s.t_in)
+
+        return Strategy("pursuer", terms, probe.knots)
+
+    return make

@@ -13,6 +13,7 @@ from pegame.cli import (
     _finite,
     _finite_list,
     _point,
+    _samples,
     _step,
     dumps_canonical,
     load_spec,
@@ -158,9 +159,12 @@ def test_simulate_command(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["payoff_direct"] == pytest.approx(1.0 / 3.0, abs=1e-4)
     assert doc["payoff_completed_square"] == pytest.approx(1.0 / 3.0, abs=1e-4)
-    header = out_csv.read_text().splitlines()[0].split(",")
+    rows = out_csv.read_text().splitlines()
+    header = rows[0].split(",")
     assert header[:5] == ["t", "x0", "x1", "x2", "x3"]
     assert header[-2:] == ["running_cost", "event_flag"]
+    events = [row for row in rows[1:] if row.endswith(",1")]
+    assert len(events) == 1 and events[0].startswith("0.5,")
 
 
 def test_riccati_command_csv(capsys, tmp_path):
@@ -222,6 +226,49 @@ def test_reachability_command(capsys, tmp_path):
     assert rows[0] == "x,y"
     x, y = (float(v) for v in rows[1].split(","))
     assert np.hypot(x - 1.0, y) == pytest.approx(doc["radius"], rel=1e-9)
+
+
+# header, first and last data row of each example1 CSV, as written before
+# the three writers shared one
+CSV_ROWS = {
+    ("riccati", "--preset", "example1"): (
+        "t,m0_0,m0_1,m0_2,m0_3,m1_0,m1_1,m1_2,m1_3,m2_0,m2_1,m2_2,m2_3,m3_0,m3_1,m3_2,m3_3",
+        "0,0.3333333333333332,0,-0.33333333333333315,0,0,0.3333333333333332,0,"
+        "-0.33333333333333315,-0.33333333333333315,0,0.33333333333333276,0,0,"
+        "-0.33333333333333315,0,0.33333333333333276",
+        "1,1,0,-1,-0,0,1,-0,-1,-1,-0,1,0,-0,-1,0,1",
+    ),
+    ("simulate", "--preset", "example1", "--instants", "0.5"): (
+        "t,x0,x1,x2,x3,xhat0,xhat1,xhat2,xhat3,e0,e1,e2,e3,up0,up1,ue0,ue1,"
+        "running_cost,event_flag",
+        "0,0,0,1,0,0,0,1,0,0,0,0,0,1.3333333333333326,0,0.66666666666666552,0,0,0",
+        "1,1.3333333333332558,0,1.6666666666666308,0,1.3333333333332558,0,"
+        "1.6666666666666308,0,0,0,0,0,1.3333333333335,0,0.66666666666675001,0,"
+        "0.22222222222219729,0",
+    ),
+    ("reachability", *EXAMPLE1_REACH): ("x,y", "1.5,0", "1.5,-1.2246467991473532e-16"),
+}
+
+
+@pytest.mark.parametrize("argv", list(CSV_ROWS), ids=["riccati", "simulate", "reachability"])
+def test_csv_rows_pinned(capsys, tmp_path, argv):
+    out_csv = tmp_path / "out.csv"
+    code, _, _ = run_cli(capsys, *argv, "--out", str(out_csv))
+    rows = out_csv.read_text().splitlines()
+    assert code == 0 and (rows[0], rows[1], rows[-1]) == CSV_ROWS[argv]
+
+
+@pytest.mark.parametrize("samples", ["0", "-1", "1000001", "100000000000000", "2.5"])
+def test_samples_out_of_range_is_usage_error(capsys, tmp_path, samples):
+    # a huge count used to reach numpy's allocator and end in a traceback
+    out_csv = tmp_path / "circle.csv"
+    code, out, err = run_cli(
+        capsys, "reachability", *EXAMPLE1_REACH, "--out", str(out_csv), "--samples", samples
+    )
+    assert code == 2 and out == "" and "Traceback" not in err
+    errors = [line for line in err.splitlines() if "error" in line]
+    assert len(errors) == 1 and "--samples" in errors[0]
+    assert not out_csv.exists()
 
 
 def test_reachability_requires_arguments(capsys):
@@ -523,7 +570,7 @@ def flag_values(options, tmp_dir):
         return LISTS
     if kind is _finite:
         return NUMBERS
-    if kind is int:
+    if kind is _samples:
         return st.integers(min_value=-3, max_value=200).map(str)
     # output paths, one in a missing directory
     return st.sampled_from([str(tmp_dir / "out.csv"), str(tmp_dir / "no" / "out.csv")])

@@ -13,6 +13,7 @@ from pegame.riccati import (
 from pegame import escape
 from pegame.escape import TIME_TOL_REL, detect_escape_norm, detect_escape_radon
 from pegame.scheduler import optimal_schedule
+from pegame.simulator import Strategy, deviation_gain_check, risky_strategy, simulate
 
 
 def escape_time_formula(t_next):
@@ -130,8 +131,47 @@ def test_bracket_is_certified_finite(example_spec, example_value_sol):
     lo, hi = detect_escape_norm(problem, 0.0).bracket
     flow = escape._gap_count(example_spec, 1.0, problem.terminal_value, 0.0)
     assert flow.count(hi) == 0 != flow.count(lo)
-    norm_at_hi = np.linalg.norm(escape._StackedFlow(problem).value(hi), 2)
+    norm_at_hi = np.linalg.norm(flow.value(hi), 2)
     assert np.isfinite(norm_at_hi) and norm_at_hi >= DEFAULT_BLOWUP / 10
+
+
+@pytest.mark.parametrize("b", [1.0, 0.8])
+def test_count_value_matches_closed_form(example_spec, example_value_sol, b):
+    # example1's K is nilpotent, hence defective, so the count moves its
+    # frames with the exponential; above the pole the flow is
+    # -K/(3 - 4b + 2t)
+    flow = escape._gap_count(example_spec, b, -eval_solution(example_value_sol, b), 0.0)
+    assert flow._eig is None
+    t = np.linspace(escape_time_formula(b) + 0.05, b, 41)
+    exact = -np.block([[np.eye(2), -np.eye(2)], [-np.eye(2), np.eye(2)]]) / (
+        3.0 - 4.0 * b + 2.0 * t[:, None, None]
+    )
+    got = flow.value(t)
+    assert np.abs(got - exact).max() <= 1e-12 * np.abs(exact).max()
+    assert np.array_equal(flow.value(t[7]), got[7])
+
+
+def test_count_value_moves_agree(make_escape_spec):
+    # the eigenvector move and the exponential move give one flow, at
+    # times at least 0.05 above the largest pole
+    rng = np.random.default_rng(71)
+    worst, games = 0.0, 0
+    while games < 20:
+        spec = make_escape_spec(rng, n=2)
+        sol = solve_value_riccati(spec)
+        flow = escape._gap_count(spec, spec.tf, -eval_solution(sol, spec.tf), spec.t0)
+        top = spec.t0 if flow.first is None else flow.first + 0.05
+        if top >= spec.tf:
+            continue
+        games += 1
+        assert flow._eig is not None
+        t = np.linspace(top, spec.tf, 41)
+        eigen = flow.value(t)
+        flow._eig = None
+        exponential = flow.value(t)
+        scale = np.abs(exponential).max(axis=(1, 2))
+        worst = max(worst, (np.abs(eigen - exponential).max(axis=(1, 2)) / scale).max())
+    assert worst <= 1e-12
 
 
 def test_matrix_exponential_against_series():
@@ -295,6 +335,19 @@ def test_schedule_counts_each_flow_once(make_escape_spec, counts):
         counts.clear()
         sched = optimal_schedule(spec, sol, compute_slack=False)
         assert len(counts) == sched.N + 1
+
+
+def test_deviations_price_with_their_count(example_spec, example_value_sol, counts, monkeypatch):
+    # the gain check and the risky deviation each count their interval's
+    # gap flow once and evaluate the error-value flow with that count
+    value, used = escape._Count.value, set()
+    monkeypatch.setattr(escape._Count, "value", lambda flow, t: used.add(flow) or value(flow, t))
+    spec, sol = example_spec, example_value_sol
+    deviation_gain_check(spec, sol, (0.5, 1.0), np.array([1.0, 0.0]))
+    assert len(counts) == 1 and used == {counts[0]}
+    risky = risky_strategy(spec, sol, (0.0, 1.0), scale=2.0)
+    simulate(spec, sol, [], Strategy.certainty_equivalent(), risky)
+    assert len(counts) == 2 and used == set(counts)
 
 
 # ---------------------------------------------------------------------------

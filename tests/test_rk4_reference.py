@@ -117,14 +117,14 @@ def _zoh(rng, spec, n, knots=4):
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_feedback_and_open_loop_kinds_match_oracle(make_clean_spec, n):
+def test_feedback_and_open_loop_kinds_match_oracle(make_clean_spec, probed, n):
     rng = np.random.default_rng(600 + n)
     spec = make_clean_spec(rng, n=n)
     sol = solve_value_riccati(spec)
     instants = np.sort(rng.uniform(spec.t0, spec.tf, 2)).tolist()
     step = spec.horizon / 300
     ce, eq = Strategy.certainty_equivalent(), Strategy.evader_equilibrium()
-    probe = Strategy.certainty_equivalent(offset=_zoh(rng, spec, spec.n_p))
+    probe = probed(_zoh(rng, spec, spec.n_p))
     w = _zoh(rng, spec, spec.n_e)
     ol_p, ol_e = open_loop_pair(spec, sol)
     callable_p = Strategy.pursuer_open_loop(lambda t: np.full(spec.n_p, np.sin(3 * t)))

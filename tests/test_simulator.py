@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from pegame.errors import EventOrdering, InadmissibleInterval, IntervalAdmissible, NegativeBudget
 from pegame.game_model import GameSpec, example_one_spec
-from pegame.riccati import eval_solution, solve_value_riccati
+from pegame.riccati import STEPS, eval_solution, solve_value_riccati
 from pegame.simulator import (
     Strategy,
     deviation_gain_check,
@@ -244,7 +244,7 @@ def test_zoh_open_loop_payoff_is_fourth_order(make_clean_spec):
         assert abs(base - fine) >= 10.0 * abs(half - fine)
 
 
-def test_pursuer_perturbation_increases_payoff(make_clean_spec):
+def test_pursuer_perturbation_increases_payoff(make_clean_spec, probed):
     # with the evader at equilibrium, the payoff is the game value plus a
     # pursuer-side square; any fixed probe strictly raises it
     rng = np.random.default_rng(9)
@@ -257,7 +257,7 @@ def test_pursuer_perturbation_increases_payoff(make_clean_spec):
             spec,
             sol,
             [0.5],
-            Strategy.certainty_equivalent(offset=probe),
+            probed(probe),
             Strategy.evader_equilibrium(),
         )
         assert traj.payoff_direct > value + 1e-6
@@ -417,6 +417,21 @@ def test_reachable_radius_scaling_laws(budget, horizon, weight, k):
     assert reachable_radius(budget, horizon, k * weight) == pytest.approx(
         r / np.sqrt(k), rel=1e-12, abs=1e-12
     )
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_transition_flow_nodes_match_step_loop(make_clean_spec, n):
+    # reference: one solve per step factor, the loop that the batched
+    # inverse and the accumulated products replace; each of the STEPS
+    # products may add a rounding error
+    spec = make_clean_spec(np.random.default_rng(40 + n), n=n)
+    sol = solve_value_riccati(spec)
+    phis = [np.eye(n)]
+    for step in sol.steps[::-1]:
+        phis.append(np.linalg.solve(step, phis[-1]))
+    ref = np.stack(phis[::-1])
+    got = transition_flow(spec, sol)(sol.grid)
+    assert np.abs(got - ref).max() <= STEPS * np.finfo(float).eps * np.abs(ref).max()
 
 
 def test_transition_flow_matches_rk4_reference(make_clean_spec):
