@@ -281,7 +281,7 @@ def _cmd_validate(args) -> tuple[int, dict]:
 def _cmd_riccati(args) -> tuple[int, dict]:
     spec = _spec(args)
     sol = solve_value_riccati(spec)
-    residual = riccati_residual(sol, make_value_problem(spec), 100)
+    residual = riccati_residual(sol, make_value_problem(spec))
     if args.out:
         write_matrix_csv(args.out, sol)
     P0 = eval_solution(sol, spec.t0)
@@ -530,8 +530,15 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are one line, without the usage block; subparsers share the class."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pegame",
         description=(
             "Equilibrium strategies and minimum-communication schedules for "

@@ -14,6 +14,8 @@ Two independent detectors cross-validate each other:
   one sign, as the crossing form on ker U is (V x)' C R_e^-1 C' (V x) >= 0
   (Robbin and Salamon, Topology 32, 1993; Coppel, LNM 220, 1971).  The
   linear flow has no finite-time singularity: the oracle of record.
+  Frames move within a grid cell by a Taylor sum of exp(K dt) of degree
+  ``DEGREE``, exact to rounding because the grid keeps ||K dt|| small.
 
 Escape times are resolved to ``TIME_TOL_REL`` of the search span.
 ``_escape_inside`` decides whether an interval's escape lies inside it,
@@ -27,7 +29,6 @@ from __future__ import annotations
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg as la
 
 from .errors import EscapeReport
 from .game_model import GameSpec
@@ -38,6 +39,7 @@ from .riccati import (
     _guard_norm,
     _integrate_backward,
     _eval_many,
+    _in_range,
     _powers,
     _sym,
     eval_solution,
@@ -49,6 +51,7 @@ CHART_LEVEL = 1e2  # spectral norm at which the norm detector changes chart
 # an escape within this share of the horizon above an interval's start
 # falls outside the interval: the estimate resets at the start
 BOUNDARY_TOL_REL = 1e-8
+DEGREE = 18  # degree of the Taylor propagator of ``_Count``
 
 
 def _chart(problem: RiccatiProblem, t: float, X: np.ndarray):
@@ -194,20 +197,26 @@ class _Count:
     propagated in blocks of 4n steps, which span ||K|| |s| <= pi: each
     block's propagators have condition number at most e^(2 pi).
 
-    ``value`` evaluates Q's flow V U^-1.  It and ``_jump`` move the frame
-    at the grid point that opens a time's cell exactly to the time: with
-    K's eigenvectors when their condition number is below 1e8, else with
-    the scaling-and-squaring exponential (example1's K is nilpotent).
+    One propagator, ``_exp``, makes the grid step and moves the frame at
+    the grid point that opens a time's cell to the time, for ``value`` and
+    ``_jump``: the Taylor sum of exp(K dt) to degree 18.  Every such |dt|
+    is at most |h| <= pi / (4n (||K||_2 + partner_speed)), so
+    x = ||K dt||_2 <= pi/4 and the truncation error is at most
+    sum_{j>18} x^j / j! <= x^19 / 19! / (1 - x/20) < 9e-20, for any K,
+    defective (example1's K is nilpotent) or not.  Outside the counted
+    span that fails: ``value`` and ``count`` raise OutOfRange there.
     """
 
     def __init__(self, K, Z0, start, end, partner, partner_speed=0.0):
         n = Z0.shape[-1]
         self.K, self.partner = K, partner
-        rate = 4 * n * (la.norm(K, 2) + partner_speed) / np.pi
+        factorials = np.cumprod(np.arange(1.0, DEGREE + 1))[:, None, None]
+        self.T = np.concatenate(([np.eye(2 * n)], _powers(K, DEGREE) / factorials))
+        rate = 4 * n * (np.linalg.norm(K, 2) + partner_speed) / np.pi
         self.s = np.linspace(start, end, max(1, int(np.ceil(abs(end - start) * rate))) + 1)
         self.h = self.s[1] - self.s[0]
         self.tol = TIME_TOL_REL * max(abs(end - start), 1e-12)
-        steps = _powers(la.expm(K * self.h), 4 * n)
+        steps = _powers(self._exp(self.h), 4 * n)
         frames = [_orth(Z0)]
         while len(frames) < len(self.s):
             frames.extend(_orth(steps @ frames[-1]))
@@ -215,28 +224,24 @@ class _Count:
         self.S = _eigen_angles(self.frames, partner(self.s)).sum(axis=-1)
         self.N = -np.cumsum(np.rint(np.diff(self.S, prepend=self.S[0]) / (2 * np.pi))).astype(int)
 
-    @cached_property
-    def _eig(self):
-        """K's eigenvalues, eigenvectors and their inverse, or None."""
-        try:
-            w, E = np.linalg.eig(self.K)
-        except np.linalg.LinAlgError:
-            return None
-        cond = np.linalg.cond(E)
-        return (w, E, np.linalg.inv(E)) if np.isfinite(cond) and cond < 1e8 else None
+    def _exp(self, dt) -> np.ndarray:
+        """exp(K dt) as sum_j dt^j T_j with T_j = K^j / j!, or a stack of it
+        at an array of times, in one matrix product."""
+        dt = np.asarray(dt, dtype=float)[..., None]
+        # the running product of [1, dt, ..., dt] is [1, dt, ..., dt^DEGREE]
+        powers = np.cumprod(np.where(np.arange(DEGREE + 1) == 0, 1.0, dt), axis=-1)
+        return (powers @ self.T.reshape(DEGREE + 1, -1)).reshape(dt.shape[:-1] + self.K.shape)
 
     def _cell(self, s) -> np.ndarray:
-        """The grid point that opens the cell of s, or of each of an array."""
+        """The grid point that opens the cell of s, or of each of an array;
+        raises OutOfRange outside the counted span."""
+        s = _in_range(s, *sorted((self.s[0], self.s[-1])))
         return np.clip((s - self.s[0]) // self.h, 0, len(self.s) - 2).astype(int)
 
     def _move(self, s, k) -> np.ndarray:
         """exp(K (s - s_k)) times the frame at grid point k, for s and k
         of one shape."""
-        dt = (s - self.s[k])[..., None]
-        if self._eig is None:
-            return la.expm(self.K * dt[..., None]) @ self.frames[k]
-        w, E, E_inv = self._eig
-        return (E @ (np.exp(w * dt)[..., None] * (E_inv @ self.frames[k]))).real
+        return self._exp(s - self.s[k]) @ self.frames[k]
 
     def value(self, s) -> np.ndarray:
         """Q's flow V U^-1 at s, or a stack of it at an array of times;
@@ -352,6 +357,6 @@ def _slack_root(
         P = _eval_many(value_sol, tau)
         return _orth(np.concatenate((np.broadcast_to(np.eye(n), P.shape), -P), axis=-2))
 
-    speed = la.norm(make_value_problem(spec).hamiltonian, 2)
+    speed = np.linalg.norm(make_value_problem(spec).hamiltonian, 2)
     V0 = np.vstack((np.zeros((n, n)), np.eye(n)))
     return _Count(H, V0, t_a, float(upper), partner, speed).first

@@ -38,6 +38,7 @@ from .game_model import GameSpec
 
 DEFAULT_BLOWUP = 1e9  # spectral-norm guard at which an exact solve has escaped
 STEPS = 1000       # uniform steps of an exact solve
+RESIDUAL_SAMPLES = 100  # node intervals whose midpoints ``riccati_residual`` checks
 # adaptive integrator: error tolerances, and the largest and smallest step
 # relative to the span
 RTOL = 1e-10
@@ -158,18 +159,23 @@ def _segment(grid: np.ndarray, t):
     return j, (t - grid[j + 1]) / h, h
 
 
-def _hermite(grid, values, derivs, t) -> np.ndarray:
-    """Cubic-Hermite interpolant of node values and derivatives on a
-    decreasing grid; exact at the nodes.  A time gives one matrix, an
-    array of times a stack of them."""
+def _in_range(t, lo, hi) -> np.ndarray:
+    """t, or an array of times, clipped to [lo, hi]; raises OutOfRange if
+    one lies outside by more than 1e-12 of the interval's scale."""
     t = np.asarray(t, dtype=float)
-    lo, hi = float(grid[-1]), float(grid[0])
     slack = 1e-12 * max(1.0, abs(hi - lo), abs(hi), abs(lo))
     outside = (t < lo - slack) | (t > hi + slack)
     if outside.any():
         t_bad = float(np.extract(outside, t)[0])
         raise OutOfRange(f"t={t_bad} outside solved interval [{lo}, {hi}]")
-    j, s, h = _segment(grid, np.clip(t, lo, hi))
+    return np.clip(t, lo, hi)
+
+
+def _hermite(grid, values, derivs, t) -> np.ndarray:
+    """Cubic-Hermite interpolant of node values and derivatives on a
+    decreasing grid; exact at the nodes.  A time gives one matrix, an
+    array of times a stack of them."""
+    j, s, h = _segment(grid, _in_range(t, grid[-1], grid[0]))
     s, h = s[..., None, None], h[..., None, None]
     h00 = (1 + 2 * s) * (1 - s) ** 2
     h10 = s * (1 - s) ** 2
@@ -193,9 +199,11 @@ def eval_solution(sol: RiccatiSolution, t: float) -> np.ndarray:
     return _eval_many(sol, t)
 
 
-def _eval_derivative(sol: RiccatiSolution, t: float) -> np.ndarray:
-    """Time derivative of the Hermite interpolant (for residual checks)."""
+def _eval_derivative(sol: RiccatiSolution, t) -> np.ndarray:
+    """Time derivative of the Hermite interpolant (for residual checks),
+    at a time or a stack of it at an array of times."""
     j, s, h = _segment(sol.grid, t)
+    s, h = s[..., None, None], h[..., None, None]
     y0, y1 = sol.values[j + 1], sol.values[j]
     f0, f1 = sol.derivs[j + 1], sol.derivs[j]
     d00 = 6 * s * (s - 1) / h
@@ -443,19 +451,13 @@ def solve_value_riccati(spec: GameSpec) -> RiccatiSolution:
     return solve_riccati(make_value_problem(spec), spec.t0)
 
 
-def riccati_residual(
-    sol: RiccatiSolution, problem: RiccatiProblem, samples: int = 100
-) -> float:
-    """Max normalized ODE residual of the interpolant at interval midpoints."""
+def riccati_residual(sol: RiccatiSolution, problem: RiccatiProblem) -> float:
+    """Max normalized ODE residual of the interpolant at the midpoints of
+    up to ``RESIDUAL_SAMPLES`` node intervals, in one batched call."""
     K = len(sol.grid)
-    idx = np.unique(np.linspace(0, K - 2, min(samples, K - 1)).round().astype(int))
-    worst = 0.0
-    for j in idx:
-        tm = 0.5 * (sol.grid[j] + sol.grid[j + 1])
-        X = eval_solution(sol, tm)
-        dX = _eval_derivative(sol, tm)
-        res = dX - problem.rhs(tm, X)
-        worst = max(
-            worst, float(np.linalg.norm(res) / (1.0 + np.linalg.norm(X)))
-        )
-    return worst
+    j = np.unique(np.linspace(0, K - 2, min(RESIDUAL_SAMPLES, K - 1)).round().astype(int))
+    tm = 0.5 * (sol.grid[j] + sol.grid[j + 1])
+    X = _eval_many(sol, tm)
+    res = _eval_derivative(sol, tm) - problem.rhs(tm, X)
+    norms = np.linalg.norm(res, axis=(-2, -1)) / (1.0 + np.linalg.norm(X, axis=(-2, -1)))
+    return float(np.max(norms, initial=0.0))

@@ -11,6 +11,7 @@ from pegame.riccati import (
     solve_value_riccati,
 )
 from pegame import escape
+from pegame.errors import OutOfRange
 from pegame.escape import TIME_TOL_REL, detect_escape_norm, detect_escape_radon
 from pegame.scheduler import optimal_schedule
 from pegame.simulator import Strategy, deviation_gain_check, risky_strategy, simulate
@@ -137,11 +138,9 @@ def test_bracket_is_certified_finite(example_spec, example_value_sol):
 
 @pytest.mark.parametrize("b", [1.0, 0.8])
 def test_count_value_matches_closed_form(example_spec, example_value_sol, b):
-    # example1's K is nilpotent, hence defective, so the count moves its
-    # frames with the exponential; above the pole the flow is
-    # -K/(3 - 4b + 2t)
+    # example1's K is nilpotent, hence defective; above the pole the flow
+    # is -K/(3 - 4b + 2t)
     flow = escape._gap_count(example_spec, b, -eval_solution(example_value_sol, b), 0.0)
-    assert flow._eig is None
     t = np.linspace(escape_time_formula(b) + 0.05, b, 41)
     exact = -np.block([[np.eye(2), -np.eye(2)], [-np.eye(2), np.eye(2)]]) / (
         3.0 - 4.0 * b + 2.0 * t[:, None, None]
@@ -151,9 +150,24 @@ def test_count_value_matches_closed_form(example_spec, example_value_sol, b):
     assert np.array_equal(flow.value(t[7]), got[7])
 
 
+def expm_value(flow, t):
+    """The count's flow V U^-1 at an array of times, with the in-cell move
+    made by scipy's scaling-and-squaring exponential."""
+    k = flow._cell(t)
+    UV = la.expm(flow.K * (t - flow.s[k])[:, None, None]) @ flow.frames[k]
+    n = UV.shape[-1]
+    return UV[:, n:] @ np.linalg.inv(UV[:, :n])
+
+
+def relative_gap(got, reference):
+    """Worst over times of the max-entry difference over the max entry."""
+    scale = np.abs(reference).max(axis=(1, 2))
+    return (np.abs(got - reference).max(axis=(1, 2)) / scale).max()
+
+
 def test_count_value_moves_agree(make_escape_spec):
-    # the eigenvector move and the exponential move give one flow, at
-    # times at least 0.05 above the largest pole
+    # the Taylor move and the exponential move give one flow, at times at
+    # least 0.05 above the largest pole
     rng = np.random.default_rng(71)
     worst, games = 0.0, 0
     while games < 20:
@@ -164,28 +178,54 @@ def test_count_value_moves_agree(make_escape_spec):
         if top >= spec.tf:
             continue
         games += 1
-        assert flow._eig is not None
         t = np.linspace(top, spec.tf, 41)
-        eigen = flow.value(t)
-        flow._eig = None
-        exponential = flow.value(t)
-        scale = np.abs(exponential).max(axis=(1, 2))
-        worst = max(worst, (np.abs(eigen - exponential).max(axis=(1, 2)) / scale).max())
-    assert worst <= 1e-12
+        worst = max(worst, relative_gap(flow.value(t), expm_value(flow, t)))
+    assert worst <= 1e-13
 
 
-def test_matrix_exponential_against_series():
-    # the linear-flow detector leans on the matrix exponential; check the
-    # library routine against a plain Taylor sum on small-norm inputs
-    rng = np.random.default_rng(42)
-    for _ in range(10):
-        H = rng.standard_normal((6, 6)) * 0.3
-        series = np.eye(6)
-        term = np.eye(6)
-        for k in range(1, 30):
-            term = term @ H / k
-            series = series + term
-        assert np.abs(la.expm(H) - series).max() <= 1e-12
+def test_count_value_near_a_defective_hamiltonian():
+    # A is a Jordan block and Q nearly 0, so the gap Hamiltonian is close
+    # to a defective one: its eigenvector matrix has condition 2.2e7
+    n = 2
+    spec = GameSpec(
+        A=np.array([[0.0, 1.0], [0.0, 0.0]]), B=np.eye(n), C=0.5 * np.eye(n),
+        Q=1e-10 * np.eye(n), Q_f=np.eye(n), R_p=np.eye(n), R_e=np.eye(n),
+        t0=0.0, tf=1.0, x0=np.zeros(n),
+    )
+    flow = escape._gap_count(spec, 1.0, -np.eye(n), 0.0)
+    assert np.linalg.cond(np.linalg.eig(flow.K)[1]) > 1e7
+    t = np.linspace(0.0, 1.0, 41)
+    assert relative_gap(flow.value(t), expm_value(flow, t)) <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "K",
+    [np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.5, 1.0], [0.0, 0.5]])],
+    ids=["nilpotent", "jordan"],
+)
+def test_taylor_move_against_expm_at_the_bound(K):
+    # n = 1 has the largest in-cell move the grid allows, ||K dt|| = pi/4
+    frame = np.array([[1.0], [0.0]])
+    flow = escape._Count(K, frame, 0.0, 1.0, lambda s: np.broadcast_to(frame, np.shape(s) + (2, 1)))
+    bound = np.pi / (4 * np.linalg.norm(K, 2))
+    assert abs(flow.h) <= bound
+    dt = np.linspace(-bound, bound, 9)
+    want = la.expm(K * dt[:, None, None])
+    got = flow._exp(dt)
+    assert np.abs(got - want).max() <= 4e-16 * np.abs(want).max()
+    assert np.allclose(flow._exp(dt[2]), got[2], rtol=0, atol=4e-16)
+
+
+def test_count_refuses_times_outside_its_span(example_spec, example_value_sol):
+    flow = escape._gap_count(example_spec, 1.0, -eval_solution(example_value_sol, 1.0), 0.6)
+    flow.value(np.array([0.6, 1.0]))
+    for t in (0.6 - 1e-6, 1.0 + 1e-6):
+        with pytest.raises(OutOfRange):
+            flow.value(t)
+        with pytest.raises(OutOfRange):
+            flow.count(t)
+    with pytest.raises(OutOfRange):
+        flow.value(np.array([0.8, 1.5]))
 
 
 # ---------------------------------------------------------------------------

@@ -106,7 +106,7 @@ def test_adaptive_matches_euler_oracle(make_clean_spec, n, seed):
 
 
 def test_residual_example_one(example_spec, example_value_sol):
-    res = riccati_residual(example_value_sol, make_value_problem(example_spec), 100)
+    res = riccati_residual(example_value_sol, make_value_problem(example_spec))
     assert res <= 1e-7
 
 
@@ -128,7 +128,7 @@ def test_residual_zero_for_zero_gap_flow(example_spec, example_value_sol):
     problem = make_gap_problem(trivial, value_sol, 1.0)
     sol = solve_riccati(problem, 0.0)
     assert np.abs(sol.values).max() == 0.0
-    assert riccati_residual(sol, problem, 50) == 0.0
+    assert riccati_residual(sol, problem) == 0.0
 
 
 def test_error_value_equals_gap_plus_value(example_spec, example_value_sol):
