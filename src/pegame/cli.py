@@ -150,11 +150,7 @@ def spec_from_dict(doc: dict) -> GameSpec:
     version = doc.get("version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise SchemaError(f"unsupported schema version {version!r}")
-    missing = [
-        name
-        for name in (*_MATRIX_FIELDS, "t0", "tf", "x0")
-        if name not in doc
-    ]
+    missing = [name for name in (*_MATRIX_FIELDS, "t0", "tf", "x0") if name not in doc]
     if missing:
         raise SchemaError(f"missing fields: {missing}")
 
@@ -247,22 +243,12 @@ def _spec(args: argparse.Namespace) -> GameSpec:
 
 
 def _violation_dict(v) -> dict:
-    return {
-        "name": v.name,
-        "measured": v.measured,
-        "severity": v.severity,
-        "message": v.message,
-    }
+    return {key: getattr(v, key) for key in ("name", "measured", "severity", "message")}
 
 
 def _certificates_json(certs) -> list[dict]:
     return [
-        {
-            "start": c.t_start,
-            "end": c.t_end,
-            "escape_found": c.escape_found,
-            "t_escape": c.t_escape,
-        }
+        {"start": c.t_start, "end": c.t_end, "escape_found": c.escape_found, "t_escape": c.t_escape}
         for c in certs
     ]
 
@@ -301,9 +287,7 @@ def _cmd_riccati(args) -> tuple[int, dict]:
 def _cmd_schedule(args) -> tuple[int, dict]:
     spec = _spec(args)
     sol = solve_value_riccati(spec)
-    sched = optimal_schedule(
-        spec, sol, args.margin, compute_slack=not args.no_slack
-    )
+    sched = optimal_schedule(spec, sol, args.margin, compute_slack=not args.no_slack)
     doc = {
         "command": "schedule",
         "N": sched.N,
@@ -373,11 +357,7 @@ def _cmd_sweep(args) -> tuple[int, dict]:
     spec = _spec(args)
     sol = solve_value_riccati(spec)
     payoffs = deviation_sweep(
-        spec,
-        args.c,
-        schedule=args.instants,
-        pursuer=args.pursuer_mode,
-        step=args.step,
+        spec, args.c, schedule=args.instants, pursuer=args.pursuer_mode, step=args.step,
         value_sol=sol,
     )
     doc = {

@@ -14,8 +14,7 @@ Two independent detectors cross-validate each other:
   one sign, as the crossing form on ker U is (V x)' C R_e^-1 C' (V x) >= 0
   (Robbin and Salamon, Topology 32, 1993; Coppel, LNM 220, 1971).  The
   linear flow has no finite-time singularity: the oracle of record.
-  Frames move within a grid cell by a Taylor sum of exp(K dt) of degree
-  ``DEGREE``, exact to rounding because the grid keeps ||K dt|| small.
+  Frames move by a Taylor sum of exp(K dt), exact as ||K dt|| is small.
 
 Escape times are resolved to ``TIME_TOL_REL`` of the search span.
 ``_escape_inside`` decides whether an interval's escape lies inside it,
@@ -197,14 +196,11 @@ class _Count:
     propagated in blocks of 4n steps, which span ||K|| |s| <= pi: each
     block's propagators have condition number at most e^(2 pi).
 
-    One propagator, ``_exp``, makes the grid step and moves the frame at
-    the grid point that opens a time's cell to the time, for ``value`` and
-    ``_jump``: the Taylor sum of exp(K dt) to degree 18.  Every such |dt|
-    is at most |h| <= pi / (4n (||K||_2 + partner_speed)), so
-    x = ||K dt||_2 <= pi/4 and the truncation error is at most
-    sum_{j>18} x^j / j! <= x^19 / 19! / (1 - x/20) < 9e-20, for any K,
-    defective (example1's K is nilpotent) or not.  Outside the counted
-    span that fails: ``value`` and ``count`` raise OutOfRange there.
+    ``_exp``, the Taylor sum of exp(K dt) to ``DEGREE``, makes the grid
+    step and every move within a cell: as |dt| <= |h|, the spacing gives
+    x = ||K dt||_2 <= pi/4, so it errs by at most x^19 / 19! e^x < 2e-19
+    for any K, defective or not (Moler and Van Loan, SIAM Rev. 45, 2003).
+    Outside the span that fails: ``value`` and ``count`` raise OutOfRange.
     """
 
     def __init__(self, K, Z0, start, end, partner, partner_speed=0.0):
@@ -317,10 +313,11 @@ def detect_escape_radon(
 
 
 def _interval(flow: _Count, a: float, tol: float) -> tuple[bool, float | None]:
-    """Whether ``flow`` has a pole inside the interval that starts at a (N
-    nonzero at a + tol), and its largest pole if at or above a - tol."""
+    """Whether ``flow``, counted from the interval's end, has a pole inside
+    the interval that starts at a (N nonzero at a + tol, or at the end if
+    that lies lower), and its largest pole if at or above a - tol."""
     pole = flow.first if flow.first is not None and flow.first >= a - tol else None
-    return flow.count(a + tol) != 0, pole
+    return flow.count(min(a + tol, flow.s[0])) != 0, pole
 
 
 def _escape_inside(

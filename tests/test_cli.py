@@ -121,6 +121,14 @@ def test_schedule_command(capsys):
     assert all(not c["escape_found"] for c in doc["certificates"])
 
 
+def test_check_schedule_accepts_instants_closer_than_the_tolerance(capsys):
+    code, out, _ = run_cli(
+        capsys, "check-schedule", "--preset", "example1", "--instants", "0.5,0.500000001",
+        "--strict",
+    )
+    assert code == 0 and json.loads(out)["pass"] is True
+
+
 def test_check_schedule_fail_and_strict(capsys):
     code, out, _ = run_cli(
         capsys, "check-schedule", "--preset", "example1", "--instants", "0.8"

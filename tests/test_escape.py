@@ -147,7 +147,8 @@ def test_count_value_matches_closed_form(example_spec, example_value_sol, b):
     )
     got = flow.value(t)
     assert np.abs(got - exact).max() <= 1e-12 * np.abs(exact).max()
-    assert np.array_equal(flow.value(t[7]), got[7])
+    # one time gives one matrix; BLAS rounds it apart from a batch's row
+    assert np.abs(flow.value(t[7]) - got[7]).max() <= 1e-15 * np.abs(got[7]).max()
 
 
 def expm_value(flow, t):

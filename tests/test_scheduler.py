@@ -89,6 +89,16 @@ def test_check_admissibility_empty_schedule_fails(example_spec, example_value_so
     assert certs[0].t_escape == pytest.approx(0.5, abs=1e-6)
 
 
+def test_check_admissibility_interval_shorter_than_the_tolerance(
+    example_spec, example_value_sol
+):
+    # [0.5, 0.5 + 1e-9) is shorter than the boundary tolerance (1e-8 of the
+    # horizon): all of it sits on its start, so it holds no escape
+    certs = check_admissibility(example_spec, example_value_sol, [0.5, 0.5 + 1e-9])
+    assert len(certs) == 3 and all(c.passed for c in certs)
+    assert certs[1].t_escape is None
+
+
 def test_unsorted_instants_raise(example_spec, example_value_sol):
     with pytest.raises(UnsortedInstants):
         check_admissibility(example_spec, example_value_sol, [0.6, 0.4])

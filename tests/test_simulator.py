@@ -303,6 +303,17 @@ def test_deviation_gain_splits_at_knots(example_spec, example_value_sol):
     assert abs(gain - square) <= 1e-10 * (1.0 + abs(gain))
 
 
+def test_deviation_gain_on_an_interval_shorter_than_the_tolerance(
+    example_spec, example_value_sol
+):
+    interval = (0.5, 0.5 + 1e-9)  # shorter than the boundary tolerance
+    gain, square = deviation_gain_check(
+        example_spec, example_value_sol, interval, np.array([1.0, 0.0])
+    )
+    assert gain < 0
+    assert abs(gain - square) <= 1e-6 * abs(gain)
+
+
 def test_deviation_gain_inadmissible_interval_raises(example_spec, example_value_sol):
     with pytest.raises(InadmissibleInterval):
         deviation_gain_check(
