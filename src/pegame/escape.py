@@ -5,16 +5,14 @@ Two independent detectors cross-validate each other:
 * norm blow-up: integrate the nonlinear flow backward until its spectral
   norm reaches ``CHART_LEVEL``, then in the chart Y = (X - sigma I)^-1,
   where the pole is a smooth zero of an eigenvalue; refine that zero.
-* Maslov count (``_Count``): the gap flow is V U^-1 for the linear flow
+* Maslov count (``riccati._Count``, the oracle of record, which the
+  exact value solve uses too): the gap flow is V U^-1 for the linear flow
   [U; V]' = H [U; V] with the gap problem's Hamiltonian
   H = [[A, -C R_e^-1 C'], [Q, -A']], so it escapes where the plane of
-  [U; V] meets the vertical plane {U = 0}; the Maslov index of the path
-  counts those meetings with multiplicity, so the bundled example's
-  double root, where det U keeps its sign, counts twice.  Every jump has
-  one sign, as the crossing form on ker U is (V x)' C R_e^-1 C' (V x) >= 0
-  (Robbin and Salamon, Topology 32, 1993; Coppel, LNM 220, 1971).  The
-  linear flow has no finite-time singularity: the oracle of record.
-  Frames move by a Taylor sum of exp(K dt), exact as ||K dt|| is small.
+  [U; V] meets the vertical plane {U = 0}; the count takes those meetings
+  with multiplicity, so the bundled example's double root, where det U
+  keeps its sign, counts twice.  Every jump has one sign, as the crossing
+  form on ker U is (V x)' C R_e^-1 C' (V x) >= 0 (Coppel, LNM 220, 1971).
 
 Escape times are resolved to ``TIME_TOL_REL`` of the search span.
 ``_escape_inside`` decides whether an interval's escape lies inside it,
@@ -25,32 +23,43 @@ hands back the counted flow, which also evaluates the interval's gap flow.
 """
 from __future__ import annotations
 
-from functools import cached_property
-
 import numpy as np
 
 from .errors import EscapeReport
 from .game_model import GameSpec
 from .riccati import (
+    TIME_TOL_REL,
     RiccatiProblem,
     RiccatiSolution,
+    _Count,
     _gap_problem,
-    _guard_norm,
+    _illinois,
     _integrate_backward,
     _eval_many,
-    _in_range,
-    _powers,
+    _orth,
+    _plane_count,
+    _pole_report,
     _sym,
     eval_solution,
     make_value_problem,
 )
 
-TIME_TOL_REL = 1e-9  # escape-time resolution, relative to the search span
 CHART_LEVEL = 1e2  # spectral norm at which the norm detector changes chart
 # an escape within this share of the horizon above an interval's start
 # falls outside the interval: the estimate resets at the start
 BOUNDARY_TOL_REL = 1e-8
-DEGREE = 18  # degree of the Taylor propagator of ``_Count``
+
+
+def _guard_norm(X: np.ndarray, threshold: float) -> np.ndarray:
+    """Spectral norm of a matrix, or of each of a stack, evaluated exactly
+    only where the cheap Frobenius bound says the threshold could be
+    crossed; not finite where X is not."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = np.array(np.linalg.norm(X, axis=(-2, -1)))  # ||X||_2 <= ||X||_F
+    over = np.isfinite(norm) & (norm >= threshold)
+    if over.any():
+        norm[over] = np.linalg.norm(X[over], 2, axis=(-2, -1))
+    return norm
 
 
 def _chart(problem: RiccatiProblem, t: float, X: np.ndarray):
@@ -137,159 +146,10 @@ def detect_escape_norm(problem: RiccatiProblem, floor: float) -> EscapeReport:
             return EscapeReport.missed("norm_blowup", floor, t1)
 
 
-def _illinois(f, a: float, fa: float, b: float, fb: float, tol: float) -> float:
-    """Root of f between a, where f < 0, and b, where f > 0, by regula
-    falsi with the Illinois rule, to 1e-2 of ``tol``."""
-    side = 0
-    for _ in range(100):  # converges superlinearly; the cap is a guard
-        c = a - fa * (b - a) / (fb - fa)
-        if abs(b - a) <= 1e-2 * tol or c in (a, b) or (fc := f(c)) == 0:
-            break
-        if fc < 0:
-            a, fa, fb, side = c, fc, fb / 2 if side < 0 else fb, -1
-        else:
-            b, fb, fa, side = c, fc, fa / 2 if side > 0 else fa, 1
-    return float(c)
-
-
-def _orth(Z: np.ndarray) -> np.ndarray:
-    """An orthonormal frame of the column span of Z, or of each of a stack."""
-    return np.linalg.qr(Z)[0]
-
-
-def _eigen_angles(Q: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """Arguments in (-pi, pi] of the eigenvalues of W = G G' for
-    G = (i G_M)^-1 G_Q, with G_Z = U + iV unitary for an orthonormal frame
-    Z = [U; V] of a Lagrangian plane (stacks broadcast).  (i G_M)^-1 takes
-    M's plane to {U = 0}, which a plane [U; V] meets in ker U, where
-    G_Z z = -conj(G_Z) z: so W has the eigenvalue -1 with multiplicity
-    dim(Q ∩ M), and its eigenvalues depend on the planes only."""
-    n = Q.shape[-1]
-    G_M = M[..., :n, :] + 1j * M[..., n:, :]
-    G = -1j * G_M.conj().swapaxes(-1, -2) @ (Q[..., :n, :] + 1j * Q[..., n:, :])
-    return np.angle(np.linalg.eigvals(G @ G.swapaxes(-1, -2)))
-
-
-class _Count:
-    """Maslov count of the meetings of two Lagrangian paths on a grid.
-
-    The path Q(s) = exp(K (s - start)) Z0 moves by the constant
-    Hamiltonian K; ``partner(s)`` gives frames of the other path M(s) at
-    an array of times, moved by a constant Hamiltonian of norm at most
-    ``partner_speed``.  With W(s) from ``_eigen_angles``, Phi the lift of
-    arg det W and S the sum of the arguments of W's eigenvalues, Phi - S
-    jumps by 2 pi exactly where an eigenvalue passes -1, so
-    N(s) = (Phi(s) - Phi(start) - S(s) + S(start)) / 2 pi is an integer
-    that counts the meetings with multiplicity.
-
-    Bound: |Phi'| <= 2n (||K||_2 + partner_speed).  Proof: Gram-Schmidt of
-    exp(K s) Z0 gives a frame F = [U; V] with F' = K F - F T for an n x n
-    T.  With G = U + iV and J = [[0, I], [-I, 0]],
-    Im tr(G^* G') = tr(U^T V' - V^T U') = tr(F^T J F') = tr(F^T J K F),
-    since F^T J F = U^T V - V^T U = 0 on a Lagrangian plane.  J K is
-    symmetric with ||J K||_2 = ||K||_2, and F has n unit columns, so
-    |tr(F^T J K F)| <= n ||K||_2.  As |det G| = 1,
-    det W = (-1)^n det(G_Q)^2 / det(G_M)^2, so Phi' = 2 Im tr(G_Q^* G_Q')
-    - 2 Im tr(G_M^* G_M'), and W depends on the planes only.  So a spacing
-    of pi / (4n (||K||_2 + partner_speed)) keeps every lift step at most
-    pi/2, and N_{k+1} - N_k = -round((S_{k+1} - S_k) / 2 pi).  Frames are
-    propagated in blocks of 4n steps, which span ||K|| |s| <= pi: each
-    block's propagators have condition number at most e^(2 pi).
-
-    ``_exp``, the Taylor sum of exp(K dt) to ``DEGREE``, makes the grid
-    step and every move within a cell: as |dt| <= |h|, the spacing gives
-    x = ||K dt||_2 <= pi/4, so it errs by at most x^19 / 19! e^x < 2e-19
-    for any K, defective or not (Moler and Van Loan, SIAM Rev. 45, 2003).
-    Outside the span that fails: ``value`` and ``count`` raise OutOfRange.
-    """
-
-    def __init__(self, K, Z0, start, end, partner, partner_speed=0.0):
-        n = Z0.shape[-1]
-        self.K, self.partner = K, partner
-        factorials = np.cumprod(np.arange(1.0, DEGREE + 1))[:, None, None]
-        self.T = np.concatenate(([np.eye(2 * n)], _powers(K, DEGREE) / factorials))
-        rate = 4 * n * (np.linalg.norm(K, 2) + partner_speed) / np.pi
-        self.s = np.linspace(start, end, max(1, int(np.ceil(abs(end - start) * rate))) + 1)
-        self.h = self.s[1] - self.s[0]
-        self.tol = TIME_TOL_REL * max(abs(end - start), 1e-12)
-        steps = _powers(self._exp(self.h), 4 * n)
-        frames = [_orth(Z0)]
-        while len(frames) < len(self.s):
-            frames.extend(_orth(steps @ frames[-1]))
-        self.frames = np.stack(frames[: len(self.s)])
-        self.S = _eigen_angles(self.frames, partner(self.s)).sum(axis=-1)
-        self.N = -np.cumsum(np.rint(np.diff(self.S, prepend=self.S[0]) / (2 * np.pi))).astype(int)
-
-    def _exp(self, dt) -> np.ndarray:
-        """exp(K dt) as sum_j dt^j T_j with T_j = K^j / j!, or a stack of it
-        at an array of times, in one matrix product."""
-        dt = np.asarray(dt, dtype=float)[..., None]
-        # the running product of [1, dt, ..., dt] is [1, dt, ..., dt^DEGREE]
-        powers = np.cumprod(np.where(np.arange(DEGREE + 1) == 0, 1.0, dt), axis=-1)
-        return (powers @ self.T.reshape(DEGREE + 1, -1)).reshape(dt.shape[:-1] + self.K.shape)
-
-    def _cell(self, s) -> np.ndarray:
-        """The grid point that opens the cell of s, or of each of an array;
-        raises OutOfRange outside the counted span."""
-        s = _in_range(s, *sorted((self.s[0], self.s[-1])))
-        return np.clip((s - self.s[0]) // self.h, 0, len(self.s) - 2).astype(int)
-
-    def _move(self, s, k) -> np.ndarray:
-        """exp(K (s - s_k)) times the frame at grid point k, for s and k
-        of one shape."""
-        return self._exp(s - self.s[k]) @ self.frames[k]
-
-    def value(self, s) -> np.ndarray:
-        """Q's flow V U^-1 at s, or a stack of it at an array of times;
-        raises LinAlgError at a pole."""
-        s = np.asarray(s, dtype=float)
-        UV = self._move(s, self._cell(s)).swapaxes(-1, -2)  # [U' V']
-        n = UV.shape[-2]
-        # the symmetric part of (V U^-1)' is that of V U^-1
-        return _sym(np.linalg.solve(UV[..., :n], UV[..., n:]))
-
-    def _jump(self, s: float, k: int) -> tuple[int, np.ndarray]:
-        """Minus the change of N from grid point k to s in its cell, and
-        W's eigenvalue arguments at s."""
-        frame = _orth(self._move(s, k))
-        a = _eigen_angles(frame, self.partner(np.asarray(s)))
-        return int(np.rint((a.sum() - self.S[k]) / (2 * np.pi))), a
-
-    def count(self, s: float) -> int:
-        """N at s, lifted from the grid point that opens the cell of s."""
-        k = int(self._cell(s))
-        return int(self.N[k]) - self._jump(s, k)[0]
-
-    @cached_property
-    def first(self) -> float | None:
-        """The first meeting, or None: in the first cell where N changes,
-        the sign change of the angle of W's eigenvalue nearest -1, signed
-        by whether N has changed (which flips at a double meeting too), by
-        ``_illinois``."""
-        jumped = np.flatnonzero(self.N)
-        if jumped.size == 0:
-            return None
-        k = int(jumped[0]) - 1
-
-        def signed_angle(s: float) -> float:
-            moved, a = self._jump(s, k)
-            return (np.pi - np.abs(a).max()) * (1.0 if moved else -1.0)
-
-        a, b = float(self.s[k]), float(self.s[k + 1])
-        fa, fb = signed_angle(a), signed_angle(b)
-        if fb <= 0:  # the meeting sits on the grid point
-            return b
-        return _illinois(signed_angle, a, fa, b, fb, self.tol)
-
-
 def _gap_count(spec: GameSpec, terminal_time: float, terminal_value, floor: float) -> _Count:
     """Count of the gap flow ending at ``terminal_value`` against the plane
     [0; I], down to ``floor``; its first meeting is the largest pole."""
-    n = spec.n_x
-    H = _gap_problem(spec, terminal_time, terminal_value).hamiltonian
-    V0 = np.vstack((np.zeros((n, n)), np.eye(n)))
-    Z0 = np.vstack((np.eye(n), terminal_value))
-    return _Count(H, Z0, float(terminal_time), float(floor), lambda s: V0)
+    return _plane_count(_gap_problem(spec, terminal_time, terminal_value), floor)
 
 
 def detect_escape_radon(
@@ -304,12 +164,8 @@ def detect_escape_radon(
     terminal_time, floor = float(terminal_time), float(floor)
     if not floor < terminal_time:
         raise ValueError("floor must lie below the terminal time")
-    flow = _gap_count(spec, terminal_time, np.array(terminal_value, dtype=float), floor)
-    if flow.first is None:
-        return EscapeReport.missed("radon_determinant", floor, terminal_time)
-    t, half = flow.first, 0.5 * flow.tol
-    bracket = (max(t - half, floor), min(t + half, terminal_time))
-    return EscapeReport(True, t, bracket, "radon_determinant", None, floor, terminal_time)
+    flow = _gap_count(spec, terminal_time, terminal_value, floor)
+    return _pole_report(flow, floor, terminal_time)
 
 
 def _interval(flow: _Count, a: float, tol: float) -> tuple[bool, float | None]:

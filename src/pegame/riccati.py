@@ -1,4 +1,5 @@
-"""The game's matrix Riccati flows and their exact backward propagation.
+"""The game's matrix Riccati flows, their exact backward propagation and
+the Maslov count that finds their poles.
 
 Three flows share one quadratic form ``X' + F'X + XF + D + X N X = 0``
 run backward from a terminal condition:
@@ -15,12 +16,17 @@ run backward from a terminal condition:
                      exactly when the gap flow does.
 
 All coefficients are constant, so X = V U^-1 where [U; V] obeys the linear
-flow [U; V]' = H [U; V] with H = [[F, N], [-D, -F']].  ``solve_riccati``
-propagates it exactly on a uniform grid with the powers of one matrix
-exponential, restarting from [I; X] once per block of steps to keep U well
-conditioned (Davison and Maki, IEEE TAC 1973), and stores node derivatives
-for cubic-Hermite dense output; a node past the blow-up guard
-``DEFAULT_BLOWUP`` counts as a pole.  The adaptive Dormand-Prince 4(5)
+flow [U; V]' = H [U; V] with H = [[F, N], [-D, -F']].  The flow has a pole
+where the plane of [U; V] meets the vertical plane {U = 0}; ``_Count``
+counts those meetings with multiplicity, as the Maslov index of the path
+(Robbin and Salamon, Topology 32, 1993), and is the one oracle of poles:
+the linear flow has no finite-time singularity.  ``solve_riccati`` counts
+first and raises FiniteEscape at a pole; otherwise it propagates the flow
+exactly on a uniform grid with the powers of one matrix exponential,
+restarting from [I; X] once per block of steps to keep U well conditioned
+(Davison and Maki, IEEE TAC 1973), and stores node derivatives for
+cubic-Hermite dense output.  Escape times are resolved to
+``TIME_TOL_REL`` of the span.  The adaptive Dormand-Prince 4(5)
 integrator below stays as an independent check: the norm escape detector
 runs on it, with the fixed tolerances ``RTOL`` and ``ATOL`` and steps
 between ``H_MIN_REL`` and ``H_MAX_REL`` of the span.
@@ -28,6 +34,7 @@ between ``H_MIN_REL`` and ``H_MAX_REL`` of the span.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -36,7 +43,6 @@ import scipy.linalg as la
 from .errors import EscapeReport, FiniteEscape, OutOfRange, StepUnderflow
 from .game_model import GameSpec
 
-DEFAULT_BLOWUP = 1e9  # spectral-norm guard at which an exact solve has escaped
 STEPS = 1000       # uniform steps of an exact solve
 RESIDUAL_SAMPLES = 100  # node intervals whose midpoints ``riccati_residual`` checks
 # adaptive integrator: error tolerances, and the largest and smallest step
@@ -45,23 +51,14 @@ RTOL = 1e-10
 ATOL = 1e-13
 H_MAX_REL = 1e-3
 H_MIN_REL = 1e-12
+TIME_TOL_REL = 1e-9  # escape-time resolution, relative to the search span
+DEGREE = 18  # degree of the Taylor propagator of ``_Count``
+MAX_COUNT_POINTS = 10**5  # grid points of one count; a span that needs more is refused
 
 
 def _sym(X: np.ndarray) -> np.ndarray:
     """Symmetric part of a matrix or of each matrix of a stack."""
     return 0.5 * (X + X.swapaxes(-1, -2))
-
-
-def _guard_norm(X: np.ndarray, threshold: float) -> np.ndarray:
-    """Spectral norm of a matrix, or of each of a stack, evaluated exactly
-    only where the cheap Frobenius bound says the threshold could be
-    crossed; not finite where X is not."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        norm = np.array(np.linalg.norm(X, axis=(-2, -1)))  # ||X||_2 <= ||X||_F
-    over = np.isfinite(norm) & (norm >= threshold)
-    if over.any():
-        norm[over] = np.linalg.norm(X[over], 2, axis=(-2, -1))
-    return norm
 
 
 def _powers(E: np.ndarray, m: int) -> np.ndarray:
@@ -315,54 +312,176 @@ def _integrate_backward(
                 )
 
 
-def _restart(E: np.ndarray, X: np.ndarray, n: int):
-    """One exact step from [I; X] with the propagator E.
-
-    Returns the step's U factor and the flow value V U^-1 there, or None
-    for the value when U is singular or the value is past the blow-up
-    guard."""
-    Z = E[:, :n] + E[:, n:] @ X
-    U = Z[:n]
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            X_new = _sym(np.linalg.solve(U.T, Z[n:].T).T)
-    except np.linalg.LinAlgError:
-        return U, None
-    if _guard_norm(X_new, DEFAULT_BLOWUP) < DEFAULT_BLOWUP:
-        return U, X_new
-    return U, None
-
-
-def _crosses_pole(U: np.ndarray) -> np.ndarray:
-    """Whether a step's U factor (or each of a stack) has a real
-    eigenvalue at or below zero.
-
-    U starts from I and is singular exactly at a pole, where eigenvalues
-    pass through zero; so a step that jumps a pole ends with a negative
-    real eigenvalue, even at a double root, across which det U keeps its
-    sign."""
-    w = np.linalg.eigvals(U)
-    return ((w.imag == 0) & (w.real <= 0)).any(axis=-1)
-
-
-def _escape_in_step(problem: RiccatiProblem, X: np.ndarray, t: float, h: float):
-    """Bracket the pole below the node (t, X) inside one step of length h
-    by bisection on the step length."""
-    H, n = problem.hamiltonian, problem.n
-    lo, hi = 0.0, h
-    for _ in range(60):  # down to round-off in the step length
-        mid = 0.5 * (lo + hi)
-        U, X_mid = _restart(la.expm(-H * mid), X, n)
-        if X_mid is None or _crosses_pole(U):
-            hi = mid
+def _illinois(f, a: float, fa: float, b: float, fb: float, tol: float) -> float:
+    """Root of f between a, where f < 0, and b, where f > 0, by regula
+    falsi with the Illinois rule, to 1e-2 of ``tol``."""
+    side = 0
+    for _ in range(100):  # converges superlinearly; the cap is a guard
+        c = a - fa * (b - a) / (fb - fa)
+        if abs(b - a) <= 1e-2 * tol or c in (a, b) or (fc := f(c)) == 0:
+            break
+        if fc < 0:
+            a, fa, fb, side = c, fc, fb / 2 if side < 0 else fb, -1
         else:
-            lo = mid
-    return t - hi, t - lo
+            b, fb, fa, side = c, fc, fa / 2 if side > 0 else fa, 1
+    return float(c)
 
 
-def _first(flags: np.ndarray) -> int:
-    """Index of the first true flag, or the number of flags."""
-    return int(np.argmax(flags)) if flags.any() else len(flags)
+def _orth(Z: np.ndarray) -> np.ndarray:
+    """An orthonormal frame of the column span of Z, or of each of a stack."""
+    return np.linalg.qr(Z)[0]
+
+
+def _eigen_angles(Q: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """Arguments in (-pi, pi] of the eigenvalues of W = G G' for
+    G = (i G_M)^-1 G_Q, with G_Z = U + iV unitary for an orthonormal frame
+    Z = [U; V] of a Lagrangian plane (stacks broadcast).  (i G_M)^-1 takes
+    M's plane to {U = 0}, which a plane [U; V] meets in ker U, where
+    G_Z z = -conj(G_Z) z: so W has the eigenvalue -1 with multiplicity
+    dim(Q ∩ M), and its eigenvalues depend on the planes only."""
+    n = Q.shape[-1]
+    G_M = M[..., :n, :] + 1j * M[..., n:, :]
+    G = -1j * G_M.conj().swapaxes(-1, -2) @ (Q[..., :n, :] + 1j * Q[..., n:, :])
+    return np.angle(np.linalg.eigvals(G @ G.swapaxes(-1, -2)))
+
+
+class _Count:
+    """Maslov count of the meetings of two Lagrangian paths on a grid.
+
+    The path Q(s) = exp(K (s - start)) Z0 moves by the constant
+    Hamiltonian K; ``partner(s)`` gives frames of the other path M(s) at
+    an array of times, moved by a constant Hamiltonian of norm at most
+    ``partner_speed``.  With W(s) from ``_eigen_angles``, Phi the lift of
+    arg det W and S the sum of the arguments of W's eigenvalues, Phi - S
+    jumps by 2 pi exactly where an eigenvalue passes -1, so
+    N(s) = (Phi(s) - Phi(start) - S(s) + S(start)) / 2 pi is an integer
+    that counts the meetings with multiplicity.
+
+    Bound: |Phi'| <= 2n (||K||_2 + partner_speed).  Proof: Gram-Schmidt of
+    exp(K s) Z0 gives a frame F = [U; V] with F' = K F - F T for an n x n
+    T.  With G = U + iV and J = [[0, I], [-I, 0]],
+    Im tr(G^* G') = tr(U^T V' - V^T U') = tr(F^T J F') = tr(F^T J K F),
+    since F^T J F = U^T V - V^T U = 0 on a Lagrangian plane.  J K is
+    symmetric with ||J K||_2 = ||K||_2, and F has n unit columns, so
+    |tr(F^T J K F)| <= n ||K||_2.  As |det G| = 1,
+    det W = (-1)^n det(G_Q)^2 / det(G_M)^2, so Phi' = 2 Im tr(G_Q^* G_Q')
+    - 2 Im tr(G_M^* G_M'), and W depends on the planes only.  So a spacing
+    of pi / (4n (||K||_2 + partner_speed)) keeps every lift step at most
+    pi/2, and N_{k+1} - N_k = -round((S_{k+1} - S_k) / 2 pi).  Frames are
+    propagated in blocks of 4n steps, which span ||K|| |s| <= pi: each
+    block's propagators have condition number at most e^(2 pi).
+
+    ``_exp``, the Taylor sum of exp(K dt) to ``DEGREE``, makes the grid
+    step and every move within a cell: as |dt| <= |h|, the spacing gives
+    x = ||K dt||_2 <= pi/4, so it errs by at most x^19 / 19! e^x < 2e-19
+    for any K, defective or not (Moler and Van Loan, SIAM Rev. 45, 2003).
+    Outside the span that fails: ``value`` and ``count`` raise OutOfRange.
+    A span that needs ``MAX_COUNT_POINTS`` grid points or more raises
+    ValueError before anything is allocated.
+    """
+
+    def __init__(self, K, Z0, start, end, partner, partner_speed=0.0):
+        n, span = Z0.shape[-1], abs(end - start)
+        cells = np.ceil(span * 4 * n * (np.linalg.norm(K, 2) + partner_speed) / np.pi)
+        if not cells < MAX_COUNT_POINTS:
+            raise ValueError(
+                f"the escape count of a span of {span:g} needs more than "
+                f"{MAX_COUNT_POINTS} grid points"
+            )
+        self.K, self.partner = K, partner
+        factorials = np.cumprod(np.arange(1.0, DEGREE + 1))[:, None, None]
+        self.T = np.concatenate(([np.eye(2 * n)], _powers(K, DEGREE) / factorials))
+        self.s = np.linspace(start, end, max(1, int(cells)) + 1)
+        self.h = self.s[1] - self.s[0]
+        self.tol = TIME_TOL_REL * max(span, 1e-12)
+        steps = _powers(self._exp(self.h), 4 * n)
+        frames = [_orth(Z0)]
+        while len(frames) < len(self.s):
+            frames.extend(_orth(steps @ frames[-1]))
+        self.frames = np.stack(frames[: len(self.s)])
+        self.S = _eigen_angles(self.frames, partner(self.s)).sum(axis=-1)
+        self.N = -np.cumsum(np.rint(np.diff(self.S, prepend=self.S[0]) / (2 * np.pi))).astype(int)
+
+    def _exp(self, dt) -> np.ndarray:
+        """exp(K dt) as sum_j dt^j T_j with T_j = K^j / j!, or a stack of it
+        at an array of times, in one matrix product."""
+        dt = np.asarray(dt, dtype=float)[..., None]
+        # the running product of [1, dt, ..., dt] is [1, dt, ..., dt^DEGREE]
+        powers = np.cumprod(np.where(np.arange(DEGREE + 1) == 0, 1.0, dt), axis=-1)
+        return (powers @ self.T.reshape(DEGREE + 1, -1)).reshape(dt.shape[:-1] + self.K.shape)
+
+    def _cell(self, s) -> np.ndarray:
+        """The grid point that opens the cell of s, or of each of an array;
+        raises OutOfRange outside the counted span."""
+        s = _in_range(s, *sorted((self.s[0], self.s[-1])))
+        return np.clip((s - self.s[0]) // self.h, 0, len(self.s) - 2).astype(int)
+
+    def _move(self, s, k) -> np.ndarray:
+        """exp(K (s - s_k)) times the frame at grid point k, for s and k
+        of one shape."""
+        return self._exp(s - self.s[k]) @ self.frames[k]
+
+    def value(self, s) -> np.ndarray:
+        """Q's flow V U^-1 at s, or a stack of it at an array of times;
+        raises LinAlgError at a pole."""
+        s = np.asarray(s, dtype=float)
+        UV = self._move(s, self._cell(s)).swapaxes(-1, -2)  # [U' V']
+        n = UV.shape[-2]
+        # the symmetric part of (V U^-1)' is that of V U^-1
+        return _sym(np.linalg.solve(UV[..., :n], UV[..., n:]))
+
+    def _jump(self, s: float, k: int) -> tuple[int, np.ndarray]:
+        """Minus the change of N from grid point k to s in its cell, and
+        W's eigenvalue arguments at s."""
+        frame = _orth(self._move(s, k))
+        a = _eigen_angles(frame, self.partner(np.asarray(s)))
+        return int(np.rint((a.sum() - self.S[k]) / (2 * np.pi))), a
+
+    def count(self, s: float) -> int:
+        """N at s, lifted from the grid point that opens the cell of s."""
+        k = int(self._cell(s))
+        return int(self.N[k]) - self._jump(s, k)[0]
+
+    @cached_property
+    def first(self) -> float | None:
+        """The first meeting, or None: in the first cell where N changes,
+        the sign change of the angle of W's eigenvalue nearest -1, signed
+        by whether N has changed (which flips at a double meeting too), by
+        ``_illinois``."""
+        jumped = np.flatnonzero(self.N)
+        if jumped.size == 0:
+            return None
+        k = int(jumped[0]) - 1
+
+        def signed_angle(s: float) -> float:
+            moved, a = self._jump(s, k)
+            return (np.pi - np.abs(a).max()) * (1.0 if moved else -1.0)
+
+        a, b = float(self.s[k]), float(self.s[k + 1])
+        fa, fb = signed_angle(a), signed_angle(b)
+        if fb <= 0:  # the meeting sits on the grid point
+            return b
+        return _illinois(signed_angle, a, fa, b, fb, self.tol)
+
+
+def _plane_count(problem: RiccatiProblem, floor: float) -> _Count:
+    """Count of ``problem``'s linear flow from [I; X] at its terminal time
+    against the plane [0; I], down to ``floor``; its first meeting is the
+    flow's largest pole."""
+    n = problem.n
+    V0 = np.vstack((np.zeros((n, n)), np.eye(n)))
+    Z0 = np.vstack((np.eye(n), problem.terminal_value))
+    return _Count(problem.hamiltonian, Z0, float(problem.terminal_time), float(floor), lambda s: V0)
+
+
+def _pole_report(flow: _Count, floor: float, t1: float) -> EscapeReport:
+    """The escape report of a count against [0; I] from t1 down to
+    ``floor``: its first meeting, bracketed to half the time resolution."""
+    if flow.first is None:
+        return EscapeReport.missed("radon_determinant", floor, t1)
+    t, half = flow.first, 0.5 * flow.tol
+    bracket = (max(t - half, floor), min(t + half, t1))
+    return EscapeReport(True, t, bracket, "radon_determinant", None, floor, t1)
 
 
 def _block(powers: np.ndarray, X: np.ndarray, n: int):
@@ -370,40 +489,37 @@ def _block(powers: np.ndarray, X: np.ndarray, n: int):
 
     With [U_j; V_j] = E^j [I; X], returns the node values V_j U_j^-1 and
     the step factors U_j U_{j-1}^-1 (U_0 = I), each from one batched
-    solve, and the number of steps before the first that ends on or past a
-    pole: where U_j is singular, the node is not finite or is past the
-    blow-up guard, or the factor crosses a pole."""
+    solve."""
     Z = powers[:, :, :n] + powers[:, :, n:] @ X
     U = Z[:, :n].swapaxes(-1, -2)  # the U_j, transposed
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            values = _sym(np.linalg.solve(U, Z[:, n:].swapaxes(-1, -2)))
-    except np.linalg.LinAlgError:  # a zero pivot: cut the block before it
-        return _block(powers[: min(_first(np.linalg.det(U) == 0), len(U) - 1)], X, n)
-    good = _first(~(_guard_norm(values, DEFAULT_BLOWUP) < DEFAULT_BLOWUP))
-    U_prev = np.concatenate((np.eye(n)[None], U[:-1]))[:good]
-    factors = np.linalg.solve(U_prev, U[:good]).swapaxes(-1, -2)
-    return values, factors, _first(_crosses_pole(factors))
+    values = _sym(np.linalg.solve(U, Z[:, n:].swapaxes(-1, -2)))
+    U_prev = np.concatenate((np.eye(n)[None], U[:-1]))
+    return values, np.linalg.solve(U_prev, U).swapaxes(-1, -2)
 
 
 def solve_riccati(problem: RiccatiProblem, floor: float) -> RiccatiSolution:
     """Propagate ``problem`` exactly backward to ``floor``; dense output.
 
-    The grid has ``STEPS`` uniform steps of length h.  With E = exp(-H h),
-    the blocks of B steps restart from [I; X] at their first node and
-    reach each of their nodes with a power of E (``_block``).  B is the
-    least of pi / (||H||_2 h) and ceil(sqrt(STEPS)), and at least 1: the
-    first keeps each block's propagators within condition number
-    e^(2 pi), and the second balances building the powers against the
-    calls per block.
-
-    Raises FiniteEscape when the flow has a pole above the floor; the
-    first step that ends on or past one is bisected by ``_escape_in_step``.
+    The flow is counted first (``_plane_count``): it raises FiniteEscape
+    when the flow has a pole above the floor, with the count's first
+    meeting and a bracket of half the time resolution about it.
+    Otherwise the grid has ``STEPS`` uniform steps of length h.  With
+    E = exp(-H h), the blocks of B steps restart from [I; X] at their
+    first node and reach each of their nodes with a power of E
+    (``_block``).  B is the least of pi / (||H||_2 h) and
+    ceil(sqrt(STEPS)), and at least 1: the first keeps each block's
+    propagators within condition number e^(2 pi), and the second balances
+    building the powers against the calls per block.
     """
     t1 = problem.terminal_time
     floor = float(floor)
     if not floor < t1:
         raise ValueError("floor must lie below the terminal time")
+    report = _pole_report(_plane_count(problem, floor), floor, t1)
+    if report.found:
+        raise FiniteEscape(
+            f"{problem.kind} flow escaped near t={report.t_escape:.9g}", report=report
+        )
     n = problem.n
     h = (t1 - floor) / STEPS
     H = problem.hamiltonian
@@ -415,34 +531,15 @@ def solve_riccati(problem: RiccatiProblem, floor: float) -> RiccatiSolution:
     steps = np.empty((STEPS, n, n))
     values[0] = _sym(problem.terminal_value)
     for k in range(0, STEPS, block):
-        m = min(block, STEPS - k)
-        X, factors, good = _block(powers[:m], values[k], n)
-        values[k + 1 : k + 1 + good] = X[:good]
-        steps[k : k + good] = factors[:good]
-        if good < m:
-            break
-    else:
-        return RiccatiSolution(
-            kind=problem.kind,
-            grid=grid,
-            values=values,
-            derivs=problem.rhs(grid, values),
-            steps=steps,
+        values[k + 1 : k + 1 + block], steps[k : k + block] = _block(
+            powers[: STEPS - k], values[k], n
         )
-    k += good
-    lo, hi = _escape_in_step(problem, values[k], float(grid[k]), h)
-    report = EscapeReport(
-        found=True,
-        t_escape=0.5 * (lo + hi),
-        bracket=(lo, hi),
-        method="radon_determinant",
-        norm_at_detection=None,
-        floor=floor,
-        terminal_time=t1,
-    )
-    raise FiniteEscape(
-        f"{problem.kind} flow escaped near t={report.t_escape:.9g}",
-        report=report,
+    return RiccatiSolution(
+        kind=problem.kind,
+        grid=grid,
+        values=values,
+        derivs=problem.rhs(grid, values),
+        steps=steps,
     )
 
 

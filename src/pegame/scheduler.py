@@ -6,7 +6,7 @@ The backward recursion places each instant at the largest escape time of
 the flow ending at the next instant, plus a safety margin, which maximizes
 every inter-communication duration and therefore minimizes the count.
 
-Escapes are counted on the linear flow (``escape._Count``), the oracle of
+Escapes are counted on the linear flow (``riccati._Count``), the oracle of
 record.  Escape at an interval's left endpoint is allowed: the estimate
 resets there.  A boundary tolerance of 1e-8 of the horizon absorbs
 detector noise there: [a, b) passes when the count of the flow ending at b

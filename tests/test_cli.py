@@ -414,6 +414,21 @@ def test_step_too_small_for_the_horizon_is_usage_error(capsys, command):
     assert "RK4 steps" in err
 
 
+@pytest.mark.parametrize("command", ["riccati", "schedule", "simulate"])
+def test_horizon_too_long_for_the_count_is_usage_error(capsys, tmp_path, command):
+    # a count over 1e5 time units would need about 2e6 grid points, which
+    # would exhaust memory; the count is refused up front
+    doc = spec_to_dict(example_one_spec())
+    doc["A"], doc["tf"] = (-0.3 * np.eye(4)).tolist(), 1e5
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, command, "--spec", str(path))
+    assert time.perf_counter() - start < 1.0
+    one_line_error(code, out, err)
+    assert "grid points" in err
+
+
 @pytest.mark.parametrize("preset", [[], {"a": 1}], ids=["list", "object"])
 def test_unhashable_preset_is_schema_error(capsys, tmp_path, preset):
     with pytest.raises(SchemaError, match="unknown preset"):

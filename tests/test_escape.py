@@ -4,13 +4,12 @@ import scipy.linalg as la
 
 from pegame.game_model import GameSpec, example_one_spec
 from pegame.riccati import (
-    DEFAULT_BLOWUP,
     _gap_problem,
     eval_solution,
     make_gap_problem,
     solve_value_riccati,
 )
-from pegame import escape
+from pegame import escape, riccati
 from pegame.errors import OutOfRange
 from pegame.escape import TIME_TOL_REL, detect_escape_norm, detect_escape_radon
 from pegame.scheduler import optimal_schedule
@@ -30,7 +29,7 @@ def test_norm_detector_example_one(example_spec, example_value_sol):
     lo, hi = rep.bracket
     assert 0.0 <= lo < hi <= 1.0
     assert hi - lo <= 1e-9
-    assert rep.norm_at_detection >= DEFAULT_BLOWUP / 10
+    assert rep.norm_at_detection >= 1e8
 
 
 def test_radon_detector_example_one(example_spec, example_value_sol):
@@ -133,7 +132,7 @@ def test_bracket_is_certified_finite(example_spec, example_value_sol):
     flow = escape._gap_count(example_spec, 1.0, problem.terminal_value, 0.0)
     assert flow.count(hi) == 0 != flow.count(lo)
     norm_at_hi = np.linalg.norm(flow.value(hi), 2)
-    assert np.isfinite(norm_at_hi) and norm_at_hi >= DEFAULT_BLOWUP / 10
+    assert np.isfinite(norm_at_hi) and norm_at_hi >= 1e8
 
 
 @pytest.mark.parametrize("b", [1.0, 0.8])
@@ -334,15 +333,17 @@ def test_long_unstable_horizon_grid_grows():
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Every ``_Count`` built while the test runs."""
+    """Every ``_Count`` built while the test runs: the plane counts of the
+    value solve and the gap flows, and the slack counts."""
     made = []
 
-    class Recorded(escape._Count):
+    class Recorded(riccati._Count):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             made.append(self)
 
-    monkeypatch.setattr(escape, "_Count", Recorded)
+    monkeypatch.setattr(riccati, "_Count", Recorded)  # for ``_plane_count``
+    monkeypatch.setattr(escape, "_Count", Recorded)  # for ``_slack_root``
     return made
 
 
@@ -353,7 +354,10 @@ def test_lift_steps_stay_below_a_quarter_turn(make_escape_spec, counts):
     rng = np.random.default_rng(61)
     for trial in range(8):
         spec = make_escape_spec(rng, n=2 + trial % 2)
-        optimal_schedule(spec, solve_value_riccati(spec))
+        before = len(counts)
+        sol = solve_value_riccati(spec)
+        assert len(counts) == before + 1  # the value solve counts its flow
+        optimal_schedule(spec, sol)
     assert any(c.h > 0 for c in counts)  # slack counts run up in tau
     worst = 0.0
     for c in counts:

@@ -1,10 +1,15 @@
-"""The blocked exact solve against a plain per-step restart oracle.
+"""The blocked exact solve against a plain per-step restart oracle, and its
+escapes against closed forms.
 
 ``restart_solve`` is the scheme ``solve_riccati`` implements, written out
 one step at a time: every step restarts the exact propagator from
 [I; X] at its node.  The blocked solve reaches the nodes of a block with
-powers of the same propagator, so the two agree to round-off, and both
-hand the first step that ends on or past a pole to ``_escape_in_step``.
+powers of the same propagator, so the two agree to round-off.  The oracle
+finds poles its own way: a step holds one when its U factor has a real
+eigenvalue at or below zero, or when the value there is singular or past
+the norm guard ``BLOWUP``; bisection on the step length brackets it.  The
+solve asks the Maslov count instead, so the two agree on whether a flow
+escapes, and the count's pole agrees with closed forms to round-off.
 """
 import math
 
@@ -17,15 +22,57 @@ from pegame.errors import FiniteEscape
 from pegame.game_model import GameSpec
 from pegame.riccati import (
     STEPS,
-    _crosses_pole,
-    _escape_in_step,
-    _restart,
+    RiccatiProblem,
     _sym,
     make_value_problem,
     solve_riccati,
 )
 
 REL = 1e-12
+BLOWUP = 1e9  # the oracle's norm guard: a value past it lies past a pole
+
+
+def _restart(E, X, n):
+    """One exact step from [I; X] with the propagator E: the step's U
+    factor and the value V U^-1 there, or None for the value when U is
+    singular or the value is past ``BLOWUP``."""
+    Z = E[:, :n] + E[:, n:] @ X
+    U = Z[:n]
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            X_new = _sym(np.linalg.solve(U.T, Z[n:].T).T)
+    except np.linalg.LinAlgError:
+        return U, None
+    norm = np.linalg.norm(X_new)  # bounds ||X_new||_2
+    if norm < BLOWUP or (np.isfinite(norm) and np.linalg.norm(X_new, 2) < BLOWUP):
+        return U, X_new
+    return U, None
+
+
+def _crosses_pole(U):
+    """Whether a step's U factor has a real eigenvalue at or below zero.
+
+    U starts from I and is singular exactly at a pole, where eigenvalues
+    pass through zero; so a step that jumps a pole ends with a negative
+    real eigenvalue, even at a double root, across which det U keeps its
+    sign."""
+    w = np.linalg.eigvals(U)
+    return bool(((w.imag == 0) & (w.real <= 0)).any())
+
+
+def _bisect(problem, X, t, h):
+    """Bracket of the pole below the node (t, X) inside one step of length
+    h, by bisection on the step length down to round-off."""
+    H, n = problem.hamiltonian, problem.n
+    lo, hi = 0.0, h
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        U, X_mid = _restart(la.expm(-H * mid), X, n)
+        if X_mid is None or _crosses_pole(U):
+            hi = mid
+        else:
+            lo = mid
+    return t - hi, t - lo
 
 
 def restart_solve(problem, floor):
@@ -39,7 +86,7 @@ def restart_solve(problem, floor):
     for k in range(STEPS):
         U, X = _restart(E, values[-1], n)
         if X is None or _crosses_pole(U):
-            return _escape_in_step(problem, values[-1], float(grid[k]), h)
+            return _bisect(problem, values[-1], float(grid[k]), h)
         values.append(X)
         steps.append(U)
     return np.array(values), np.array(steps)
@@ -60,6 +107,15 @@ def block_length(problem, floor):
     h = (problem.terminal_time - floor) / STEPS
     bound = np.pi / (la.norm(problem.hamiltonian, 2) * h)
     return int(max(1, min(math.ceil(math.sqrt(STEPS)), bound)))
+
+
+def escape_time(problem, floor):
+    """The solve's escape time, or None when it returns."""
+    try:
+        solve_riccati(problem, floor)
+    except FiniteEscape as exc:
+        return exc.report.t_escape
+    return None
 
 
 def test_example_one_matches_oracle(example_spec):
@@ -88,13 +144,11 @@ def test_long_unstable_horizon_matches_oracle(make_clean_spec, seed):
 
 
 def test_one_call_per_block(example_spec, monkeypatch):
-    # the loop runs once per block, and no step restarts on its own
     blocks = []
     original = riccati._block
     monkeypatch.setattr(
         riccati, "_block", lambda *args: blocks.append(1) or original(*args)
     )
-    monkeypatch.setattr(riccati, "_restart", None)
     problem = make_value_problem(example_spec)
     solve_riccati(problem, example_spec.t0)
     assert len(blocks) == math.ceil(STEPS / block_length(problem, example_spec.t0))
@@ -102,31 +156,29 @@ def test_one_call_per_block(example_spec, monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 3])
 def test_pole_inside_a_block_matches_oracle(n):
-    # evader-only axes with weights 1, 2, ...: P_i = 1 / (i (t - t_i)) with
-    # t_i = tf - 1/i, so the largest pole is 1.0005 for every n; it falls
-    # strictly between nodes and strictly inside a block
+    # evader-only axes with weights 1, 2, ...: P_i = 1 / (1 - i^2 (tf - t))
+    # has its pole at tf - 1/i^2, so the largest pole is tf - 1/n^2; it
+    # falls strictly between nodes and strictly inside a block
     spec = GameSpec(
         A=np.zeros((n, n)), B=np.zeros((n, n)), C=np.diag(np.arange(1.0, n + 1)),
         Q=np.zeros((n, n)), Q_f=np.eye(n), R_p=np.eye(n), R_e=np.eye(n),
         t0=0.0, tf=2.0005, x0=np.ones(n),
     )
     problem = make_value_problem(spec)
+    pole = spec.tf - 1.0 / n**2
     h = spec.horizon / STEPS
-    k = int((spec.tf - 1.0005) / h)
-    assert 0 < k % block_length(problem, spec.t0) and (spec.tf - 1.0005) / h > k
+    k = int((spec.tf - pole) / h)
+    assert 0 < k % block_length(problem, spec.t0) and (spec.tf - pole) / h > k
     with pytest.raises(FiniteEscape) as exc_info:
         solve_riccati(problem, spec.t0)
-    # the node below which the pole lies agrees to round-off, and so does
-    # the bisection from it
-    assert exc_info.value.report.bracket == pytest.approx(
-        restart_solve(problem, spec.t0), rel=0.0, abs=1e-12
-    )
+    report = exc_info.value.report
+    assert report.t_escape == pytest.approx(pole, rel=0.0, abs=REL * spec.horizon)
+    assert report.bracket[0] <= pole <= report.bracket[1]
 
 
 def test_pole_on_a_node_matches_oracle():
     # P' = -P^2 from 1 at t = 500, on steps of 1/2: the powers of E are
-    # exact, and U vanishes exactly at the node t = 499, a zero pivot of the
-    # block's solve, which cuts the block before that node
+    # exact, and U vanishes exactly at the node t = 499
     spec = GameSpec(
         A=np.zeros((1, 1)), B=np.zeros((1, 1)), C=np.eye(1), Q=np.zeros((1, 1)),
         Q_f=np.eye(1), R_p=np.eye(1), R_e=np.eye(1), t0=0.0, tf=500.0,
@@ -135,6 +187,53 @@ def test_pole_on_a_node_matches_oracle():
     problem = make_value_problem(spec)
     with pytest.raises(FiniteEscape) as exc_info:
         solve_riccati(problem, spec.t0)
-    bracket = exc_info.value.report.bracket
-    assert exc_info.value.report.t_escape == pytest.approx(499.0, rel=0.0, abs=1e-8)
-    assert bracket == pytest.approx(restart_solve(problem, spec.t0), rel=0.0, abs=1e-12)
+    report = exc_info.value.report
+    assert report.t_escape == pytest.approx(499.0, rel=0.0, abs=REL * spec.horizon)
+    assert report.bracket[0] <= 499.0 <= report.bracket[1]
+
+
+def test_scalar_pole_matches_tan_closed_form():
+    # X' = -(2aX + q + nX^2) with w = sqrt(nq - a^2) > 0: Y = nX + a obeys
+    # Y' = -(Y^2 + w^2), so backward from x_T it is w tan(w (tf - t) + c),
+    # c = atan((n x_T + a) / w), with its pole where the argument is pi/2
+    rng = np.random.default_rng(41)
+    escaped = 0
+    for _ in range(60):
+        a, w, n = rng.uniform(-1.0, 1.0), rng.uniform(0.3, 3.0), rng.uniform(0.2, 2.0)
+        x_T, tf = 2.0 * rng.standard_normal(), rng.uniform(1.0, 10.0)
+        problem = RiccatiProblem(
+            "value", np.array([[a]]), np.array([[(a * a + w * w) / n]]),
+            np.array([[n]]), tf, np.array([[x_T]]), 1,
+        )
+        pole = tf - (np.pi / 2 - math.atan((n * x_T + a) / w)) / w
+        if abs(pole) <= 1e-6 * tf:
+            continue  # too near the floor to say which side it lies on
+        got = escape_time(problem, 0.0)
+        if pole < 0.0:
+            assert got is None
+        else:
+            escaped += 1
+            assert got == pytest.approx(pole, rel=0.0, abs=REL * tf)
+    assert escaped >= 50
+
+
+def test_escapes_agree_with_the_oracle():
+    # random value flows of n = 1-4 on horizons 1-10: the count and the
+    # oracle's per-step test agree on every escape; the oracle's norm guard
+    # stops its bisection above the pole, within 1e-7 of the span
+    rng = np.random.default_rng(17)
+    escaped = 0
+    for trial in range(220):
+        n = 1 + trial % 4
+        G, M, T = (rng.standard_normal((n, n)) for _ in range(3))
+        tf = rng.uniform(1.0, 10.0)
+        problem = RiccatiProblem(
+            "value", 0.5 * rng.standard_normal((n, n)), G @ G.T / n,
+            _sym(M) + 2.0 * np.eye(n), tf, _sym(T), n,
+        )
+        got, oracle = escape_time(problem, 0.0), restart_solve(problem, 0.0)
+        assert (got is not None) == isinstance(oracle[0], float)
+        if got is not None:
+            escaped += 1
+            assert got <= oracle[1] and oracle[0] - got <= 1e-7 * tf
+    assert escaped >= 200
