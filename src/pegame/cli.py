@@ -321,6 +321,8 @@ def _evader_strategy(args, spec, sol) -> Strategy:
         if w is None:
             w = np.zeros(spec.n_e)
             w[0] = -args.c
+        elif len(w) != spec.n_e:
+            raise SchemaError(f"--w needs n_e = {spec.n_e} numbers, got {len(w)}")
         return Strategy.deviation(np.asarray(w, dtype=float), absolute=True)
     if args.evader == "risky":
         # the leading interval of the schedule

@@ -2,9 +2,11 @@
 
 Two independent detectors cross-validate each other:
 
-* norm blow-up: integrate the nonlinear flow backward until its spectral
-  norm reaches ``CHART_LEVEL``, then in the chart Y = (X - sigma I)^-1,
-  where the pole is a smooth zero of an eigenvalue; refine that zero.
+* norm blow-up: integrate the nonlinear flow backward, by the adaptive
+  extrapolation stepper ``_integrate_backward``, until its spectral norm
+  reaches ``CHART_LEVEL``, then in the chart Y = (X - sigma I)^-1, where
+  the pole is a smooth zero of an eigenvalue; refine that zero.  This
+  detector never uses the Hamiltonian form.
 * Maslov count (``riccati._Count``, the oracle of record, which the
   exact value solve uses too): the gap flow is V U^-1 for the linear flow
   [U; V]' = H [U; V] with the gap problem's Hamiltonian
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import EscapeReport
+from .errors import EscapeReport, StepUnderflow
 from .game_model import GameSpec
 from .riccati import (
     TIME_TOL_REL,
@@ -34,7 +36,6 @@ from .riccati import (
     _Count,
     _gap_problem,
     _illinois,
-    _integrate_backward,
     _eval_many,
     _orth,
     _plane_count,
@@ -44,10 +45,96 @@ from .riccati import (
     make_value_problem,
 )
 
-CHART_LEVEL = 1e2  # spectral norm at which the norm detector changes chart
+CHART_LEVEL = 1e1  # spectral norm at which the norm detector changes chart
 # an escape within this share of the horizon above an interval's start
 # falls outside the interval: the estimate resets at the start
 BOUNDARY_TOL_REL = 1e-8
+# the norm detector's stepper: error tolerances, and its least step
+# relative to the span
+RTOL = 1e-10
+ATOL = 1e-13
+H_MIN_REL = 1e-12
+SUBSTEPS = np.arange(2, 14, 2)  # modified-midpoint chains of one step
+
+
+def _to_zero(n: np.ndarray) -> np.ndarray:
+    """Weights that take the values at h = 1/n of a polynomial in h^2 to
+    its value at h = 0 (Lagrange), padded with zeros to ``SUBSTEPS``."""
+    w = [np.prod([a * a / (a * a - b * b) for b in n if b != a]) for a in n]
+    return np.pad(w, (0, len(SUBSTEPS) - len(n)))
+
+
+# applied to the chains' ends: T66, all of them extrapolated to zero
+# substep, and the error estimate T66 - T55
+EXTRAPOLATE = np.array([_to_zero(SUBSTEPS), _to_zero(SUBSTEPS) - _to_zero(SUBSTEPS[:-1])])
+
+
+def _gbs_step(rhs, t: float, X: np.ndarray, h: float) -> np.ndarray:
+    """One Gragg-Bulirsch-Stoer step of length h from X: the value
+    extrapolated to zero substep and its error estimate, stacked.
+
+    The modified-midpoint chains with ``SUBSTEPS`` substeps run side by
+    side as one stack; at the m-th midpoint move only the chains with more
+    than m substeps move, so a step makes ``SUBSTEPS[-1]`` stacked rhs
+    calls.  Every chain passes the step's start t, which is exact only
+    because every flow the detector integrates is autonomous (Hairer,
+    Norsett and Wanner, Solving ODEs I, II.9)."""
+    sub = (h / SUBSTEPS)[:, None, None]
+    prev = np.repeat(X[None], len(SUBSTEPS), axis=0)
+    z = X + sub * rhs(t, X)
+    for m in range(1, SUBSTEPS[-1]):
+        k = m // 2  # chains 0 .. k-1, with 2 .. 2k substeps, have made them all
+        prev[k:], z[k:] = z[k:], prev[k:] + 2 * sub[k:] * rhs(t, z[k:])
+    return np.tensordot(EXTRAPOLATE, z, axes=1)
+
+
+def _integrate_backward(
+    rhs,
+    t_start: float,
+    X_start: np.ndarray,
+    floor: float,
+    span_hint: float | None = None,
+):
+    """Yield the accepted nodes (t, X) of an adaptive backward march of the
+    autonomous flow X' = rhs(t, X) from (t_start, X_start) down to
+    ``floor``, the start first and the floor last; the caller stops it
+    where it likes.
+
+    Steps are ``_gbs_step``s; the first tries the whole way to the floor,
+    and each next one is scaled by 0.94 (0.65 / err)^(1/11), clipped to
+    [0.2, 4], with err the root-mean-square error estimate against
+    ``ATOL + RTOL |X|``.  Every node is finite.  Raises StepUnderflow when
+    the step falls below ``H_MIN_REL`` of the span, which is
+    ``t_start - floor`` unless ``span_hint`` gives it.
+    """
+    span = span_hint if span_hint is not None else max(t_start - floor, 1e-300)
+    h_min = H_MIN_REL * span
+    time_eps = 1e-14 * max(1.0, abs(t_start), abs(floor))
+
+    t = float(t_start)
+    X = _sym(np.array(X_start, dtype=float))
+    yield t, X
+
+    h = t_start - floor
+    while t - floor > time_eps:
+        h_try = min(h, t - floor)
+        last = abs((t - h_try) - floor) <= time_eps
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            X_new, err = _gbs_step(rhs, t, X, -h_try)
+            denom = ATOL + RTOL * np.maximum(np.abs(X), np.abs(X_new))
+            enorm = np.sqrt(np.mean((err / denom) ** 2))
+            if not (np.isfinite(enorm) and np.isfinite(X_new).all()):
+                enorm = np.inf
+            h = h_try * min(4.0, max(0.2, 0.94 * (0.65 / enorm) ** (1 / 11)))
+        if enorm <= 1.0:
+            t = floor if last else t - h_try
+            X = _sym(X_new)
+            yield t, X
+        elif h < h_min:
+            raise StepUnderflow(
+                f"step {h:.3e} below h_min {h_min:.3e} at t={t} "
+                f"(norm {np.linalg.norm(X, 2):.3e})"
+            )
 
 
 def _guard_norm(X: np.ndarray, threshold: float) -> np.ndarray:
@@ -201,10 +288,13 @@ def _slack_root(
     is 2n (||H||_2 + ||H_v||_2).  The count starts at 0 and, as the plane
     at t = tau never meets [0; I], equals at ``upper`` the count at t_a of
     the flow ending at ``upper``: None means that flow has no pole there.
+    None too when t_a is not below ``upper``, where (t_a, upper] is empty.
     """
+    t_a = t_prev + BOUNDARY_TOL_REL * spec.horizon
+    if t_a >= upper:
+        return None
     n = spec.n_x
     H = _gap_problem(spec, upper, np.zeros((n, n))).hamiltonian
-    t_a = t_prev + BOUNDARY_TOL_REL * spec.horizon
 
     def partner(tau):
         P = _eval_many(value_sol, tau)

@@ -26,10 +26,9 @@ exactly on a uniform grid with the powers of one matrix exponential,
 restarting from [I; X] once per block of steps to keep U well conditioned
 (Davison and Maki, IEEE TAC 1973), and stores node derivatives for
 cubic-Hermite dense output.  Escape times are resolved to
-``TIME_TOL_REL`` of the span.  The adaptive Dormand-Prince 4(5)
-integrator below stays as an independent check: the norm escape detector
-runs on it, with the fixed tolerances ``RTOL`` and ``ATOL`` and steps
-between ``H_MIN_REL`` and ``H_MAX_REL`` of the span.
+``TIME_TOL_REL`` of the span.  Everything here works on the Hamiltonian
+form; the independent check that integrates the nonlinear flow itself,
+the norm escape detector, lives in ``escape``.
 """
 from __future__ import annotations
 
@@ -40,17 +39,11 @@ from itertools import accumulate
 import numpy as np
 import scipy.linalg as la
 
-from .errors import EscapeReport, FiniteEscape, OutOfRange, StepUnderflow
+from .errors import EscapeReport, FiniteEscape, OutOfRange
 from .game_model import GameSpec
 
 STEPS = 1000       # uniform steps of an exact solve
 RESIDUAL_SAMPLES = 100  # node intervals whose midpoints ``riccati_residual`` checks
-# adaptive integrator: error tolerances, and the largest and smallest step
-# relative to the span
-RTOL = 1e-10
-ATOL = 1e-13
-H_MAX_REL = 1e-3
-H_MIN_REL = 1e-12
 TIME_TOL_REL = 1e-9  # escape-time resolution, relative to the search span
 DEGREE = 18  # degree of the Taylor propagator of ``_Count``
 MAX_COUNT_POINTS = 10**5  # grid points of one count; a span that needs more is refused
@@ -208,108 +201,6 @@ def _eval_derivative(sol: RiccatiSolution, t) -> np.ndarray:
     d01 = -6 * s * (s - 1) / h
     d11 = s * (3 * s - 2)
     return d00 * y0 + d10 * f0 + d01 * y1 + d11 * f1
-
-
-def _dp_step(rhs, t, X, h):
-    k1 = rhs(t, X)
-    k2 = rhs(t + 0.2 * h, X + h * (0.2 * k1))
-    k3 = rhs(t + 0.3 * h, X + h * (0.075 * k1 + 0.225 * k2))
-    k4 = rhs(
-        t + 0.8 * h,
-        X + h * ((44 / 45) * k1 + (-56 / 15) * k2 + (32 / 9) * k3),
-    )
-    k5 = rhs(
-        t + (8 / 9) * h,
-        X
-        + h
-        * (
-            (19372 / 6561) * k1
-            + (-25360 / 2187) * k2
-            + (64448 / 6561) * k3
-            + (-212 / 729) * k4
-        ),
-    )
-    k6 = rhs(
-        t + h,
-        X
-        + h
-        * (
-            (9017 / 3168) * k1
-            + (-355 / 33) * k2
-            + (46732 / 5247) * k3
-            + (49 / 176) * k4
-            + (-5103 / 18656) * k5
-        ),
-    )
-    X5 = X + h * (
-        (35 / 384) * k1
-        + (500 / 1113) * k3
-        + (125 / 192) * k4
-        + (-2187 / 6784) * k5
-        + (11 / 84) * k6
-    )
-    k7 = rhs(t + h, X5)
-    err = h * (
-        (71 / 57600) * k1
-        + (-71 / 16695) * k3
-        + (71 / 1920) * k4
-        + (-17253 / 339200) * k5
-        + (22 / 525) * k6
-        + (-1 / 40) * k7
-    )
-    return X5, err
-
-
-def _integrate_backward(
-    rhs,
-    t_start: float,
-    X_start: np.ndarray,
-    floor: float,
-    span_hint: float | None = None,
-):
-    """Yield the accepted nodes (t, X) of an adaptive backward march from
-    (t_start, X_start) down to ``floor``, the start first and the floor
-    last; the caller stops it where it likes.
-
-    Steps lie between ``H_MIN_REL`` and ``H_MAX_REL`` of the span, which
-    is ``t_start - floor`` unless ``span_hint`` gives it.  Every node is
-    finite.  Raises StepUnderflow when the step falls below the least.
-    """
-    span = span_hint if span_hint is not None else max(t_start - floor, 1e-300)
-    h_max, h_min = H_MAX_REL * span, H_MIN_REL * span
-    time_eps = 1e-14 * max(1.0, abs(t_start), abs(floor))
-
-    t = float(t_start)
-    X = _sym(np.array(X_start, dtype=float))
-    yield t, X
-
-    h = min(h_max, t_start - floor)
-    while t - floor > time_eps:
-        h_try = min(h, t - floor)
-        last = abs((t - h_try) - floor) <= time_eps
-        with np.errstate(over="ignore", invalid="ignore"):
-            X_new, err = _dp_step(rhs, t, X, -h_try)
-        finite = bool(np.isfinite(X_new).all() and np.isfinite(err).all())
-        if finite:
-            denom = ATOL + RTOL * np.maximum(np.abs(X), np.abs(X_new))
-            enorm = float(np.sqrt(np.mean((err / denom) ** 2)))
-        else:
-            enorm = np.inf
-
-        if enorm <= 1.0:
-            t = floor if last else t - h_try
-            X = _sym(X_new)
-            yield t, X
-            grow = 5.0 if enorm == 0.0 else min(5.0, 0.9 * enorm ** -0.2)
-            h = min(h_try * max(grow, 0.2), h_max)
-        else:
-            shrink = 0.2 if not np.isfinite(enorm) else max(0.2, 0.9 * enorm ** -0.2)
-            h = h_try * min(shrink, 0.9)
-            if h < h_min:
-                raise StepUnderflow(
-                    f"step {h:.3e} below h_min {h_min:.3e} at t={t} "
-                    f"(norm {np.linalg.norm(X, 2):.3e})"
-                )
 
 
 def _illinois(f, a: float, fa: float, b: float, fb: float, tol: float) -> float:

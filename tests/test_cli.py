@@ -209,6 +209,22 @@ def test_slack_command(capsys):
     assert doc["sup_next_instant"] == pytest.approx(0.75, abs=1e-3)
 
 
+def test_slack_at_the_top_of_the_horizon(capsys):
+    code, out, _ = run_cli(
+        capsys, "slack", "--preset", "example1", "--t-prev", "0.9999999999", "--upper", "1"
+    )
+    assert code == 0
+    assert json.loads(out)["sup_next_instant"] == 1.0
+
+
+def test_deviation_of_the_wrong_length_is_usage_error(capsys):
+    code, out, err = run_cli(
+        capsys, "simulate", "--preset", "example1", "--evader", "deviation", "--w", "1,2,3"
+    )
+    one_line_error(code, out, err)
+    assert "--w" in err and "n_e = 2" in err
+
+
 def test_reachability_command(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "reachability", *EXAMPLE1_REACH)
     assert code == 0

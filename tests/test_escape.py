@@ -455,3 +455,53 @@ def test_norm_detector_recharts_for_a_pole_of_the_other_sign(charts):
     assert charts[0][1] == 1.0 and charts[-1][1] == -1.0
     rr = detect_escape_radon(spec, 1.0, X1, -2.0)
     assert abs(rn.t_escape - rr.t_escape) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the norm detector's stepper
+
+
+@pytest.mark.parametrize("span", [3.0, 10.0, 100.0])
+@pytest.mark.parametrize("X1", [0.0, 5.0, -5.0, 1e3])
+def test_no_step_jumps_a_pole(span, X1):
+    # X' = -(1 + X^2) from X1 at t1 is tan(atan X1 + t1 - t): poles every
+    # pi below t1 - (pi/2 - atan X1), up to 31 of them in the span; a step
+    # that jumped the first would report a later one
+    t1 = 2.0
+    one = np.ones((1, 1))
+    problem = riccati.RiccatiProblem("gap", 0 * one, one, one, t1, X1 * one, 1)
+    rn = detect_escape_norm(problem, t1 - span)
+    assert rn.found
+    assert abs(rn.t_escape - (t1 - (np.pi / 2 - np.arctan(X1)))) <= 1e-9 * span
+
+
+def _escape_games(make_escape_spec):
+    """The 31 of 32 ``make_escape_spec`` draws (rng seed 3) whose gap flow from
+    tf escapes above the floor t0 - 2, as (spec, gap problem, floor)."""
+    rng = np.random.default_rng(3)
+    games = []
+    for i in range(32):
+        spec = make_escape_spec(rng, n=2 + i % 2)
+        sol = solve_value_riccati(spec)
+        floor = spec.t0 - 2.0
+        if detect_escape_radon(spec, spec.tf, -eval_solution(sol, spec.tf), floor).found:
+            games.append((spec, make_gap_problem(spec, sol, spec.tf), floor))
+    assert len(games) == 31
+    return games
+
+
+def test_stepper_nodes_match_the_count(make_escape_spec):
+    # before the chart, every accepted node of the stepper is the exact
+    # flow, evaluated by the count, to 1e-9 relative
+    worst, nodes = 0.0, 0
+    for spec, problem, floor in _escape_games(make_escape_spec):
+        exact = riccati._plane_count(problem, floor)
+        march = escape._integrate_backward(problem.rhs, spec.tf, problem.terminal_value, floor)
+        for t, X in march:
+            if np.linalg.norm(X, 2) >= escape.CHART_LEVEL:
+                break
+            V = exact.value(t)
+            worst = max(worst, np.linalg.norm(X - V, 2) / np.linalg.norm(V, 2))
+            nodes += 1
+    assert nodes > 31
+    assert worst <= 1e-9

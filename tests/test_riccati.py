@@ -5,7 +5,7 @@ from pegame.errors import FiniteEscape, OutOfRange
 from pegame.game_model import GameSpec, example_one_spec
 from pegame.riccati import (
     _hermite,
-    _integrate_backward,
+    _sym,
     eval_solution,
     make_gap_problem,
     make_value_problem,
@@ -37,6 +37,47 @@ def euler_backward_oracle(rhs, t1, X1, targets, h=1e-5):
         t = target
         out[target] = X.copy()
     return out
+
+
+# Dormand-Prince 4(5): stage nodes, stage weights (the last row gives the
+# fifth-order value) and the weights of its error estimate
+DP_C = [0.0, 0.2, 0.3, 0.8, 8 / 9, 1.0, 1.0]
+DP_A = [
+    [],
+    [0.2],
+    [0.075, 0.225],
+    [44 / 45, -56 / 15, 32 / 9],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+]
+DP_E = [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
+
+
+def dp45_backward(rhs, t1, X1, floor):
+    """Accepted nodes (t, X) of an adaptive Dormand-Prince 4(5) march of
+    X' = rhs(t, X) from (t1, X1) down to ``floor``, at rtol 1e-10 and atol
+    1e-13 with steps at most 1e-3 of the span: an oracle for flows whose
+    rhs depends on time."""
+    rtol, atol = 1e-10, 1e-13
+    nodes, t, X = [(t1, X1)], t1, X1
+    h = h_max = 1e-3 * (t1 - floor)
+    while t > floor:
+        h_try = min(h, t - floor)
+        k = []
+        for c, a in zip(DP_C, DP_A):
+            k.append(rhs(t - c * h_try, X - h_try * sum(w * ki for w, ki in zip(a, k))))
+        X_new = X - h_try * sum(w * ki for w, ki in zip(DP_A[-1], k))
+        err = h_try * sum(w * ki for w, ki in zip(DP_E, k))
+        enorm = np.sqrt(np.mean((err / (atol + rtol * np.maximum(np.abs(X), np.abs(X_new)))) ** 2))
+        if enorm <= 1.0:
+            t = floor if h_try == t - floor else t - h_try
+            X = _sym(X_new)
+            nodes.append((t, X))
+        else:
+            assert h_try > 1e-12 * (t1 - floor), "step underflow"
+        h = min(h_try * min(5.0, max(0.2, 0.9 * max(enorm, 1e-10) ** -0.2)), h_max)
+    return nodes
 
 
 def test_example_one_closed_form_on_grid(example_spec, example_value_sol):
@@ -143,7 +184,7 @@ def test_error_value_equals_gap_plus_value(example_spec, example_value_sol):
         F = spec.A + S @ P
         return -(F.T @ M + M @ F - P @ W @ P - M @ S @ M)
 
-    nodes = list(_integrate_backward(error_value_rhs, b, np.zeros((4, 4)), a))
+    nodes = dp45_backward(error_value_rhs, b, np.zeros((4, 4)), a)
     ts, xs = map(np.array, zip(*nodes))
     assert ts[-1] == a
     fs = np.array([error_value_rhs(t, M) for t, M in zip(ts, xs)])

@@ -126,6 +126,15 @@ def test_max_next_instance_after_boundary_escape(example_spec, example_value_sol
     assert sup == 1.0
 
 
+@pytest.mark.parametrize("t_prev", [0.9999999999, 0.99999999])
+def test_max_next_instance_at_the_top_of_the_horizon(example_spec, example_value_sol, t_prev):
+    # the boundary-tolerance point above t_prev lies at or above upper, so
+    # no time in (t_a, upper] can host the pole: the supremum is upper, as
+    # for a short interval mid-horizon
+    assert max_next_instance(example_spec, example_value_sol, t_prev, 1.0) == 1.0
+    assert max_next_instance(example_spec, example_value_sol, 0.5, 0.500000005) == 0.500000005
+
+
 def test_max_next_instance_trivial_flow():
     spec = example_one_spec()
     trivial = GameSpec(
