@@ -15,6 +15,7 @@ rejects.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -320,7 +321,9 @@ def _evader_strategy(args, spec, sol) -> Strategy:
         w = args.w
         if w is None:
             w = np.zeros(spec.n_e)
-            w[0] = -args.c
+            w[0] = -(1.0 if args.c is None else args.c)
+        elif args.c is not None:
+            raise SchemaError("--c and --w exclude each other: --w is the whole deviation")
         elif len(w) != spec.n_e:
             raise SchemaError(f"--w needs n_e = {spec.n_e} numbers, got {len(w)}")
         return Strategy.deviation(np.asarray(w, dtype=float), absolute=True)
@@ -454,7 +457,7 @@ def _point(text: str) -> list[float]:
 
 
 _STRICT = ("--strict", {"action": "store_true"})
-_INSTANTS = ("--instants", {"type": _finite_list, "default": []})
+_INSTANTS = ("--instants", {"type": _finite_list, "default": ()})
 _STEP = ("--step", {"type": _step})
 
 # Every command once: its handler, its help, whether it reads a game spec
@@ -483,14 +486,14 @@ _COMMANDS = {
             "default": "equilibrium",
             "choices": ["equilibrium", "open-loop", "deviation", "risky"],
         }),
-        ("--c", {"type": _finite, "default": 1.0, "help": "deviation magnitude"}),
+        ("--c", {"type": _finite, "help": "deviation magnitude (default 1.0)"}),
         ("--w", {"type": _finite_list, "help": "deviation vector"}),
         ("--scale", {"type": _finite, "default": 1.0, "help": "risky kick scale"}),
         _STEP,
         ("--out", {"help": "trajectory CSV output path"}),
     ]),
     "sweep": (_cmd_sweep, "payoffs of scaled constant deviations", True, [
-        ("--c", {"type": _finite_list, "default": [0.0, 1.0, 2.0]}),
+        ("--c", {"type": _finite_list, "default": (0.0, 1.0, 2.0)}),
         _INSTANTS,
         ("--pursuer-mode", {
             "default": "open_loop", "choices": ["open_loop", "certainty_equivalent"],
@@ -507,7 +510,7 @@ _COMMANDS = {
         ("--re-scalar", {"type": _finite, "default": 1.0}),
         ("--out", {"help": "circle sample CSV output path"}),
         ("--samples", {"type": _samples, "default": 64}),
-        ("--center", {"type": _point, "default": [1.0, 0.0]}),
+        ("--center", {"type": _point, "default": (1.0, 0.0)}),
     ]),
 }
 
@@ -519,7 +522,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of ``_COMMANDS``, built once; its defaults are immutable."""
     parser = _Parser(
         prog="pegame",
         description=(

@@ -34,7 +34,6 @@ from .riccati import (
     RiccatiProblem,
     RiccatiSolution,
     _Count,
-    _gap_problem,
     _illinois,
     _eval_many,
     _orth,
@@ -42,7 +41,6 @@ from .riccati import (
     _pole_report,
     _sym,
     eval_solution,
-    make_value_problem,
 )
 
 CHART_LEVEL = 1e1  # spectral norm at which the norm detector changes chart
@@ -137,18 +135,6 @@ def _integrate_backward(
             )
 
 
-def _guard_norm(X: np.ndarray, threshold: float) -> np.ndarray:
-    """Spectral norm of a matrix, or of each of a stack, evaluated exactly
-    only where the cheap Frobenius bound says the threshold could be
-    crossed; not finite where X is not."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        norm = np.array(np.linalg.norm(X, axis=(-2, -1)))  # ||X||_2 <= ||X||_F
-    over = np.isfinite(norm) & (norm >= threshold)
-    if over.any():
-        norm[over] = np.linalg.norm(X[over], 2, axis=(-2, -1))
-    return norm
-
-
 def _chart(problem: RiccatiProblem, t: float, X: np.ndarray):
     """The flow Y = (X - sigma I)^-1 from its value at t, with s the sign of
     X's eigenvalue of largest modulus and sigma = -2 s ||X||_2, as a problem
@@ -212,7 +198,8 @@ def detect_escape_norm(problem: RiccatiProblem, floor: float) -> EscapeReport:
     span = t1 - floor
     tol = TIME_TOL_REL * max(span, 1e-12)
     for t, X in _integrate_backward(problem.rhs, t1, problem.terminal_value, floor, span):
-        if _guard_norm(X, CHART_LEVEL) >= CHART_LEVEL:
+        # ||X||_2 <= ||X||_F, so the spectral norm is needed only past the level
+        if np.linalg.norm(X) >= CHART_LEVEL and np.linalg.norm(X, 2) >= CHART_LEVEL:
             break
     else:
         return EscapeReport.missed("norm_blowup", floor, t1)
@@ -236,7 +223,7 @@ def detect_escape_norm(problem: RiccatiProblem, floor: float) -> EscapeReport:
 def _gap_count(spec: GameSpec, terminal_time: float, terminal_value, floor: float) -> _Count:
     """Count of the gap flow ending at ``terminal_value`` against the plane
     [0; I], down to ``floor``; its first meeting is the largest pole."""
-    return _plane_count(_gap_problem(spec, terminal_time, terminal_value), floor)
+    return _plane_count(spec._gap_flow, terminal_time, terminal_value, floor)
 
 
 def detect_escape_radon(
@@ -285,21 +272,20 @@ def _slack_root(
     former is the value flow's plane [I; P(tau)], moved by the value
     Hamiltonian H_v, reflected by D = diag(I, -I); D H_v D is Hamiltonian
     (J D = -D J) with the norm of H_v, so ``_Count``'s lift bound along tau
-    is 2n (||H||_2 + ||H_v||_2).  The count starts at 0 and, as the plane
-    at t = tau never meets [0; I], equals at ``upper`` the count at t_a of
-    the flow ending at ``upper``: None means that flow has no pole there.
-    None too when t_a is not below ``upper``, where (t_a, upper] is empty.
+    is 2n (||H||_2 + ||H_v||_2), both norms kept by their propagators.  The
+    count starts at 0 and, as the plane at t = tau never meets [0; I],
+    equals at ``upper`` the count at t_a of the flow ending at ``upper``:
+    None means that flow has no pole there.  None too when t_a is not
+    below ``upper``, where (t_a, upper] is empty.
     """
     t_a = t_prev + BOUNDARY_TOL_REL * spec.horizon
     if t_a >= upper:
         return None
     n = spec.n_x
-    H = _gap_problem(spec, upper, np.zeros((n, n))).hamiltonian
 
     def partner(tau):
         P = _eval_many(value_sol, tau)
         return _orth(np.concatenate((np.broadcast_to(np.eye(n), P.shape), -P), axis=-2))
 
-    speed = np.linalg.norm(make_value_problem(spec).hamiltonian, 2)
     V0 = np.vstack((np.zeros((n, n)), np.eye(n)))
-    return _Count(H, V0, t_a, float(upper), partner, speed).first
+    return _Count(spec._gap_flow, V0, t_a, float(upper), partner, value_sol.count.exp.norm).first

@@ -15,6 +15,7 @@ finite anyway; the Riccati solver detects blow-up independently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as la
@@ -86,13 +87,29 @@ class GameSpec:
     def horizon(self) -> float:
         return self.tf - self.t0
 
+    @cached_property
+    def _gains(self) -> tuple[np.ndarray, np.ndarray]:
+        """R_p^-1 B' and R_e^-1 C', the factors of the players' equilibrium
+        gains R^-1 B'P; built once and read-only, as the game is frozen."""
+        Gp = la.solve(self.R_p, self.B.T, assume_a="sym")
+        Ge = la.solve(self.R_e, self.C.T, assume_a="sym")
+        for G in (Gp, Ge):
+            G.setflags(write=False)
+        return Gp, Ge
+
+    @cached_property
+    def _gap_flow(self):
+        """The propagator of the gap flow's Hamiltonian, built once."""
+        from .riccati import _Taylor, _gap_problem  # riccati imports this module
+        return _Taylor(_gap_problem(self, self.tf, self.Q_f).hamiltonian)
+
     def pursuer_power(self) -> np.ndarray:
         """B R_p^-1 B', the rate at which the pursuer can steer the state."""
-        return self.B @ la.solve(self.R_p, self.B.T, assume_a="sym")
+        return self.B @ self._gains[0]
 
     def evader_power(self) -> np.ndarray:
         """C R_e^-1 C', the rate at which the evader can steer the state."""
-        return self.C @ la.solve(self.R_e, self.C.T, assume_a="sym")
+        return self.C @ self._gains[1]
 
     def controllability_gap(self) -> np.ndarray:
         """Evader power minus pursuer power; must be negative definite."""

@@ -21,11 +21,9 @@ where the plane of [U; V] meets the vertical plane {U = 0}; ``_Count``
 counts those meetings with multiplicity, as the Maslov index of the path
 (Robbin and Salamon, Topology 32, 1993), and is the one oracle of poles:
 the linear flow has no finite-time singularity.  ``solve_riccati`` counts
-first and raises FiniteEscape at a pole; otherwise it propagates the flow
-exactly on a uniform grid with the powers of one matrix exponential,
-restarting from [I; X] once per block of steps to keep U well conditioned
-(Davison and Maki, IEEE TAC 1973), and stores node derivatives for
-cubic-Hermite dense output.  Escape times are resolved to
+the flow once: it raises FiniteEscape at the count's first pole, and
+otherwise reads exact values on a uniform grid off that count, with node
+derivatives for cubic-Hermite dense output.  Escape times are resolved to
 ``TIME_TOL_REL`` of the span.  Everything here works on the Hamiltonian
 form; the independent check that integrates the nonlinear flow itself,
 the norm escape detector, lives in ``escape``.
@@ -37,12 +35,11 @@ from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
-import scipy.linalg as la
 
 from .errors import EscapeReport, FiniteEscape, OutOfRange
 from .game_model import GameSpec
 
-STEPS = 1000       # uniform steps of an exact solve
+STEPS = 1000       # uniform steps of an exact solve's grid
 RESIDUAL_SAMPLES = 100  # node intervals whose midpoints ``riccati_residual`` checks
 TIME_TOL_REL = 1e-9  # escape-time resolution, relative to the search span
 DEGREE = 18  # degree of the Taylor propagator of ``_Count``
@@ -126,16 +123,28 @@ class RiccatiSolution:
     """Dense backward solution on a strictly decreasing uniform grid.
 
     ``values[k]`` and ``derivs[k]`` hold the matrix and its time
-    derivative at ``grid[k]``; evaluation between nodes is cubic Hermite.
-    ``steps[k]`` is the U factor of the exact step from ``grid[k]`` down
-    to ``grid[k + 1]``: it maps the U block of the linear flow there.
+    derivative at ``grid[k]``; the values are read off ``count``, the
+    flow's Maslov count, which is exact at any time.  Evaluation between
+    nodes is cubic Hermite.
     """
 
     kind: str
     grid: np.ndarray      # strictly decreasing, grid[0] = terminal_time
     values: np.ndarray    # (K, n, n)
     derivs: np.ndarray    # (K, n, n)
-    steps: np.ndarray     # (K - 1, n, n)
+    count: _Count
+
+
+def _step_factors(sol: RiccatiSolution) -> np.ndarray:
+    """The U factors of the exact steps from ``grid[k]`` to ``grid[k + 1]``:
+    the U block of exp(H dt) [I; values[k]], which carries the linear
+    flow's U block between the nodes.  exp(H dt) is m Taylor moves of the
+    count (``_Count.exp``), each no longer than its cell."""
+    count, n = sol.count, sol.values.shape[-1]
+    dt = sol.grid[1] - sol.grid[0]
+    m = int(np.ceil(abs(dt / count.h)))
+    E = np.linalg.matrix_power(count.exp(dt / m), m)
+    return E[:n, :n] + E[:n, n:] @ sol.values[:-1]
 
 
 def _segment(grid: np.ndarray, t):
@@ -236,6 +245,25 @@ def _eigen_angles(Q: np.ndarray, M: np.ndarray) -> np.ndarray:
     return np.angle(np.linalg.eigvals(G @ G.swapaxes(-1, -2)))
 
 
+class _Taylor:
+    """exp(K dt) for one constant K as sum_j dt^j T_j with T_j = K^j / j!,
+    j <= ``DEGREE``, and ||K||_2: ``_Count``'s propagator, exact to
+    round-off while ||K dt||_2 <= pi/4.  A game keeps its gap flow's
+    (``GameSpec._gap_flow``)."""
+
+    def __init__(self, K: np.ndarray):
+        self.K, self.norm = K, np.linalg.norm(K, 2)
+        factorials = np.cumprod(np.arange(1.0, DEGREE + 1))[:, None, None]
+        self.T = np.reshape([np.eye(len(K)), *_powers(K, DEGREE) / factorials], (DEGREE + 1, -1))
+
+    def __call__(self, dt) -> np.ndarray:
+        """exp(K dt), or a stack of it at an array of times, in one product."""
+        dt = np.asarray(dt, dtype=float)[..., None]
+        # the running product of [1, dt, ..., dt] is [1, dt, ..., dt^DEGREE]
+        powers = np.cumprod(np.where(np.arange(DEGREE + 1) == 0, 1.0, dt), axis=-1)
+        return (powers @ self.T).reshape(dt.shape[:-1] + self.K.shape)
+
+
 class _Count:
     """Maslov count of the meetings of two Lagrangian paths on a grid.
 
@@ -262,44 +290,36 @@ class _Count:
     propagated in blocks of 4n steps, which span ||K|| |s| <= pi: each
     block's propagators have condition number at most e^(2 pi).
 
-    ``_exp``, the Taylor sum of exp(K dt) to ``DEGREE``, makes the grid
-    step and every move within a cell: as |dt| <= |h|, the spacing gives
-    x = ||K dt||_2 <= pi/4, so it errs by at most x^19 / 19! e^x < 2e-19
-    for any K, defective or not (Moler and Van Loan, SIAM Rev. 45, 2003).
+    ``exp``, the Taylor sum of exp(K dt) to ``DEGREE`` (``_Taylor``), makes
+    the grid step and every move within a cell: as |dt| <= |h|, the
+    spacing gives x = ||K dt||_2 <= pi/4, so it errs by at most
+    x^19 / 19! e^x < 2e-19 for any K, defective or not (Moler and Van
+    Loan, SIAM Rev. 45, 2003).
     Outside the span that fails: ``value`` and ``count`` raise OutOfRange.
     A span that needs ``MAX_COUNT_POINTS`` grid points or more raises
     ValueError before anything is allocated.
     """
 
-    def __init__(self, K, Z0, start, end, partner, partner_speed=0.0):
+    def __init__(self, flow: _Taylor, Z0, start, end, partner, partner_speed=0.0):
         n, span = Z0.shape[-1], abs(end - start)
-        cells = np.ceil(span * 4 * n * (np.linalg.norm(K, 2) + partner_speed) / np.pi)
+        cells = np.ceil(span * 4 * n * (flow.norm + partner_speed) / np.pi)
         if not cells < MAX_COUNT_POINTS:
             raise ValueError(
                 f"the escape count of a span of {span:g} needs more than "
                 f"{MAX_COUNT_POINTS} grid points"
             )
-        self.K, self.partner = K, partner
-        factorials = np.cumprod(np.arange(1.0, DEGREE + 1))[:, None, None]
-        self.T = np.concatenate(([np.eye(2 * n)], _powers(K, DEGREE) / factorials))
+        self.exp, self.K, self.partner = flow, flow.K, partner
         self.s = np.linspace(start, end, max(1, int(cells)) + 1)
         self.h = self.s[1] - self.s[0]
         self.tol = TIME_TOL_REL * max(span, 1e-12)
-        steps = _powers(self._exp(self.h), 4 * n)
+        steps = _powers(self.exp(self.h), 4 * n)
         frames = [_orth(Z0)]
         while len(frames) < len(self.s):
             frames.extend(_orth(steps @ frames[-1]))
         self.frames = np.stack(frames[: len(self.s)])
-        self.S = _eigen_angles(self.frames, partner(self.s)).sum(axis=-1)
+        self.angles = _eigen_angles(self.frames, partner(self.s))
+        self.S = self.angles.sum(axis=-1)
         self.N = -np.cumsum(np.rint(np.diff(self.S, prepend=self.S[0]) / (2 * np.pi))).astype(int)
-
-    def _exp(self, dt) -> np.ndarray:
-        """exp(K dt) as sum_j dt^j T_j with T_j = K^j / j!, or a stack of it
-        at an array of times, in one matrix product."""
-        dt = np.asarray(dt, dtype=float)[..., None]
-        # the running product of [1, dt, ..., dt] is [1, dt, ..., dt^DEGREE]
-        powers = np.cumprod(np.where(np.arange(DEGREE + 1) == 0, 1.0, dt), axis=-1)
-        return (powers @ self.T.reshape(DEGREE + 1, -1)).reshape(dt.shape[:-1] + self.K.shape)
 
     def _cell(self, s) -> np.ndarray:
         """The grid point that opens the cell of s, or of each of an array;
@@ -310,7 +330,7 @@ class _Count:
     def _move(self, s, k) -> np.ndarray:
         """exp(K (s - s_k)) times the frame at grid point k, for s and k
         of one shape."""
-        return self._exp(s - self.s[k]) @ self.frames[k]
+        return self.exp(s - self.s[k]) @ self.frames[k]
 
     def value(self, s) -> np.ndarray:
         """Q's flow V U^-1 at s, or a stack of it at an array of times;
@@ -338,7 +358,8 @@ class _Count:
         """The first meeting, or None: in the first cell where N changes,
         the sign change of the angle of W's eigenvalue nearest -1, signed
         by whether N has changed (which flips at a double meeting too), by
-        ``_illinois``."""
+        ``_illinois``.  At the cell's ends, where N has not changed and
+        has, the angles are the grid's."""
         jumped = np.flatnonzero(self.N)
         if jumped.size == 0:
             return None
@@ -349,20 +370,20 @@ class _Count:
             return (np.pi - np.abs(a).max()) * (1.0 if moved else -1.0)
 
         a, b = float(self.s[k]), float(self.s[k + 1])
-        fa, fb = signed_angle(a), signed_angle(b)
+        fa, fb = np.abs(self.angles[k]).max() - np.pi, np.pi - np.abs(self.angles[k + 1]).max()
         if fb <= 0:  # the meeting sits on the grid point
             return b
         return _illinois(signed_angle, a, fa, b, fb, self.tol)
 
 
-def _plane_count(problem: RiccatiProblem, floor: float) -> _Count:
-    """Count of ``problem``'s linear flow from [I; X] at its terminal time
-    against the plane [0; I], down to ``floor``; its first meeting is the
-    flow's largest pole."""
-    n = problem.n
+def _plane_count(flow: _Taylor, terminal_time: float, terminal_value, floor: float) -> _Count:
+    """Count of the linear flow moved by ``flow`` from [I; X] at
+    ``terminal_time``, X the terminal value, against the plane [0; I], down
+    to ``floor``; its first meeting is the Riccati flow's largest pole."""
+    n = len(terminal_value)
     V0 = np.vstack((np.zeros((n, n)), np.eye(n)))
-    Z0 = np.vstack((np.eye(n), problem.terminal_value))
-    return _Count(problem.hamiltonian, Z0, float(problem.terminal_time), float(floor), lambda s: V0)
+    Z0 = np.vstack((np.eye(n), terminal_value))
+    return _Count(flow, Z0, float(terminal_time), float(floor), lambda s: V0)
 
 
 def _pole_report(flow: _Count, floor: float, t1: float) -> EscapeReport:
@@ -375,63 +396,30 @@ def _pole_report(flow: _Count, floor: float, t1: float) -> EscapeReport:
     return EscapeReport(True, t, bracket, "radon_determinant", None, floor, t1)
 
 
-def _block(powers: np.ndarray, X: np.ndarray, n: int):
-    """Exact steps from the node value X with the propagators E^1 ... E^m.
-
-    With [U_j; V_j] = E^j [I; X], returns the node values V_j U_j^-1 and
-    the step factors U_j U_{j-1}^-1 (U_0 = I), each from one batched
-    solve."""
-    Z = powers[:, :, :n] + powers[:, :, n:] @ X
-    U = Z[:, :n].swapaxes(-1, -2)  # the U_j, transposed
-    values = _sym(np.linalg.solve(U, Z[:, n:].swapaxes(-1, -2)))
-    U_prev = np.concatenate((np.eye(n)[None], U[:-1]))
-    return values, np.linalg.solve(U_prev, U).swapaxes(-1, -2)
-
-
 def solve_riccati(problem: RiccatiProblem, floor: float) -> RiccatiSolution:
     """Propagate ``problem`` exactly backward to ``floor``; dense output.
 
-    The flow is counted first (``_plane_count``): it raises FiniteEscape
+    The flow is counted once (``_plane_count``): it raises FiniteEscape
     when the flow has a pole above the floor, with the count's first
     meeting and a bracket of half the time resolution about it.
-    Otherwise the grid has ``STEPS`` uniform steps of length h.  With
-    E = exp(-H h), the blocks of B steps restart from [I; X] at their
-    first node and reach each of their nodes with a power of E
-    (``_block``).  B is the least of pi / (||H||_2 h) and
-    ceil(sqrt(STEPS)), and at least 1: the first keeps each block's
-    propagators within condition number e^(2 pi), and the second balances
-    building the powers against the calls per block.
+    Otherwise the solution reads its ``STEPS + 1`` uniform nodes off the
+    count in one batched ``_Count.value``, the terminal node as given, and
+    keeps the count.
     """
     t1 = problem.terminal_time
     floor = float(floor)
     if not floor < t1:
         raise ValueError("floor must lie below the terminal time")
-    report = _pole_report(_plane_count(problem, floor), floor, t1)
+    count = _plane_count(_Taylor(problem.hamiltonian), t1, problem.terminal_value, floor)
+    report = _pole_report(count, floor, t1)
     if report.found:
         raise FiniteEscape(
             f"{problem.kind} flow escaped near t={report.t_escape:.9g}", report=report
         )
-    n = problem.n
-    h = (t1 - floor) / STEPS
-    H = problem.hamiltonian
-    with np.errstate(divide="ignore"):
-        block = int(max(1, min(np.ceil(np.sqrt(STEPS)), np.pi / (la.norm(H, 2) * h))))
-    powers = _powers(la.expm(-H * h), block)
     grid = np.linspace(t1, floor, STEPS + 1)
-    values = np.empty((STEPS + 1, n, n))
-    steps = np.empty((STEPS, n, n))
+    values = count.value(grid)
     values[0] = _sym(problem.terminal_value)
-    for k in range(0, STEPS, block):
-        values[k + 1 : k + 1 + block], steps[k : k + block] = _block(
-            powers[: STEPS - k], values[k], n
-        )
-    return RiccatiSolution(
-        kind=problem.kind,
-        grid=grid,
-        values=values,
-        derivs=problem.rhs(grid, values),
-        steps=steps,
-    )
+    return RiccatiSolution(problem.kind, grid, values, problem.rhs(grid, values), count)
 
 
 def solve_value_riccati(spec: GameSpec) -> RiccatiSolution:

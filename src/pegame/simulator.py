@@ -39,6 +39,7 @@ from .riccati import (
     RiccatiSolution,
     _eval_many,
     _hermite,
+    _step_factors,
     eval_solution,
     solve_value_riccati,
 )
@@ -57,11 +58,6 @@ def _mv(M: np.ndarray, v: np.ndarray) -> np.ndarray:
 def _quad(v: np.ndarray, W: np.ndarray) -> np.ndarray:
     """v'Wv over a stack of vectors."""
     return np.einsum("...i,ij,...j->...", v, W, v)
-
-
-def _gain(R: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """R^-1 B', the factor of an equilibrium gain R^-1 B'P."""
-    return la.solve(R, B.T, assume_a="sym")
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +134,7 @@ class _Stages:
 
 def _stages(spec: GameSpec, value_sol: RiccatiSolution, t, t_in) -> _Stages:
     P = _eval_many(value_sol, t)
-    return _Stages(t, t_in, _gain(spec.R_p, spec.B) @ P, _gain(spec.R_e, spec.C) @ P)
+    return _Stages(t, t_in, spec._gains[0] @ P, spec._gains[1] @ P)
 
 
 @dataclass(frozen=True)
@@ -411,12 +407,13 @@ def transition_flow(spec: GameSpec, value_sol: RiccatiSolution):
 
     Mutual equilibrium play drives the state with A + (C R_e^-1 C' -
     B R_p^-1 B') P, the U block of the value flow's linear
-    representation, so Phi(t, t0) = U(t) U(t0)^-1.  The value solve's
-    step factors carry U from node to node, so Phi at each node is a
+    representation, so Phi(t, t0) = U(t) U(t0)^-1.  The exact step factors
+    (``riccati._step_factors``: the value count's Taylor move from each
+    exact node) carry U from node to node, so Phi at each node is a
     product of their inverses, all inverted in one batched call; between
     nodes it is cubic Hermite.
     """
-    inverses = np.linalg.inv(value_sol.steps[::-1])
+    inverses = np.linalg.inv(_step_factors(value_sol)[::-1])
     products = accumulate(inverses, lambda phi, inv: inv @ phi, initial=np.eye(spec.n_x))
     phis = np.stack(list(products)[::-1])
     closed_loop = spec.A + spec.controllability_gap() @ value_sol.values
@@ -438,7 +435,7 @@ def open_loop_inputs(
     def dense(gain):
         return lambda t: _mv(gain @ _eval_many(value_sol, t), phi(t) @ spec.x0)
 
-    u_p, u_e = dense(-_gain(spec.R_p, spec.B)), dense(_gain(spec.R_e, spec.C))
+    u_p, u_e = dense(-spec._gains[0]), dense(spec._gains[1])
     return tuple(InputSeries(times=grid, values=u(grid), dense=u) for u in (u_p, u_e))
 
 
@@ -510,7 +507,7 @@ def deviation_gain_check(
         residue = offset * gap.value(pole + offset)
 
     w_fn = _signal(w)
-    pursuer_gain, evader_gain = _gain(spec.R_p, spec.B), _gain(spec.R_e, spec.C)
+    pursuer_gain, evader_gain = spec._gains
 
     def system(t, t_in, F, g):
         P = _eval_many(value_sol, t)
@@ -564,7 +561,7 @@ def risky_strategy(
 
     col = int(np.argmax(np.linalg.norm(spec.C, axis=0)))
     kick = float(scale) * np.eye(spec.n_e)[col]
-    evader_gain = _gain(spec.R_e, spec.C)
+    evader_gain = spec._gains[1]
 
     def terms(s: _Stages):
         kicking = (s.t <= t_trunc)[..., None]

@@ -9,6 +9,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
+from pegame import escape, riccati  # noqa: E402
 from pegame.game_model import GameSpec, example_one_spec  # noqa: E402
 from pegame.riccati import solve_value_riccati  # noqa: E402
 from pegame.simulator import Strategy  # noqa: E402
@@ -93,3 +94,19 @@ def probed():
         return Strategy("pursuer", terms, probe.knots)
 
     return make
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    """Every ``_Count`` built while the test runs: the plane counts of the
+    value solve and the gap flows, and the slack counts."""
+    made = []
+
+    class Recorded(riccati._Count):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(riccati, "_Count", Recorded)  # for ``_plane_count``
+    monkeypatch.setattr(escape, "_Count", Recorded)  # for ``_slack_root``
+    return made

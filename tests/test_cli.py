@@ -15,6 +15,7 @@ from pegame.cli import (
     _point,
     _samples,
     _step,
+    build_parser,
     dumps_canonical,
     load_spec,
     main,
@@ -225,6 +226,39 @@ def test_deviation_of_the_wrong_length_is_usage_error(capsys):
     assert "--w" in err and "n_e = 2" in err
 
 
+def test_deviation_magnitude_and_vector_exclude_each_other(capsys):
+    # --w is the whole deviation, so a --c beside it would be ignored
+    deviation = ("simulate", "--preset", "example1", "--evader", "deviation")
+    code, out, err = run_cli(capsys, *deviation, "--w", "1,2", "--c", "3")
+    one_line_error(code, out, err)
+    assert "--c" in err and "--w" in err
+    # --c alone keeps its default of 1.0
+    default, explicit = run_cli(capsys, *deviation), run_cli(capsys, *deviation, "--c", "1")
+    assert default[0] == 0 and default == explicit
+    assert run_cli(capsys, *deviation, "--c", "3")[1] != default[1]
+
+
+def test_one_parser_serves_every_call(capsys):
+    # the parser is built once per process; calls that set defaults, and a
+    # usage error between them, leave nothing for the next call to see
+    argvs = [
+        ("check-schedule", "--preset", "example1", "--instants", "0.8"),
+        ("simulate", "--preset", "example1", "--evader", "deviation", "--c", "2"),
+        ("simulate", "--preset", "example1", "--bogus"),
+        ("simulate", "--preset", "example1", "--evader", "deviation"),
+        ("reachability", *EXAMPLE1_REACH, "--center", "0,0"),
+        ("reachability", *EXAMPLE1_REACH),
+        ("validate", "--preset", "example1"),
+    ]
+    reused = [run_cli(capsys, *argv) for argv in argvs]
+    fresh = []
+    for argv in argvs:
+        build_parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    assert reused == fresh
+    assert reused[2][0] == 2 and build_parser() is build_parser()
+
+
 def test_reachability_command(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "reachability", *EXAMPLE1_REACH)
     assert code == 0
@@ -257,18 +291,18 @@ def test_reachability_command(capsys, tmp_path):
 CSV_ROWS = {
     ("riccati", "--preset", "example1"): (
         "t,m0_0,m0_1,m0_2,m0_3,m1_0,m1_1,m1_2,m1_3,m2_0,m2_1,m2_2,m2_3,m3_0,m3_1,m3_2,m3_3",
-        "0,0.3333333333333332,0,-0.33333333333333315,0,0,0.3333333333333332,0,"
-        "-0.33333333333333315,-0.33333333333333315,0,0.33333333333333276,0,0,"
-        "-0.33333333333333315,0,0.33333333333333276",
+        "0,0.3333333333333332,-0,-0.33333333333333331,-0,-0,0.3333333333333332,-0,"
+        "-0.33333333333333331,-0.33333333333333331,-0,0.33333333333333343,-0,-0,"
+        "-0.33333333333333331,-0,0.33333333333333343",
         "1,1,0,-1,-0,0,1,-0,-1,-1,-0,1,0,-0,-1,0,1",
     ),
     ("simulate", "--preset", "example1", "--instants", "0.5"): (
         "t,x0,x1,x2,x3,xhat0,xhat1,xhat2,xhat3,e0,e1,e2,e3,up0,up1,ue0,ue1,"
         "running_cost,event_flag",
-        "0,0,0,1,0,0,0,1,0,0,0,0,0,1.3333333333333326,0,0.66666666666666552,0,0,0",
-        "1,1.3333333333332558,0,1.6666666666666308,0,1.3333333333332558,0,"
-        "1.6666666666666308,0,0,0,0,0,1.3333333333335,0,0.66666666666675001,0,"
-        "0.22222222222219729,0",
+        "0,0,0,1,0,0,0,1,0,0,0,0,0,1.3333333333333333,0,0.66666666666666685,0,0,0",
+        "1,1.3333333333332562,0,1.6666666666666301,0,1.3333333333332562,0,"
+        "1.6666666666666301,0,0,0,0,0,1.3333333333334956,0,0.66666666666674779,0,"
+        "0.22222222222219667,0",
     ),
     ("reachability", *EXAMPLE1_REACH): ("x,y", "1.5,0", "1.5,-1.2246467991473532e-16"),
 }
@@ -675,7 +709,7 @@ GOLDEN = {
         "kind": "value",
         "grid_points": 1001,
         "reached_floor": True,
-        "residual": 1.473561720801787e-12,
+        "residual": 1.3741081531062012e-12,
         "value_at_t0": [
             [0.33333333333333282, 0.0, -0.33333333333333337, 0.0],
             [0.0, 0.33333333333333282, 0.0, -0.33333333333333337],

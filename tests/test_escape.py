@@ -206,14 +206,16 @@ def test_count_value_near_a_defective_hamiltonian():
 def test_taylor_move_against_expm_at_the_bound(K):
     # n = 1 has the largest in-cell move the grid allows, ||K dt|| = pi/4
     frame = np.array([[1.0], [0.0]])
-    flow = escape._Count(K, frame, 0.0, 1.0, lambda s: np.broadcast_to(frame, np.shape(s) + (2, 1)))
+    flow = escape._Count(
+        riccati._Taylor(K), frame, 0.0, 1.0, lambda s: np.broadcast_to(frame, np.shape(s) + (2, 1))
+    )
     bound = np.pi / (4 * np.linalg.norm(K, 2))
     assert abs(flow.h) <= bound
     dt = np.linspace(-bound, bound, 9)
     want = la.expm(K * dt[:, None, None])
-    got = flow._exp(dt)
+    got = flow.exp(dt)
     assert np.abs(got - want).max() <= 4e-16 * np.abs(want).max()
-    assert np.allclose(flow._exp(dt[2]), got[2], rtol=0, atol=4e-16)
+    assert np.allclose(flow.exp(dt[2]), got[2], rtol=0, atol=4e-16)
 
 
 def test_count_refuses_times_outside_its_span(example_spec, example_value_sol):
@@ -331,22 +333,6 @@ def test_long_unstable_horizon_grid_grows():
     assert abs(rr.t_escape - rn.t_escape) <= 1e-6
 
 
-@pytest.fixture
-def counts(monkeypatch):
-    """Every ``_Count`` built while the test runs: the plane counts of the
-    value solve and the gap flows, and the slack counts."""
-    made = []
-
-    class Recorded(riccati._Count):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            made.append(self)
-
-    monkeypatch.setattr(riccati, "_Count", Recorded)  # for ``_plane_count``
-    monkeypatch.setattr(escape, "_Count", Recorded)  # for ``_slack_root``
-    return made
-
-
 def test_lift_steps_stay_below_a_quarter_turn(make_escape_spec, counts):
     # the grid spacing pi/(4n (||K|| + partner speed)) bounds each lift
     # step by pi/2, for the counts in time and in the terminal time alike;
@@ -380,6 +366,48 @@ def test_schedule_counts_each_flow_once(make_escape_spec, counts):
         counts.clear()
         sched = optimal_schedule(spec, sol, compute_slack=False)
         assert len(counts) == sched.N + 1
+
+
+def test_schedule_builds_the_gap_table_once(make_escape_spec, monkeypatch):
+    # every gap count and slack count of one schedule moves by the game's
+    # one gap propagator
+    made = []
+
+    class Recorded(riccati._Taylor):
+        def __init__(self, K):
+            super().__init__(K)
+            made.append(self)
+
+    monkeypatch.setattr(riccati, "_Taylor", Recorded)
+    rng = np.random.default_rng(8)
+    for trial in range(3):
+        spec = make_escape_spec(rng, n=2)
+        sol = solve_value_riccati(spec)
+        made.clear()
+        sched = optimal_schedule(spec, sol)
+        assert sched.N > 0 and len(sched.slack_sup) == sched.N
+        assert made == [spec._gap_flow]
+
+
+def test_first_reads_the_bracket_ends_off_the_grid(make_escape_spec, counts):
+    # the signed angles at the ends of the first jumped cell, read off the
+    # grid, are those of a move from its opening frame
+    rng = np.random.default_rng(21)
+    for trial in range(8):
+        spec = make_escape_spec(rng, n=2 + trial % 2)
+        optimal_schedule(spec, solve_value_riccati(spec))
+    checked = 0
+    for c in counts:
+        jumped = np.flatnonzero(c.N)
+        if jumped.size == 0:
+            continue
+        k = int(jumped[0]) - 1
+        for j, moved in ((k, False), (k + 1, True)):
+            got_moved, a = c._jump(c.s[j], k)
+            assert bool(got_moved) == moved
+            assert abs(np.abs(a).max() - np.abs(c.angles[j]).max()) <= 1e-12
+        checked += 1
+    assert checked >= 20
 
 
 def test_deviations_price_with_their_count(example_spec, example_value_sol, counts, monkeypatch):
@@ -495,7 +523,7 @@ def test_stepper_nodes_match_the_count(make_escape_spec):
     # flow, evaluated by the count, to 1e-9 relative
     worst, nodes = 0.0, 0
     for spec, problem, floor in _escape_games(make_escape_spec):
-        exact = riccati._plane_count(problem, floor)
+        exact = escape._gap_count(spec, problem.terminal_time, problem.terminal_value, floor)
         march = escape._integrate_backward(problem.rhs, spec.tf, problem.terminal_value, floor)
         for t, X in march:
             if np.linalg.norm(X, 2) >= escape.CHART_LEVEL:

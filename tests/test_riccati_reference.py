@@ -1,15 +1,16 @@
-"""The blocked exact solve against a plain per-step restart oracle, and its
+"""The exact solve against a plain per-step restart oracle, and its
 escapes against closed forms.
 
-``restart_solve`` is the scheme ``solve_riccati`` implements, written out
-one step at a time: every step restarts the exact propagator from
-[I; X] at its node.  The blocked solve reaches the nodes of a block with
-powers of the same propagator, so the two agree to round-off.  The oracle
-finds poles its own way: a step holds one when its U factor has a real
-eigenvalue at or below zero, or when the value there is singular or past
-the norm guard ``BLOWUP``; bisection on the step length brackets it.  The
-solve asks the Maslov count instead, so the two agree on whether a flow
-escapes, and the count's pole agrees with closed forms to round-off.
+``restart_solve`` propagates the flow exactly one step at a time: every
+step restarts scipy's matrix exponential from [I; X] at its node.  The
+solve reads its nodes off the Maslov count instead, and forms its step
+factors with the count's Taylor move, so the two agree to round-off.
+The oracle finds poles its own way: a step holds one when its U factor
+has a real eigenvalue at or below zero, or when the value there is
+singular or past the norm guard ``BLOWUP``; bisection on the step length
+brackets it.  The solve asks the Maslov count instead, so the two agree
+on whether a flow escapes, and the count's pole agrees with closed forms
+to round-off.
 """
 import math
 
@@ -17,12 +18,12 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 
-from pegame import riccati
 from pegame.errors import FiniteEscape
-from pegame.game_model import GameSpec
+from pegame.game_model import GameSpec, example_one_spec
 from pegame.riccati import (
     STEPS,
     RiccatiProblem,
+    _step_factors,
     _sym,
     make_value_problem,
     solve_riccati,
@@ -100,13 +101,8 @@ def assert_matches(problem, floor):
     sol = solve_riccati(problem, floor)
     values, steps = restart_solve(problem, floor)
     assert _close(sol.values, values)
-    assert _close(sol.steps, steps)
-
-
-def block_length(problem, floor):
-    h = (problem.terminal_time - floor) / STEPS
-    bound = np.pi / (la.norm(problem.hamiltonian, 2) * h)
-    return int(max(1, min(math.ceil(math.sqrt(STEPS)), bound)))
+    assert _close(_step_factors(sol), steps)
+    return sol
 
 
 def escape_time(problem, floor):
@@ -131,34 +127,41 @@ def test_clean_games_match_oracle(make_clean_spec):
 
 @pytest.mark.parametrize("seed", [5, 6, 7])
 def test_long_unstable_horizon_matches_oracle(make_clean_spec, seed):
-    # 40 time units of unstable drift: the block length follows ||H|| h
-    # below its cap, and each block's propagators stay well conditioned
+    # 40 time units of unstable drift: the count's frames stay well
+    # conditioned where the oracle's restarts do
     spec = make_clean_spec(np.random.default_rng(seed), n=3)
     spec = GameSpec(
         A=spec.A + 2.0 * np.eye(3), B=spec.B, C=spec.C, Q=spec.Q, Q_f=spec.Q_f,
         R_p=spec.R_p, R_e=spec.R_e, t0=0.0, tf=40.0, x0=spec.x0,
     )
-    problem = make_value_problem(spec)
-    assert block_length(problem, 0.0) < math.ceil(math.sqrt(STEPS))
-    assert_matches(problem, 0.0)
+    assert_matches(make_value_problem(spec), 0.0)
 
 
-def test_one_call_per_block(example_spec, monkeypatch):
-    blocks = []
-    original = riccati._block
-    monkeypatch.setattr(
-        riccati, "_block", lambda *args: blocks.append(1) or original(*args)
+def test_long_stable_horizon_matches_oracle():
+    # example1 with A = -0.3 I over 1000 time units: a grid step spans
+    # many cells of the count, so each step factor is several Taylor moves
+    spec = example_one_spec()
+    spec = GameSpec(
+        A=-0.3 * np.eye(4), B=spec.B, C=spec.C, Q=spec.Q, Q_f=spec.Q_f,
+        R_p=spec.R_p, R_e=spec.R_e, t0=0.0, tf=1000.0, x0=spec.x0,
     )
-    problem = make_value_problem(example_spec)
-    solve_riccati(problem, example_spec.t0)
-    assert len(blocks) == math.ceil(STEPS / block_length(problem, example_spec.t0))
+    sol = assert_matches(make_value_problem(spec), 0.0)
+    assert abs(sol.count.h) < 0.1 * spec.horizon / STEPS
+
+
+def test_one_count_and_no_expm(example_spec, counts, monkeypatch):
+    # the value solve counts its flow once and reads every node off that
+    # count, with no matrix exponential of its own
+    monkeypatch.setattr(la, "expm", lambda *args: pytest.fail("expm called"))
+    sol = solve_riccati(make_value_problem(example_spec), example_spec.t0)
+    assert counts == [sol.count]
 
 
 @pytest.mark.parametrize("n", [1, 3])
 def test_pole_inside_a_block_matches_oracle(n):
     # evader-only axes with weights 1, 2, ...: P_i = 1 / (1 - i^2 (tf - t))
     # has its pole at tf - 1/i^2, so the largest pole is tf - 1/n^2; it
-    # falls strictly between nodes and strictly inside a block
+    # falls strictly between nodes
     spec = GameSpec(
         A=np.zeros((n, n)), B=np.zeros((n, n)), C=np.diag(np.arange(1.0, n + 1)),
         Q=np.zeros((n, n)), Q_f=np.eye(n), R_p=np.eye(n), R_e=np.eye(n),
@@ -168,7 +171,7 @@ def test_pole_inside_a_block_matches_oracle(n):
     pole = spec.tf - 1.0 / n**2
     h = spec.horizon / STEPS
     k = int((spec.tf - pole) / h)
-    assert 0 < k % block_length(problem, spec.t0) and (spec.tf - pole) / h > k
+    assert (spec.tf - pole) / h > k
     with pytest.raises(FiniteEscape) as exc_info:
         solve_riccati(problem, spec.t0)
     report = exc_info.value.report

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from pegame.errors import EventOrdering, InadmissibleInterval, IntervalAdmissible, NegativeBudget
 from pegame.game_model import GameSpec, example_one_spec
-from pegame.riccati import STEPS, eval_solution, solve_value_riccati
+from pegame.riccati import STEPS, eval_solution, make_value_problem, solve_value_riccati
 from pegame.simulator import (
     Strategy,
     deviation_gain_check,
@@ -21,6 +21,7 @@ from pegame.simulator import (
     simulate,
     transition_flow,
 )
+from test_riccati_reference import restart_solve
 
 
 def deviation_payoff_formula(c):
@@ -432,13 +433,14 @@ def test_reachable_radius_scaling_laws(budget, horizon, weight, k):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_transition_flow_nodes_match_step_loop(make_clean_spec, n):
-    # reference: one solve per step factor, the loop that the batched
-    # inverse and the accumulated products replace; each of the STEPS
-    # products may add a rounding error
+    # reference: one solve per step factor of the per-step restart oracle,
+    # the loop that the batched inverse and the accumulated products
+    # replace; each of the STEPS products may add a rounding error
     spec = make_clean_spec(np.random.default_rng(40 + n), n=n)
     sol = solve_value_riccati(spec)
+    _, steps = restart_solve(make_value_problem(spec), spec.t0)
     phis = [np.eye(n)]
-    for step in sol.steps[::-1]:
+    for step in steps[::-1]:
         phis.append(np.linalg.solve(step, phis[-1]))
     ref = np.stack(phis[::-1])
     got = transition_flow(spec, sol)(sol.grid)
