@@ -19,11 +19,15 @@ Two independent detectors cross-validate each other:
 Escape times are resolved to ``TIME_TOL_REL`` of the search span.
 ``_escape_inside`` decides whether an interval's escape lies inside it,
 for the scheduler and the simulator: within ``BOUNDARY_TOL_REL`` of the
-horizon of its start it sits on the start, where the estimate resets.  It
-hands back the counted flow, which also evaluates the interval's gap flow.
-``_slack_root`` runs the count in the terminal time.
+horizon of its start it sits on the start, where the estimate resets.  Its
+flow starts from the value flow's plane at the interval's end, read off the
+value count (``_gap_plane``), and it hands back that counted flow, which
+also evaluates the interval's gap flow.  ``_slack_root`` runs the count in
+the terminal time, against the same planes.
 """
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
@@ -35,12 +39,10 @@ from .riccati import (
     RiccatiSolution,
     _Count,
     _illinois,
-    _eval_many,
     _orth,
     _plane_count,
     _pole_report,
     _sym,
-    eval_solution,
 )
 
 CHART_LEVEL = 1e1  # spectral norm at which the norm detector changes chart
@@ -223,7 +225,8 @@ def detect_escape_norm(problem: RiccatiProblem, floor: float) -> EscapeReport:
 def _gap_count(spec: GameSpec, terminal_time: float, terminal_value, floor: float) -> _Count:
     """Count of the gap flow ending at ``terminal_value`` against the plane
     [0; I], down to ``floor``; its first meeting is the largest pole."""
-    return _plane_count(spec._gap_flow, terminal_time, terminal_value, floor)
+    Z0 = np.vstack((np.eye(spec.n_x), terminal_value))
+    return _plane_count(spec._gap_flow, terminal_time, Z0, floor)
 
 
 def detect_escape_radon(
@@ -250,13 +253,20 @@ def _interval(flow: _Count, a: float, tol: float) -> tuple[bool, float | None]:
     return flow.count(min(a + tol, flow.s[0])) != 0, pole
 
 
+def _gap_plane(value_sol: RiccatiSolution, b) -> np.ndarray:
+    """An orthonormal frame of [I; -P(b)], the start of the gap flow ending at
+    b (a stack at an array of times): the value count's plane, V negated."""
+    Z = value_sol.count.plane(b)
+    return _orth(Z * np.repeat([1.0, -1.0], Z.shape[-1])[:, None])
+
+
 def _escape_inside(
     spec: GameSpec, value_sol: RiccatiSolution, a: float, b: float
 ) -> tuple[bool, float | None, _Count]:
-    """``_interval`` of [a, b) for the gap flow that ends at -P(b), counted
-    down to a - tol, tol the boundary tolerance; and that counted flow."""
+    """``_interval`` of [a, b) for the gap flow from ``_gap_plane`` at b,
+    counted down to a - tol, tol the boundary tolerance; and that flow."""
     tol = BOUNDARY_TOL_REL * spec.horizon
-    flow = _gap_count(spec, b, -eval_solution(value_sol, b), a - tol)
+    flow = _plane_count(spec._gap_flow, b, _gap_plane(value_sol, b), a - tol)
     return (*_interval(flow, a, tol), flow)
 
 
@@ -269,23 +279,19 @@ def _slack_root(
     That flow at t_a is V U^-1 for [U; V] = exp(H (t_a - tau)) [I; -P(tau)],
     so its pole is where the plane of [I; -P(tau)] meets
     exp(H (tau - t_a)) [0; I], a path moved by the gap Hamiltonian H.  The
-    former is the value flow's plane [I; P(tau)], moved by the value
-    Hamiltonian H_v, reflected by D = diag(I, -I); D H_v D is Hamiltonian
-    (J D = -D J) with the norm of H_v, so ``_Count``'s lift bound along tau
-    is 2n (||H||_2 + ||H_v||_2), both norms kept by their propagators.  The
-    count starts at 0 and, as the plane at t = tau never meets [0; I],
-    equals at ``upper`` the count at t_a of the flow ending at ``upper``:
-    None means that flow has no pole there.  None too when t_a is not
-    below ``upper``, where (t_a, upper] is empty.
+    former is the value flow's plane, moved by the value Hamiltonian H_v,
+    reflected by D = diag(I, -I) (``_gap_plane``, exact off the value
+    count); D H_v D is Hamiltonian (J D = -D J) with the norm of H_v, so
+    ``_Count``'s lift bound along tau is 2n (||H||_2 + ||H_v||_2), both
+    norms kept by their propagators.  The count starts at 0 and, as the
+    plane at t = tau never meets [0; I], equals at ``upper`` the count at
+    t_a of the flow ending at ``upper``: None means that flow has no pole
+    there.  None too when t_a is not below ``upper``, where (t_a, upper] is
+    empty.
     """
     t_a = t_prev + BOUNDARY_TOL_REL * spec.horizon
     if t_a >= upper:
         return None
-    n = spec.n_x
-
-    def partner(tau):
-        P = _eval_many(value_sol, tau)
-        return _orth(np.concatenate((np.broadcast_to(np.eye(n), P.shape), -P), axis=-2))
-
-    V0 = np.vstack((np.zeros((n, n)), np.eye(n)))
+    V0 = np.eye(2 * spec.n_x)[:, spec.n_x :]  # [0; I]
+    partner = partial(_gap_plane, value_sol)
     return _Count(spec._gap_flow, V0, t_a, float(upper), partner, value_sol.count.exp.norm).first

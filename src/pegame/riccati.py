@@ -23,10 +23,12 @@ counts those meetings with multiplicity, as the Maslov index of the path
 the linear flow has no finite-time singularity.  ``solve_riccati`` counts
 the flow once: it raises FiniteEscape at the count's first pole, and
 otherwise reads exact values on a uniform grid off that count, with node
-derivatives for cubic-Hermite dense output.  Escape times are resolved to
-``TIME_TOL_REL`` of the span.  Everything here works on the Hamiltonian
-form; the independent check that integrates the nonlinear flow itself,
-the norm escape detector, lives in ``escape``.
+derivatives for cubic-Hermite dense output of P; what needs the flow's
+plane instead (gap flows' starts, the slack partner, the transition
+matrix) reads it exactly off the count (``_Count.plane``).  Escape times
+are resolved to ``TIME_TOL_REL`` of the span.  Everything here works on
+the Hamiltonian form; the independent check that integrates the nonlinear
+flow itself, the norm escape detector, lives in ``escape``.
 """
 from __future__ import annotations
 
@@ -113,9 +115,7 @@ def make_gap_problem(
 ) -> RiccatiProblem:
     """Gap flow (error-value minus value) ending at ``terminal_time``,
     where it equals minus the value flow."""
-    return _gap_problem(
-        spec, terminal_time, -eval_solution(value_sol, terminal_time)
-    )
+    return _gap_problem(spec, terminal_time, -value_sol.count.value(terminal_time))
 
 
 @dataclass(frozen=True)
@@ -133,18 +133,6 @@ class RiccatiSolution:
     values: np.ndarray    # (K, n, n)
     derivs: np.ndarray    # (K, n, n)
     count: _Count
-
-
-def _step_factors(sol: RiccatiSolution) -> np.ndarray:
-    """The U factors of the exact steps from ``grid[k]`` to ``grid[k + 1]``:
-    the U block of exp(H dt) [I; values[k]], which carries the linear
-    flow's U block between the nodes.  exp(H dt) is m Taylor moves of the
-    count (``_Count.exp``), each no longer than its cell."""
-    count, n = sol.count, sol.values.shape[-1]
-    dt = sol.grid[1] - sol.grid[0]
-    m = int(np.ceil(abs(dt / count.h)))
-    E = np.linalg.matrix_power(count.exp(dt / m), m)
-    return E[:n, :n] + E[:n, n:] @ sol.values[:-1]
 
 
 def _segment(grid: np.ndarray, t):
@@ -295,7 +283,7 @@ class _Count:
     spacing gives x = ||K dt||_2 <= pi/4, so it errs by at most
     x^19 / 19! e^x < 2e-19 for any K, defective or not (Moler and Van
     Loan, SIAM Rev. 45, 2003).
-    Outside the span that fails: ``value`` and ``count`` raise OutOfRange.
+    Outside the span that fails: a time outside it raises OutOfRange.
     A span that needs ``MAX_COUNT_POINTS`` grid points or more raises
     ValueError before anything is allocated.
     """
@@ -310,7 +298,7 @@ class _Count:
             )
         self.exp, self.K, self.partner = flow, flow.K, partner
         self.s = np.linspace(start, end, max(1, int(cells)) + 1)
-        self.h = self.s[1] - self.s[0]
+        self.h = (end - start) / (len(self.s) - 1)  # s[1] - s[0] rounds to their ulp
         self.tol = TIME_TOL_REL * max(span, 1e-12)
         steps = _powers(self.exp(self.h), 4 * n)
         frames = [_orth(Z0)]
@@ -332,11 +320,16 @@ class _Count:
         of one shape."""
         return self.exp(s - self.s[k]) @ self.frames[k]
 
+    def plane(self, s) -> np.ndarray:
+        """A frame [U; V] of Q's plane at s, or a stack at an array of
+        times: the frame that opens the cell of s, moved to s."""
+        s = np.asarray(s, dtype=float)
+        return self._move(s, self._cell(s))
+
     def value(self, s) -> np.ndarray:
         """Q's flow V U^-1 at s, or a stack of it at an array of times;
         raises LinAlgError at a pole."""
-        s = np.asarray(s, dtype=float)
-        UV = self._move(s, self._cell(s)).swapaxes(-1, -2)  # [U' V']
+        UV = self.plane(s).swapaxes(-1, -2)  # [U' V']
         n = UV.shape[-2]
         # the symmetric part of (V U^-1)' is that of V U^-1
         return _sym(np.linalg.solve(UV[..., :n], UV[..., n:]))
@@ -376,14 +369,12 @@ class _Count:
         return _illinois(signed_angle, a, fa, b, fb, self.tol)
 
 
-def _plane_count(flow: _Taylor, terminal_time: float, terminal_value, floor: float) -> _Count:
-    """Count of the linear flow moved by ``flow`` from [I; X] at
-    ``terminal_time``, X the terminal value, against the plane [0; I], down
+def _plane_count(flow: _Taylor, start: float, Z0: np.ndarray, floor: float) -> _Count:
+    """Count of the linear flow moved by ``flow`` from the frame Z0 at
+    ``start`` ([I; X] for a terminal value X) against the plane [0; I], down
     to ``floor``; its first meeting is the Riccati flow's largest pole."""
-    n = len(terminal_value)
-    V0 = np.vstack((np.zeros((n, n)), np.eye(n)))
-    Z0 = np.vstack((np.eye(n), terminal_value))
-    return _Count(flow, Z0, float(terminal_time), float(floor), lambda s: V0)
+    V0 = np.eye(2 * Z0.shape[-1])[:, Z0.shape[-1] :]
+    return _Count(flow, Z0, float(start), float(floor), lambda s: V0)
 
 
 def _pole_report(flow: _Count, floor: float, t1: float) -> EscapeReport:
@@ -410,7 +401,8 @@ def solve_riccati(problem: RiccatiProblem, floor: float) -> RiccatiSolution:
     floor = float(floor)
     if not floor < t1:
         raise ValueError("floor must lie below the terminal time")
-    count = _plane_count(_Taylor(problem.hamiltonian), t1, problem.terminal_value, floor)
+    Z0 = np.vstack((np.eye(problem.n), problem.terminal_value))
+    count = _plane_count(_Taylor(problem.hamiltonian), t1, Z0, floor)
     report = _pole_report(count, floor, t1)
     if report.found:
         raise FiniteEscape(

@@ -7,7 +7,8 @@ the flow ending at the next instant, plus a safety margin, which maximizes
 every inter-communication duration and therefore minimizes the count.
 
 Escapes are counted on the linear flow (``riccati._Count``), the oracle of
-record.  Escape at an interval's left endpoint is allowed: the estimate
+record; each flow starts from the value flow's plane at its end, read off
+the value count (``escape._gap_plane``), not from an interpolated P.  Escape at an interval's left endpoint is allowed: the estimate
 resets there.  A boundary tolerance of 1e-8 of the horizon absorbs
 detector noise there: [a, b) passes when the count of the flow ending at b
 is zero at a + tol (``escape._interval``, shared with the simulator).  The
@@ -21,9 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DegenerateSchedule, NoFeasibleInstance
-from .escape import BOUNDARY_TOL_REL, _escape_inside, _gap_count, _interval, _slack_root
+from .escape import BOUNDARY_TOL_REL, _escape_inside, _interval, _slack_root
 from .game_model import GameSpec
-from .riccati import RiccatiSolution, eval_solution
+from .riccati import RiccatiSolution
 
 MARGIN_REL = 1e-6
 
@@ -115,11 +116,10 @@ def optimal_schedule(
     flows = []
     t_next = spec.tf
     for _ in range(10000):
-        flow = _gap_count(spec, t_next, -eval_solution(value_sol, t_next), spec.t0 - tol)
+        inside, t_star, flow = _escape_inside(spec, value_sol, spec.t0, t_next)
         flows.insert(0, flow)
-        if flow.count(spec.t0 + tol) == 0:
+        if not inside:
             break
-        t_star = flow.first
         if t_star <= spec.t0 + margin:
             raise DegenerateSchedule(
                 f"escape at {t_star:.9g} within margin of t0={spec.t0}"

@@ -35,14 +35,7 @@ import scipy.linalg as la
 from .errors import InadmissibleInterval, IntervalAdmissible, NegativeBudget
 from .escape import _escape_inside
 from .game_model import GameSpec
-from .riccati import (
-    RiccatiSolution,
-    _eval_many,
-    _hermite,
-    _step_factors,
-    eval_solution,
-    solve_value_riccati,
-)
+from .riccati import RiccatiSolution, _eval_many, eval_solution, solve_value_riccati
 
 DEFAULT_STEP_REL = 1.0 / 2000.0
 MIN_SUBSTEPS = 10
@@ -384,12 +377,8 @@ def payoff_two_ways(
     traj: Trajectory, spec: GameSpec, value_sol: RiccatiSolution
 ) -> tuple[float, float]:
     """Payoff by direct quadrature and by the completed-square identity."""
-    direct = traj.payoff_direct
-    P0 = eval_solution(value_sol, spec.t0)
-    completed = float(
-        spec.x0 @ P0 @ spec.x0 + traj.cs_pursuer[-1] - traj.cs_evader[-1]
-    )
-    return direct, completed
+    completed = game_value(spec, value_sol) + traj.cs_pursuer[-1] - traj.cs_evader[-1]
+    return traj.payoff_direct, float(completed)
 
 
 def game_value(spec: GameSpec, value_sol: RiccatiSolution) -> float:
@@ -402,23 +391,34 @@ def game_value(spec: GameSpec, value_sol: RiccatiSolution) -> float:
 # open-loop pair
 
 
-def transition_flow(spec: GameSpec, value_sol: RiccatiSolution):
-    """Dense state-transition matrix Phi(t, t0) of mutual equilibrium play.
+def _equilibrium_flow(value_sol: RiccatiSolution, x0: np.ndarray):
+    """[x; P x](t) of mutual equilibrium play from the columns of ``x0`` at
+    t0, at a time or a stack of it at an array of times.
 
-    Mutual equilibrium play drives the state with A + (C R_e^-1 C' -
-    B R_p^-1 B') P, the U block of the value flow's linear
-    representation, so Phi(t, t0) = U(t) U(t0)^-1.  The exact step factors
-    (``riccati._step_factors``: the value count's Taylor move from each
-    exact node) carry U from node to node, so Phi at each node is a
-    product of their inverses, all inverted in one batched call; between
-    nodes it is cubic Hermite.
+    The play drives the state with A + (C R_e^-1 C' - B R_p^-1 B') P, the U
+    block of the value flow's linear representation, so [x; P x](t) =
+    [U; V](t) U(t0)^-1 x0 = exp(H (t - s_k)) F_k c_k, with F_k the value
+    count's frame at the grid point s_k that opens the cell of t.  At t0,
+    the last point, c_K = U_K^-1 x0 with U_K the top block of F_K; each c_k
+    above is F_{k+1}, moved up one cell and projected onto F_k, times c_{k+1}.
     """
-    inverses = np.linalg.inv(_step_factors(value_sol)[::-1])
-    products = accumulate(inverses, lambda phi, inv: inv @ phi, initial=np.eye(spec.n_x))
-    phis = np.stack(list(products)[::-1])
-    closed_loop = spec.A + spec.controllability_gap() @ value_sol.values
-    derivs = closed_loop @ phis
-    return lambda t: _hermite(value_sol.grid, phis, derivs, t)
+    count = value_sol.count
+    up = count.frames[:-1].swapaxes(-1, -2) @ count.exp(-count.h) @ count.frames[1:]
+    last = np.linalg.solve(count.frames[-1][: len(x0)], x0)
+    coeffs = np.stack(list(accumulate(up[::-1], lambda c, step: step @ c, initial=last))[::-1])
+
+    def flow(t) -> np.ndarray:
+        k = count._cell(t)
+        return count._move(t, k) @ coeffs[k]
+
+    return flow
+
+
+def transition_flow(spec: GameSpec, value_sol: RiccatiSolution):
+    """Dense state-transition matrix Phi(t, t0) of mutual equilibrium play:
+    ``_equilibrium_flow`` from the identity, exact at every time."""
+    flow = _equilibrium_flow(value_sol, np.eye(spec.n_x))
+    return lambda t: flow(t)[..., : spec.n_x, :]
 
 
 def open_loop_inputs(
@@ -427,13 +427,14 @@ def open_loop_inputs(
     """Equilibrium inputs precomputed from the initial state alone.
 
     Matches the feedback pair along the mutual-equilibrium trajectory but
-    depends only on time, so either player can commit to it offline.
+    depends only on time, so either player can commit to it offline.  Both
+    read P x(t) off ``_equilibrium_flow``.
     """
     grid = np.asarray(grid, dtype=float)
-    phi = transition_flow(spec, value_sol)
+    flow = _equilibrium_flow(value_sol, spec.x0[:, None])
 
     def dense(gain):
-        return lambda t: _mv(gain @ _eval_many(value_sol, t), phi(t) @ spec.x0)
+        return lambda t: (gain @ flow(t)[..., spec.n_x :, :])[..., 0]
 
     u_p, u_e = dense(-spec._gains[0]), dense(spec._gains[1])
     return tuple(InputSeries(times=grid, values=u(grid), dense=u) for u in (u_p, u_e))

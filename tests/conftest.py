@@ -1,4 +1,5 @@
 import os
+from dataclasses import replace
 
 # one BLAS thread for the small matrices of this suite, fixed before numpy
 # is first imported: a threaded BLAS spends far longer starting its
@@ -60,6 +61,13 @@ def _escape_spec(rng, n=2):
     )
 
 
+def _unstable_spec(seed):
+    """The clean n = 3 game of rng seed ``seed`` with 2 I added to its
+    drift, over 40 time units."""
+    spec = _clean_spec(np.random.default_rng(seed), n=3)
+    return replace(spec, A=spec.A + 2.0 * np.eye(3), tf=40.0)
+
+
 @pytest.fixture(scope="session")
 def example_spec():
     return example_one_spec()
@@ -78,6 +86,24 @@ def make_clean_spec():
 @pytest.fixture(scope="session")
 def make_escape_spec():
     return _escape_spec
+
+
+@pytest.fixture(scope="session")
+def make_unstable_spec():
+    return _unstable_spec
+
+
+@pytest.fixture(scope="session")
+def long_spec():
+    """example1 with A = -0.3 I over 1000 time units: the value flow
+    settles, and its gap flows escape twice within four time units of the
+    end, where the value solve's nodes lie one time unit apart."""
+    return replace(example_one_spec(), A=-0.3 * np.eye(4), tf=1000.0)
+
+
+@pytest.fixture(scope="session")
+def long_value_sol(long_spec):
+    return solve_value_riccati(long_spec)
 
 
 @pytest.fixture(scope="session")

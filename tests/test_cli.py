@@ -287,22 +287,24 @@ def test_reachability_command(capsys, tmp_path):
 
 
 # header, first and last data row of each example1 CSV, as written before
-# the three writers shared one
+# the three writers shared one; the riccati and simulate rows re-pinned to
+# round-off when the Maslov count's grid step stopped being read off two
+# rounded grid points
 CSV_ROWS = {
     ("riccati", "--preset", "example1"): (
         "t,m0_0,m0_1,m0_2,m0_3,m1_0,m1_1,m1_2,m1_3,m2_0,m2_1,m2_2,m2_3,m3_0,m3_1,m3_2,m3_3",
-        "0,0.3333333333333332,-0,-0.33333333333333331,-0,-0,0.3333333333333332,-0,"
-        "-0.33333333333333331,-0.33333333333333331,-0,0.33333333333333343,-0,-0,"
-        "-0.33333333333333331,-0,0.33333333333333343",
+        "0,0.33333333333333331,-0,-0.33333333333333348,-0,-0,0.33333333333333331,-0,"
+        "-0.33333333333333348,-0.33333333333333348,-0,0.33333333333333359,-0,-0,"
+        "-0.33333333333333348,-0,0.33333333333333359",
         "1,1,0,-1,-0,0,1,-0,-1,-1,-0,1,0,-0,-1,0,1",
     ),
     ("simulate", "--preset", "example1", "--instants", "0.5"): (
         "t,x0,x1,x2,x3,xhat0,xhat1,xhat2,xhat3,e0,e1,e2,e3,up0,up1,ue0,ue1,"
         "running_cost,event_flag",
-        "0,0,0,1,0,0,0,1,0,0,0,0,0,1.3333333333333333,0,0.66666666666666685,0,0,0",
-        "1,1.3333333333332562,0,1.6666666666666301,0,1.3333333333332562,0,"
-        "1.6666666666666301,0,0,0,0,0,1.3333333333334956,0,0.66666666666674779,0,"
-        "0.22222222222219667,0",
+        "0,0,0,1,0,0,0,1,0,0,0,0,0,1.3333333333333339,0,0.66666666666666718,0,0,0",
+        "1,1.3333333333332558,0,1.6666666666666292,0,1.3333333333332558,0,"
+        "1.6666666666666292,0,0,0,0,0,1.3333333333334938,0,0.6666666666667469,0,"
+        "0.22222222222219676,0",
     ),
     ("reachability", *EXAMPLE1_REACH): ("x,y", "1.5,0", "1.5,-1.2246467991473532e-16"),
 }
@@ -477,6 +479,22 @@ def test_horizon_too_long_for_the_count_is_usage_error(capsys, tmp_path, command
     assert time.perf_counter() - start < 1.0
     one_line_error(code, out, err)
     assert "grid points" in err
+
+
+def test_long_horizon_schedule_fails_a_late_single_instant(capsys, tmp_path):
+    # example1 with A = -0.3 I over 1000 time units needs two instants; the
+    # last alone leaves an escape at 996.1763 inside [0, 999.4065)
+    doc = spec_to_dict(example_one_spec())
+    doc["A"], doc["tf"] = (-0.3 * np.eye(4)).tolist(), 1000.0
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, "schedule", "--spec", str(path))
+    assert code == 0 and json.loads(out)["N"] == 2
+    code, out, _ = run_cli(
+        capsys, "check-schedule", "--spec", str(path), "--strict",
+        "--instants", "999.40654176010241",
+    )
+    assert code == 1 and json.loads(out)["pass"] is False
 
 
 @pytest.mark.parametrize("preset", [[], {"a": 1}], ids=["list", "object"])

@@ -533,3 +533,12 @@ def test_stepper_nodes_match_the_count(make_escape_spec):
             nodes += 1
     assert nodes > 31
     assert worst <= 1e-9
+
+
+def test_norm_detector_from_the_exact_terminal_on_a_long_horizon(long_spec, long_value_sol):
+    # make_gap_problem reads -P(b) off the value count, the flow the count
+    # certifies; through the Hermite interpolant the flow had no escape
+    problem = make_gap_problem(long_spec, long_value_sol, 999.40654176010241)
+    report = detect_escape_norm(problem, long_spec.t0)
+    assert report.found
+    assert report.t_escape == pytest.approx(996.17630387, abs=1e-6)

@@ -3,8 +3,8 @@ escapes against closed forms.
 
 ``restart_solve`` propagates the flow exactly one step at a time: every
 step restarts scipy's matrix exponential from [I; X] at its node.  The
-solve reads its nodes off the Maslov count instead, and forms its step
-factors with the count's Taylor move, so the two agree to round-off.
+solve reads its nodes off the Maslov count instead, so the two agree to
+round-off.
 The oracle finds poles its own way: a step holds one when its U factor
 has a real eigenvalue at or below zero, or when the value there is
 singular or past the norm guard ``BLOWUP``; bisection on the step length
@@ -19,11 +19,10 @@ import pytest
 import scipy.linalg as la
 
 from pegame.errors import FiniteEscape
-from pegame.game_model import GameSpec, example_one_spec
+from pegame.game_model import GameSpec
 from pegame.riccati import (
     STEPS,
     RiccatiProblem,
-    _step_factors,
     _sym,
     make_value_problem,
     solve_riccati,
@@ -99,9 +98,8 @@ def _close(a, b):
 
 def assert_matches(problem, floor):
     sol = solve_riccati(problem, floor)
-    values, steps = restart_solve(problem, floor)
+    values, _ = restart_solve(problem, floor)
     assert _close(sol.values, values)
-    assert _close(_step_factors(sol), steps)
     return sol
 
 
@@ -126,27 +124,16 @@ def test_clean_games_match_oracle(make_clean_spec):
 
 
 @pytest.mark.parametrize("seed", [5, 6, 7])
-def test_long_unstable_horizon_matches_oracle(make_clean_spec, seed):
+def test_long_unstable_horizon_matches_oracle(make_unstable_spec, seed):
     # 40 time units of unstable drift: the count's frames stay well
     # conditioned where the oracle's restarts do
-    spec = make_clean_spec(np.random.default_rng(seed), n=3)
-    spec = GameSpec(
-        A=spec.A + 2.0 * np.eye(3), B=spec.B, C=spec.C, Q=spec.Q, Q_f=spec.Q_f,
-        R_p=spec.R_p, R_e=spec.R_e, t0=0.0, tf=40.0, x0=spec.x0,
-    )
-    assert_matches(make_value_problem(spec), 0.0)
+    assert_matches(make_value_problem(make_unstable_spec(seed)), 0.0)
 
 
-def test_long_stable_horizon_matches_oracle():
-    # example1 with A = -0.3 I over 1000 time units: a grid step spans
-    # many cells of the count, so each step factor is several Taylor moves
-    spec = example_one_spec()
-    spec = GameSpec(
-        A=-0.3 * np.eye(4), B=spec.B, C=spec.C, Q=spec.Q, Q_f=spec.Q_f,
-        R_p=spec.R_p, R_e=spec.R_e, t0=0.0, tf=1000.0, x0=spec.x0,
-    )
-    sol = assert_matches(make_value_problem(spec), 0.0)
-    assert abs(sol.count.h) < 0.1 * spec.horizon / STEPS
+def test_long_stable_horizon_matches_oracle(long_spec):
+    # a grid step spans many cells of the count
+    sol = assert_matches(make_value_problem(long_spec), 0.0)
+    assert abs(sol.count.h) < 0.1 * long_spec.horizon / STEPS
 
 
 def test_one_count_and_no_expm(example_spec, counts, monkeypatch):

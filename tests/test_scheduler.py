@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
 
+from pegame import riccati
 from pegame.errors import DegenerateSchedule, UnsortedInstants
+from pegame.escape import detect_escape_norm
 from pegame.game_model import GameSpec, example_one_spec
-from pegame.riccati import solve_value_riccati
+from pegame.riccati import make_gap_problem, solve_value_riccati
 from pegame.scheduler import (
     MARGIN_REL,
     check_admissibility,
     max_next_instance,
     optimal_schedule,
 )
+from pegame.simulator import open_loop_pair
 
 
 def _with_horizon(spec, tf):
@@ -278,3 +281,41 @@ def test_slack_supremum_is_tight_on_random_games(make_escape_spec):
         if games == 5:
             break
     assert games == 5
+
+
+@pytest.fixture(scope="module")
+def long_schedule(long_spec, long_value_sol):
+    return optimal_schedule(long_spec, long_value_sol)
+
+
+def test_long_horizon_schedule(long_schedule):
+    # the gap flows start from the value count's exact planes: read through
+    # the Hermite interpolant, P(999.4065) was 20% off, and the schedule had
+    # the one instant 999.4065, below which the flow from the exact -P
+    # escapes at 996.1763
+    assert long_schedule.instants == pytest.approx([996.1773038714, 999.4065417601], abs=1e-6)
+    assert long_schedule.admissible
+
+
+def test_long_horizon_slack_meets_the_norm_detector(long_spec, long_value_sol, long_schedule):
+    # the flow from the exact terminal -P one margin below each supremum
+    # stays finite above the instant before; one margin above, it escapes
+    margin = MARGIN_REL * long_spec.horizon
+    assert len(long_schedule.slack_sup) == 2
+    for t_prev, sup in zip((long_spec.t0, *long_schedule.instants), long_schedule.slack_sup):
+        below, above = (
+            detect_escape_norm(make_gap_problem(long_spec, long_value_sol, sup + d), t_prev)
+            for d in (-margin, margin)
+        )
+        assert not below.found and above.found
+
+
+def test_planes_need_no_interpolant(example_spec, example_value_sol, monkeypatch):
+    # the scheduler, the slack root, the certificates and open-loop play
+    # read the value flow's planes off its count, never P between nodes
+    monkeypatch.setattr(riccati, "_hermite", lambda *args: pytest.fail("Hermite read"))
+    sched = optimal_schedule(example_spec, example_value_sol)
+    assert sched.N == 1 and len(sched.slack_sup) == 1
+    assert all(c.passed for c in check_admissibility(example_spec, example_value_sol, [0.6]))
+    assert max_next_instance(example_spec, example_value_sol, 0.0, 1.0) == sched.slack_sup[0]
+    open_loop_pair(example_spec, example_value_sol)

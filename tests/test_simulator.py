@@ -431,20 +431,46 @@ def test_reachable_radius_scaling_laws(budget, horizon, weight, k):
     )
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_transition_flow_nodes_match_step_loop(make_clean_spec, n):
-    # reference: one solve per step factor of the per-step restart oracle,
-    # the loop that the batched inverse and the accumulated products
-    # replace; each of the STEPS products may add a rounding error
-    spec = make_clean_spec(np.random.default_rng(40 + n), n=n)
-    sol = solve_value_riccati(spec)
-    _, steps = restart_solve(make_value_problem(spec), spec.t0)
-    phis = [np.eye(n)]
+def _restart_transition(spec):
+    """The per-step restart oracle's node values, and Phi(t, t0) at its
+    nodes by one solve per step factor; each of the STEPS products may add
+    a rounding error."""
+    values, steps = restart_solve(make_value_problem(spec), spec.t0)
+    phis = [np.eye(spec.n_x)]
     for step in steps[::-1]:
         phis.append(np.linalg.solve(step, phis[-1]))
-    ref = np.stack(phis[::-1])
+    return values, np.stack(phis[::-1])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_transition_flow_nodes_match_step_loop(make_clean_spec, n):
+    spec = make_clean_spec(np.random.default_rng(40 + n), n=n)
+    sol = solve_value_riccati(spec)
+    _, ref = _restart_transition(spec)
     got = transition_flow(spec, sol)(sol.grid)
     assert np.abs(got - ref).max() <= STEPS * np.finfo(float).eps * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("game", [5, 6, 7, "example1", "long"])
+def test_transition_flow_off_nodes_matches_restart_oracle(
+    game, make_unstable_spec, example_spec, long_spec
+):
+    # the oracle restarts exactly from the node above each time; the flow
+    # reads the value count's plane there, with no interpolant.  On the long
+    # horizon one rounding of the count's grid step compounds over its 20486
+    # cells: 3.9e-12 at t = 959 against a 450-digit expm, where the oracle
+    # is within 1.5e-13.  An int game is the rng seed of an unstable one.
+    spec = {"example1": example_spec, "long": long_spec}.get(game) or make_unstable_spec(game)
+    values, phis = _restart_transition(spec)
+    rng = np.random.default_rng(13)
+    k, h = rng.choice(STEPS, 25, replace=False), spec.horizon / STEPS
+    t = spec.tf - (k + rng.uniform(0.1, 0.9, 25)) * h
+    H, n = make_value_problem(spec).hamiltonian, spec.n_x
+    E = np.stack([la.expm(H * (tk - spec.tf + j * h)) for tk, j in zip(t, k)])
+    ref = (E[:, :n, :n] + E[:, :n, n:] @ values[k]) @ phis[k]
+    got = transition_flow(spec, solve_value_riccati(spec))(t)
+    rel = np.abs(got - ref).max(axis=(1, 2)) / np.abs(ref).max(axis=(1, 2))
+    assert rel.max() <= (1e-11 if game == "long" else 1e-12)
 
 
 def test_transition_flow_matches_rk4_reference(make_clean_spec):
