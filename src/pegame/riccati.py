@@ -22,10 +22,10 @@ counts those meetings with multiplicity, as the Maslov index of the path
 (Robbin and Salamon, Topology 32, 1993), and is the one oracle of poles:
 the linear flow has no finite-time singularity.  ``solve_riccati`` counts
 the flow once: it raises FiniteEscape at the count's first pole, and
-otherwise reads exact values on a uniform grid off that count, with node
-derivatives for cubic-Hermite dense output of P; what needs the flow's
-plane instead (gap flows' starts, the slack partner, the transition
-matrix) reads it exactly off the count (``_Count.plane``).  Escape times
+otherwise keeps the count, which gives the exact value at any time
+(``eval_solution``), and reads the values on a uniform grid off it; what
+needs the flow's plane instead (gap flows' starts, the slack partner, the
+transition matrix) reads it off the count too (``_Count.plane``).  Escape times
 are resolved to ``TIME_TOL_REL`` of the span.  Everything here works on
 the Hamiltonian form; the independent check that integrates the nonlinear
 flow itself, the norm escape detector, lives in ``escape``.
@@ -120,84 +120,36 @@ def make_gap_problem(
 
 @dataclass(frozen=True)
 class RiccatiSolution:
-    """Dense backward solution on a strictly decreasing uniform grid.
+    """Backward solution of one flow, read off ``count``, its Maslov count,
+    which is exact at any time (``eval_solution``).
 
-    ``values[k]`` and ``derivs[k]`` hold the matrix and its time
-    derivative at ``grid[k]``; the values are read off ``count``, the
-    flow's Maslov count, which is exact at any time.  Evaluation between
-    nodes is cubic Hermite.
+    ``values[k]`` holds the matrix at ``grid[k]``, a strictly decreasing
+    uniform grid; ``values[0]`` is the terminal value as given.
     """
 
     kind: str
     grid: np.ndarray      # strictly decreasing, grid[0] = terminal_time
     values: np.ndarray    # (K, n, n)
-    derivs: np.ndarray    # (K, n, n)
     count: _Count
-
-
-def _segment(grid: np.ndarray, t):
-    """Storage index j of the node interval [grid[j+1], grid[j]] holding
-    t, the position s in [0, 1] from its lower end, and its length; t may
-    be an array of times."""
-    asc_t = grid[::-1]
-    k_asc = np.searchsorted(asc_t, t, side="right") - 1
-    j = len(grid) - 2 - np.clip(k_asc, 0, len(asc_t) - 2)
-    h = grid[j] - grid[j + 1]
-    return j, (t - grid[j + 1]) / h, h
 
 
 def _in_range(t, lo, hi) -> np.ndarray:
     """t, or an array of times, clipped to [lo, hi]; raises OutOfRange if
-    one lies outside by more than 1e-12 of the interval's scale."""
+    one is NaN or lies outside by more than 1e-12 of the interval's scale."""
     t = np.asarray(t, dtype=float)
     slack = 1e-12 * max(1.0, abs(hi - lo), abs(hi), abs(lo))
-    outside = (t < lo - slack) | (t > hi + slack)
+    outside = ~((t >= lo - slack) & (t <= hi + slack))
     if outside.any():
         t_bad = float(np.extract(outside, t)[0])
         raise OutOfRange(f"t={t_bad} outside solved interval [{lo}, {hi}]")
     return np.clip(t, lo, hi)
 
 
-def _hermite(grid, values, derivs, t) -> np.ndarray:
-    """Cubic-Hermite interpolant of node values and derivatives on a
-    decreasing grid; exact at the nodes.  A time gives one matrix, an
-    array of times a stack of them."""
-    j, s, h = _segment(grid, _in_range(t, grid[-1], grid[0]))
-    s, h = s[..., None, None], h[..., None, None]
-    h00 = (1 + 2 * s) * (1 - s) ** 2
-    h10 = s * (1 - s) ** 2
-    h01 = s * s * (3 - 2 * s)
-    h11 = s * s * (s - 1)
-    return (
-        h00 * values[j + 1]
-        + h10 * h * derivs[j + 1]
-        + h01 * values[j]
-        + h11 * h * derivs[j]
-    )
-
-
-def _eval_many(sol: RiccatiSolution, t) -> np.ndarray:
-    """``eval_solution`` at an array of times in one batched call."""
-    return _sym(_hermite(sol.grid, sol.values, sol.derivs, t))
-
-
-def eval_solution(sol: RiccatiSolution, t: float) -> np.ndarray:
-    """Cubic-Hermite interpolant; exact at grid nodes, symmetrized."""
-    return _eval_many(sol, t)
-
-
-def _eval_derivative(sol: RiccatiSolution, t) -> np.ndarray:
-    """Time derivative of the Hermite interpolant (for residual checks),
-    at a time or a stack of it at an array of times."""
-    j, s, h = _segment(sol.grid, t)
-    s, h = s[..., None, None], h[..., None, None]
-    y0, y1 = sol.values[j + 1], sol.values[j]
-    f0, f1 = sol.derivs[j + 1], sol.derivs[j]
-    d00 = 6 * s * (s - 1) / h
-    d10 = (3 * s - 1) * (s - 1)
-    d01 = -6 * s * (s - 1) / h
-    d11 = s * (3 * s - 2)
-    return d00 * y0 + d10 * f0 + d01 * y1 + d11 * f1
+def eval_solution(sol: RiccatiSolution, t) -> np.ndarray:
+    """The flow's value V U^-1 at t, or a stack of it at an array of times,
+    read off the count; at the terminal time, the terminal value as given."""
+    at_end = (np.asarray(t) == sol.grid[0])[..., None, None]
+    return np.where(at_end, sol.values[0], sol.count.value(t))
 
 
 def _illinois(f, a: float, fa: float, b: float, fb: float, tol: float) -> float:
@@ -327,12 +279,15 @@ class _Count:
         return self._move(s, self._cell(s))
 
     def value(self, s) -> np.ndarray:
-        """Q's flow V U^-1 at s, or a stack of it at an array of times;
-        raises LinAlgError at a pole."""
-        UV = self.plane(s).swapaxes(-1, -2)  # [U' V']
+        """Q's flow V U^-1 at s, or a stack of it at an array of times,
+        solved once per distinct time; raises LinAlgError at a pole."""
+        s = np.asarray(s, dtype=float)
+        times, back = np.unique(s, return_inverse=True)
+        UV = self.plane(times).swapaxes(-1, -2)  # [U' V']
         n = UV.shape[-2]
         # the symmetric part of (V U^-1)' is that of V U^-1
-        return _sym(np.linalg.solve(UV[..., :n], UV[..., n:]))
+        X = _sym(np.linalg.solve(UV[..., :n], UV[..., n:]))
+        return X[back].reshape(s.shape + X.shape[1:])
 
     def _jump(self, s: float, k: int) -> tuple[int, np.ndarray]:
         """Minus the change of N from grid point k to s in its cell, and
@@ -411,7 +366,7 @@ def solve_riccati(problem: RiccatiProblem, floor: float) -> RiccatiSolution:
     grid = np.linspace(t1, floor, STEPS + 1)
     values = count.value(grid)
     values[0] = _sym(problem.terminal_value)
-    return RiccatiSolution(problem.kind, grid, values, problem.rhs(grid, values), count)
+    return RiccatiSolution(problem.kind, grid, values, count)
 
 
 def solve_value_riccati(spec: GameSpec) -> RiccatiSolution:
@@ -420,12 +375,18 @@ def solve_value_riccati(spec: GameSpec) -> RiccatiSolution:
 
 
 def riccati_residual(sol: RiccatiSolution, problem: RiccatiProblem) -> float:
-    """Max normalized ODE residual of the interpolant at the midpoints of
-    up to ``RESIDUAL_SAMPLES`` node intervals, in one batched call."""
+    """Max normalized ODE residual at the midpoints of up to
+    ``RESIDUAL_SAMPLES`` node intervals, in one batched call: the exact
+    derivative X' = (V' - X U') U^-1 of the count's planes, with
+    [U'; V'] = H [U; V], against ``problem.rhs`` at X = V U^-1."""
     K = len(sol.grid)
     j = np.unique(np.linspace(0, K - 2, min(RESIDUAL_SAMPLES, K - 1)).round().astype(int))
     tm = 0.5 * (sol.grid[j] + sol.grid[j + 1])
-    X = _eval_many(sol, tm)
-    res = _eval_derivative(sol, tm) - problem.rhs(tm, X)
+    n, Z = problem.n, sol.count.plane(tm)
+    # [U; V; U'; V'] U^-1 = [I; X; U' U^-1; V' U^-1]
+    ZZ = np.concatenate([Z, sol.count.K @ Z], axis=-2).swapaxes(-1, -2)
+    W = np.linalg.solve(ZZ[..., :n], ZZ).swapaxes(-1, -2)
+    X = W[..., n : 2 * n, :]
+    res = W[..., 3 * n :, :] - X @ W[..., 2 * n : 3 * n, :] - problem.rhs(tm, X)
     norms = np.linalg.norm(res, axis=(-2, -1)) / (1.0 + np.linalg.norm(X, axis=(-2, -1)))
     return float(np.max(norms, initial=0.0))

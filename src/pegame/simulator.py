@@ -35,17 +35,17 @@ import scipy.linalg as la
 from .errors import InadmissibleInterval, IntervalAdmissible, NegativeBudget
 from .escape import _escape_inside
 from .game_model import GameSpec
-from .riccati import RiccatiSolution, _eval_many, eval_solution, solve_value_riccati
+from .riccati import RiccatiSolution, eval_solution, solve_value_riccati
 
 DEFAULT_STEP_REL = 1.0 / 2000.0
 MIN_SUBSTEPS = 10
 MAX_STEPS = 10**6  # RK4 steps of one run; a step that needs more is refused
-BLOCK = 128  # RK4 steps per batched evaluation; bounds the stage arrays
+BLOCK = 256  # RK4 steps per batched evaluation; bounds the stage arrays
 
 
 def _mv(M: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Matrix-vector products over stacks of matrices and vectors."""
-    return (M @ v[..., None])[..., 0]
+    return np.einsum("...ij,...j->...i", M, v)
 
 
 def _quad(v: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -126,7 +126,7 @@ class _Stages:
 
 
 def _stages(spec: GameSpec, value_sol: RiccatiSolution, t, t_in) -> _Stages:
-    P = _eval_many(value_sol, t)
+    P = eval_solution(value_sol, t)
     return _Stages(t, t_in, spec._gains[0] @ P, spec._gains[1] @ P)
 
 
@@ -234,15 +234,16 @@ def _rk4(grid, z0: np.ndarray, system, events=(), reset=None):
             T += weight * k
         T = np.eye(m + 1) + (hk / 6.0) * T
 
-        starts = np.empty((K, n_batch, m + 1, 1))
-        for j in range(K):
-            if resets[lo + j]:
-                z = la.block_diag(reset, 1.0) @ z
-            starts[j] = z
-            z = T[j] @ z
+        starts = np.empty((K + 1, n_batch, m + 1, 1))
+        starts[0] = z
+        for j, (step, jump) in enumerate(zip(T, resets[lo : lo + K])):
+            if jump:
+                starts[j] = la.block_diag(reset, 1.0) @ starts[j]
+            np.matmul(step, starts[j], out=starts[j + 1])
+        z = starts[K]
 
         hk = h[:, None, None]
-        Z = [starts[..., 0]]
+        Z = [starts[:K, ..., 0]]
         for i, c in enumerate((0.5, 0.5, 1.0)):
             Z.append(Z[0] + c * hk * _mv(G[:, i], Z[-1]))
         r, out = rates(np.stack(Z, axis=1)[..., :m])
@@ -511,7 +512,7 @@ def deviation_gain_check(
     pursuer_gain, evader_gain = spec._gains
 
     def system(t, t_in, F, g):
-        P = _eval_many(value_sol, t)
+        P = eval_solution(value_sol, t)
         wt = w_fn(t_in, n_e)
         at_start = (t == a) & pole_at_start
         M = np.zeros_like(P)
@@ -567,7 +568,7 @@ def risky_strategy(
     def terms(s: _Stages):
         kicking = (s.t <= t_trunc)[..., None]
         tt = np.clip(s.t, t_trunc, b)
-        M = gap.value(tt) + _eval_many(value_sol, tt)
+        M = gap.value(tt) + eval_solution(value_sol, tt)
         L = np.where(kicking[..., None], 0.0, evader_gain @ M)
         return s.Ke - L, L, np.where(kicking, kick, 0.0)
 

@@ -289,7 +289,8 @@ def test_reachability_command(capsys, tmp_path):
 # header, first and last data row of each example1 CSV, as written before
 # the three writers shared one; the riccati and simulate rows re-pinned to
 # round-off when the Maslov count's grid step stopped being read off two
-# rounded grid points
+# rounded grid points, and the simulate rows again when the simulation
+# read P off the count instead of a cubic-Hermite interpolant
 CSV_ROWS = {
     ("riccati", "--preset", "example1"): (
         "t,m0_0,m0_1,m0_2,m0_3,m1_0,m1_1,m1_2,m1_3,m2_0,m2_1,m2_2,m2_3,m3_0,m3_1,m3_2,m3_3",
@@ -302,9 +303,9 @@ CSV_ROWS = {
         "t,x0,x1,x2,x3,xhat0,xhat1,xhat2,xhat3,e0,e1,e2,e3,up0,up1,ue0,ue1,"
         "running_cost,event_flag",
         "0,0,0,1,0,0,0,1,0,0,0,0,0,1.3333333333333339,0,0.66666666666666718,0,0,0",
-        "1,1.3333333333332558,0,1.6666666666666292,0,1.3333333333332558,0,"
-        "1.6666666666666292,0,0,0,0,0,1.3333333333334938,0,0.6666666666667469,0,"
-        "0.22222222222219676,0",
+        "1,1.3333333333333544,0,1.6666666666666983,0,1.3333333333333544,0,"
+        "1.6666666666666983,0,0,0,0,0,1.3333333333333757,0,0.66666666666668783,0,"
+        "0.2222222222222309,0",
     ),
     ("reachability", *EXAMPLE1_REACH): ("x,y", "1.5,0", "1.5,-1.2246467991473532e-16"),
 }
@@ -481,13 +482,19 @@ def test_horizon_too_long_for_the_count_is_usage_error(capsys, tmp_path, command
     assert "grid points" in err
 
 
-def test_long_horizon_schedule_fails_a_late_single_instant(capsys, tmp_path):
-    # example1 with A = -0.3 I over 1000 time units needs two instants; the
-    # last alone leaves an escape at 996.1763 inside [0, 999.4065)
+def long_spec_file(tmp_path):
+    """example1 with A = -0.3 I over 1000 time units, as a spec file."""
     doc = spec_to_dict(example_one_spec())
     doc["A"], doc["tf"] = (-0.3 * np.eye(4)).tolist(), 1000.0
     path = tmp_path / "long.json"
     path.write_text(json.dumps(doc))
+    return path
+
+
+def test_long_horizon_schedule_fails_a_late_single_instant(capsys, tmp_path):
+    # example1 with A = -0.3 I over 1000 time units needs two instants; the
+    # last alone leaves an escape at 996.1763 inside [0, 999.4065)
+    path = long_spec_file(tmp_path)
     code, out, _ = run_cli(capsys, "schedule", "--spec", str(path))
     assert code == 0 and json.loads(out)["N"] == 2
     code, out, _ = run_cli(
@@ -495,6 +502,13 @@ def test_long_horizon_schedule_fails_a_late_single_instant(capsys, tmp_path):
         "--instants", "999.40654176010241",
     )
     assert code == 1 and json.loads(out)["pass"] is False
+
+
+def test_long_horizon_riccati_residual(capsys, tmp_path):
+    # the residual reads the count's exact planes: round-off on a long
+    # horizon, where nodes lie one time unit apart
+    code, out, _ = run_cli(capsys, "riccati", "--spec", str(long_spec_file(tmp_path)))
+    assert code == 0 and json.loads(out)["residual"] <= 1e-12
 
 
 @pytest.mark.parametrize("preset", [[], {"a": 1}], ids=["list", "object"])
@@ -727,7 +741,7 @@ GOLDEN = {
         "kind": "value",
         "grid_points": 1001,
         "reached_floor": True,
-        "residual": 1.3741081531062012e-12,
+        "residual": 0.0,
         "value_at_t0": [
             [0.33333333333333282, 0.0, -0.33333333333333337, 0.0],
             [0.0, 0.33333333333333282, 0.0, -0.33333333333333337],

@@ -4,7 +4,6 @@ import pytest
 from pegame.errors import FiniteEscape, OutOfRange
 from pegame.game_model import GameSpec, example_one_spec
 from pegame.riccati import (
-    _hermite,
     _sym,
     eval_solution,
     make_gap_problem,
@@ -80,6 +79,20 @@ def dp45_backward(rhs, t1, X1, floor):
     return nodes
 
 
+def hermite(ts, xs, fs, t):
+    """Cubic-Hermite interpolant at t of the values xs and derivatives fs
+    at the decreasing nodes ts: the DP45 oracle's dense output."""
+    j = int(np.clip(np.searchsorted(-ts, -t) - 1, 0, len(ts) - 2))  # ts[j] >= t >= ts[j + 1]
+    h = ts[j] - ts[j + 1]
+    s = (t - ts[j + 1]) / h
+    return (
+        (1 + 2 * s) * (1 - s) ** 2 * xs[j + 1]
+        + s * (1 - s) ** 2 * h * fs[j + 1]
+        + s * s * (3 - 2 * s) * xs[j]
+        + s * s * (s - 1) * h * fs[j]
+    )
+
+
 def test_example_one_closed_form_on_grid(example_spec, example_value_sol):
     worst = 0.0
     for t in np.linspace(0.0, 1.0, 101):
@@ -110,6 +123,15 @@ def test_eval_out_of_range_raises(example_value_sol):
         eval_solution(example_value_sol, -0.5)
     with pytest.raises(OutOfRange):
         eval_solution(example_value_sol, 1.5)
+
+
+def test_nan_time_is_out_of_range(example_value_sol):
+    count = example_value_sol.count
+    for read in (lambda t: eval_solution(example_value_sol, t), count.value, count.count):
+        with pytest.raises(OutOfRange):
+            read(np.nan)
+    with pytest.raises(OutOfRange):
+        eval_solution(example_value_sol, [0.5, np.nan])
 
 
 def test_zero_weights_give_zero_solution(example_spec):
@@ -190,7 +212,7 @@ def test_error_value_equals_gap_plus_value(example_spec, example_value_sol):
     fs = np.array([error_value_rhs(t, M) for t, M in zip(ts, xs)])
     gap_sol = solve_riccati(make_gap_problem(spec, example_value_sol, b), a)
     for t in np.linspace(a, b, 17):
-        M = _hermite(ts, xs, fs, t)
+        M = hermite(ts, xs, fs, t)
         G = eval_solution(gap_sol, t)
         P = eval_solution(example_value_sol, t)
         rel = np.abs(M - (G + P)).max() / (1.0 + np.abs(M).max())

@@ -3,8 +3,8 @@ escapes against closed forms.
 
 ``restart_solve`` propagates the flow exactly one step at a time: every
 step restarts scipy's matrix exponential from [I; X] at its node.  The
-solve reads its nodes off the Maslov count instead, so the two agree to
-round-off.
+solve reads its nodes, and its values between them, off the Maslov count
+instead, so the two agree to round-off.
 The oracle finds poles its own way: a step holds one when its U factor
 has a real eigenvalue at or below zero, or when the value there is
 singular or past the norm guard ``BLOWUP``; bisection on the step length
@@ -24,6 +24,7 @@ from pegame.riccati import (
     STEPS,
     RiccatiProblem,
     _sym,
+    eval_solution,
     make_value_problem,
     solve_riccati,
 )
@@ -97,9 +98,18 @@ def _close(a, b):
 
 
 def assert_matches(problem, floor):
+    """The solve's nodes, and ``eval_solution`` at 25 times strictly inside
+    node intervals, each against one exact restart from the oracle's node
+    above it."""
     sol = solve_riccati(problem, floor)
     values, _ = restart_solve(problem, floor)
     assert _close(sol.values, values)
+    rng = np.random.default_rng(25)
+    k = rng.integers(0, STEPS, 25)
+    t = sol.grid[k] - rng.uniform(0.1, 0.9, 25) * (sol.grid[k] - sol.grid[k + 1])
+    for tk, top, X_k, X in zip(t, sol.grid[k], values[k], eval_solution(sol, t)):
+        _, X_ref = _restart(la.expm(-problem.hamiltonian * (top - tk)), X_k, problem.n)
+        assert _close(X, X_ref), tk
     return sol
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pegame import riccati
+from pegame import riccati, simulator
 from pegame.errors import DegenerateSchedule, UnsortedInstants
 from pegame.escape import detect_escape_norm
 from pegame.game_model import GameSpec, example_one_spec
@@ -312,8 +312,9 @@ def test_long_horizon_slack_meets_the_norm_detector(long_spec, long_value_sol, l
 
 def test_planes_need_no_interpolant(example_spec, example_value_sol, monkeypatch):
     # the scheduler, the slack root, the certificates and open-loop play
-    # read the value flow's planes off its count, never P between nodes
-    monkeypatch.setattr(riccati, "_hermite", lambda *args: pytest.fail("Hermite read"))
+    # read the value flow's planes off its count and never read P
+    for module in (riccati, simulator):
+        monkeypatch.setattr(module, "eval_solution", lambda *args: pytest.fail("P read"))
     sched = optimal_schedule(example_spec, example_value_sol)
     assert sched.N == 1 and len(sched.slack_sup) == 1
     assert all(c.passed for c in check_admissibility(example_spec, example_value_sol, [0.6]))
