@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg as la
 
 from .errors import DimensionMismatch, NonSymmetric, UnsortedInstants
 
@@ -91,8 +90,8 @@ class GameSpec:
     def _gains(self) -> tuple[np.ndarray, np.ndarray]:
         """R_p^-1 B' and R_e^-1 C', the factors of the players' equilibrium
         gains R^-1 B'P; built once and read-only, as the game is frozen."""
-        Gp = la.solve(self.R_p, self.B.T, assume_a="sym")
-        Ge = la.solve(self.R_e, self.C.T, assume_a="sym")
+        Gp = np.linalg.solve(self.R_p, self.B.T)
+        Ge = np.linalg.solve(self.R_e, self.C.T)
         for G in (Gp, Ge):
             G.setflags(write=False)
         return Gp, Ge

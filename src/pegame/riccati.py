@@ -23,7 +23,7 @@ counts those meetings with multiplicity, as the Maslov index of the path
 the linear flow has no finite-time singularity.  ``solve_riccati`` counts
 the flow once: it raises FiniteEscape at the count's first pole, and
 otherwise keeps the count, which gives the exact value at any time
-(``eval_solution``), and reads the values on a uniform grid off it; what
+(``eval_solution``) and the values on a uniform grid when asked; what
 needs the flow's plane instead (gap flows' starts, the slack partner, the
 transition matrix) reads it off the count too (``_Count.plane``).  Escape times
 are resolved to ``TIME_TOL_REL`` of the span.  Everything here works on
@@ -123,14 +123,20 @@ class RiccatiSolution:
     """Backward solution of one flow, read off ``count``, its Maslov count,
     which is exact at any time (``eval_solution``).
 
-    ``values[k]`` holds the matrix at ``grid[k]``, a strictly decreasing
-    uniform grid; ``values[0]`` is the terminal value as given.
+    ``grid`` is a strictly decreasing uniform grid from the terminal time
+    to the floor; ``values[k]``, the matrix at ``grid[k]``, is read off the
+    count on first use.
     """
 
     kind: str
     grid: np.ndarray      # strictly decreasing, grid[0] = terminal_time
-    values: np.ndarray    # (K, n, n)
+    terminal_value: np.ndarray
     count: _Count
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """(K, n, n) stack of the values at the grid's nodes."""
+        return eval_solution(self, self.grid)
 
 
 def _in_range(t, lo, hi) -> np.ndarray:
@@ -149,7 +155,7 @@ def eval_solution(sol: RiccatiSolution, t) -> np.ndarray:
     """The flow's value V U^-1 at t, or a stack of it at an array of times,
     read off the count; at the terminal time, the terminal value as given."""
     at_end = (np.asarray(t) == sol.grid[0])[..., None, None]
-    return np.where(at_end, sol.values[0], sol.count.value(t))
+    return np.where(at_end, sol.terminal_value, sol.count.value(t))
 
 
 def _illinois(f, a: float, fa: float, b: float, fb: float, tol: float) -> float:
@@ -348,9 +354,8 @@ def solve_riccati(problem: RiccatiProblem, floor: float) -> RiccatiSolution:
     The flow is counted once (``_plane_count``): it raises FiniteEscape
     when the flow has a pole above the floor, with the count's first
     meeting and a bracket of half the time resolution about it.
-    Otherwise the solution reads its ``STEPS + 1`` uniform nodes off the
-    count in one batched ``_Count.value``, the terminal node as given, and
-    keeps the count.
+    Otherwise the solution keeps the count, the terminal value and the
+    ``STEPS + 1`` uniform nodes at which ``values`` reads it.
     """
     t1 = problem.terminal_time
     floor = float(floor)
@@ -364,9 +369,7 @@ def solve_riccati(problem: RiccatiProblem, floor: float) -> RiccatiSolution:
             f"{problem.kind} flow escaped near t={report.t_escape:.9g}", report=report
         )
     grid = np.linspace(t1, floor, STEPS + 1)
-    values = count.value(grid)
-    values[0] = _sym(problem.terminal_value)
-    return RiccatiSolution(problem.kind, grid, values, count)
+    return RiccatiSolution(problem.kind, grid, _sym(problem.terminal_value), count)
 
 
 def solve_value_riccati(spec: GameSpec) -> RiccatiSolution:

@@ -68,28 +68,20 @@ class CommSchedule:
 
 
 def check_admissibility(
-    spec: GameSpec,
-    value_sol: RiccatiSolution,
-    instants,
-    *,
-    fail_fast: bool = False,
+    spec: GameSpec, value_sol: RiccatiSolution, instants
 ) -> tuple[IntervalCertificate, ...]:
     """Certify every interval of a schedule, including the leading one.
 
     An interval fails when the gap flow run backward from its right
     endpoint escapes strictly inside it; an escape at the left endpoint
-    (within the boundary tolerance) does not count against it.  With
-    ``fail_fast`` the certificate list stops at the first failure.
+    (within the boundary tolerance) does not count against it.
     """
     instants = spec.checked_instants(instants)
     bounds = [spec.t0, *instants, spec.tf]
-    certificates = []
-    for a, b in zip(bounds, bounds[1:]):
-        inside, pole, _ = _escape_inside(spec, value_sol, a, b)
-        certificates.append(IntervalCertificate(a, b, inside, pole))
-        if fail_fast and certificates[-1].escape_found:
-            break
-    return tuple(certificates)
+    return tuple(
+        IntervalCertificate(a, b, *_escape_inside(spec, value_sol, a, b)[:2])
+        for a, b in zip(bounds, bounds[1:])
+    )
 
 
 def optimal_schedule(

@@ -30,7 +30,6 @@ from itertools import accumulate
 from typing import Callable
 
 import numpy as np
-import scipy.linalg as la
 
 from .errors import InadmissibleInterval, IntervalAdmissible, NegativeBudget
 from .escape import _escape_inside
@@ -80,6 +79,8 @@ def piecewise_constant(knots, values) -> InputSeries:
     values = np.atleast_2d(np.asarray(values, dtype=float))
     if len(knots) != len(values):
         raise ValueError("need one value row per knot")
+    if not (np.isfinite(knots).all() and (np.diff(knots) > 0).all()):
+        raise ValueError(f"knots must be finite and strictly increasing: {knots}")
 
     def dense(t):
         k = np.searchsorted(knots, t, side="right") - 1
@@ -199,7 +200,7 @@ def _grid(bounds, step: float):
     return t, np.append(np.concatenate(h), 0.0), np.append(t[1:], bounds[-1])
 
 
-def _rk4(grid, z0: np.ndarray, system, events=(), reset=None):
+def _rk4(grid, z0: np.ndarray, system, events=(), reset=slice(0)):
     """Classical RK4 for z' = F(t) z + g(t) on ``grid``, BLOCK steps at a time.
 
     ``system(t, t_in, F, g)`` gets a block's stage times (K, 4), and the
@@ -207,8 +208,9 @@ def _rk4(grid, z0: np.ndarray, system, events=(), reset=None):
     (K, 4, B, m, m) and g (K, 4, B, m) there and returns ``rates``, a map
     from the stage states (K, 4, B, m) to the quadrature integrands
     (K, 4, B, q) and to outputs at the step starts (K, B, p).  ``z0`` is
-    (B, m); a step that starts at one of ``events`` first maps the state
-    by ``reset``.  Returns the states, integrals and outputs at each node.
+    (B, m); a step that starts at one of ``events`` first zeroes the
+    coordinates in the slice ``reset``.  Returns the states, integrals and
+    outputs at each node.
     """
     n_batch, m = z0.shape
     # homogeneous coordinates: [z; 1]' = [[F, g], [0, 0]] [z; 1]
@@ -238,7 +240,7 @@ def _rk4(grid, z0: np.ndarray, system, events=(), reset=None):
         starts[0] = z
         for j, (step, jump) in enumerate(zip(T, resets[lo : lo + K])):
             if jump:
-                starts[j] = la.block_diag(reset, 1.0) @ starts[j]
+                starts[j, :, reset] = 0.0
             np.matmul(step, starts[j], out=starts[j + 1])
         z = starts[K]
 
@@ -293,9 +295,9 @@ def _closed_loop(spec, value_sol, schedule, pursuer, evaders, step):
 
     The state is carried as z = [x; e], e = x - x_hat, and the coefficient
     of x in e' is formed from gain differences alone, so that an estimate
-    which tracks the state keeps e exactly zero.  Returns the node times, z
-    (S, B, 2n), the three payoff integrals (S, B, 3), the inputs
-    [u_p, u_e] (S, B, n_p + n_e) and the instants.
+    which tracks the state keeps e exactly zero; each instant zeroes e.
+    Returns the node times, z (S, B, 2n), the three payoff integrals
+    (S, B, 3), the inputs [u_p, u_e] (S, B, n_p + n_e) and the instants.
     """
     for strategy, side in [(pursuer, "pursuer"), *((e, "evader") for e in evaders)]:
         if strategy.side != side:
@@ -332,9 +334,8 @@ def _closed_loop(spec, value_sol, schedule, pursuer, evaders, step):
         g[...] = np.tile(_mv(B, vp) + _mv(C, ve), 2)
         return rates
 
-    reset = la.block_diag(np.eye(n), np.zeros((n, n)))
     z0 = np.tile(np.append(spec.x0, np.zeros(n)), (n_batch, 1))
-    z, integrals, inputs = _rk4(grid, z0, system, instants, reset)
+    z, integrals, inputs = _rk4(grid, z0, system, instants, slice(n, 2 * n))
     return grid[0], z, integrals, inputs, instants
 
 

@@ -1,7 +1,11 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +28,8 @@ from pegame.cli import (
 )
 from pegame.errors import ParseError, SchemaError
 from pegame.game_model import example_one_spec
+
+ROOT = Path(__file__).resolve().parents[1]
 
 # example1's evader reach at t1 = 3/4: its equilibrium input has magnitude
 # 2/3 and weight 1/2, so its effort budget over [0, 3/4] is 2 * 0.75 / 9
@@ -820,3 +826,119 @@ def test_readme_reports_pinned(capsys, argv):
     doc = json.loads(out)
     for key, expected in fields.items():
         assert_pinned(doc[key], expected, key)
+
+
+# A game with coupled, non-diagonal effort weights R_p and R_e, so that the
+# gain factors R^-1 B' and R^-1 C' come from a genuine solve; its reports
+# are pinned like GOLDEN's.  The values were printed when the factors came
+# from a symmetric (LDL') solve; the LU solve that replaced it moves them
+# by at most 1.7e-14 relative.  The residual is round-off (6e-16), so it
+# is bounded rather than pinned.
+COUPLED_SPEC = {
+    "version": 1,
+    "A": [[0, 0, 0.2, 0], [0, 0, 0, 0.1], [0, 0, 0, 0], [0, 0, 0, 0]],
+    "B": [[1, 0], [0, 1], [0, 0], [0, 0]],
+    "C": [[0, 0], [0, 0], [1, 0], [0, 1]],
+    "Q": [[0] * 4] * 4,
+    "Q_f": [[1, 0, -1, 0], [0, 1, 0, -1], [-1, 0, 1, 0], [0, -1, 0, 1]],
+    "R_p": [[0.25, 0.1], [0.1, 0.3]],
+    "R_e": [[0.5, 0.2], [0.2, 0.7]],
+    "t0": 0,
+    "tf": 3,
+    "x0": [0, 0, 1, 0.5],
+}
+COUPLED_VALUE = 0.042023159229780879
+COUPLED_INSTANTS = [1.3027869185166299, 2.5963220758480605]
+COUPLED_MAX_EIG = 2.6567961217741258
+COUPLED = {
+    ("validate",): (0, {
+        "command": "validate",
+        "passed": False,
+        "assumption1_max_eig": COUPLED_MAX_EIG,
+        "violations": [{
+            "name": "controllability_dominance",
+            "measured": COUPLED_MAX_EIG,
+            "severity": "warning",
+            "message": "controllability gap not negative definite (max eig "
+            "2.657e+00); not satisfied (solution may still exist)",
+        }],
+    }),
+    ("riccati",): (0, {
+        "command": "riccati",
+        "kind": "value",
+        "grid_points": 1001,
+        "reached_floor": True,
+        "value_at_t0": [
+            [0.099863686327774717, 0.038085497896378523,
+             -0.039945474531109929, -0.026659848527464954],
+            [0.038085497896378523, 0.12555942862327246,
+             -0.015234199158551417, -0.087891600036290748],
+            [-0.039945474531109929, -0.015234199158551417,
+             0.015978189812444019, 0.010663939410985979],
+            [-0.026659848527464954, -0.087891600036290748,
+             0.010663939410985979, 0.061524120025403542],
+        ],
+        "game_value": COUPLED_VALUE,
+        "csv": None,
+    }),
+    ("schedule",): (0, {
+        "command": "schedule",
+        "N": 2,
+        "instants": COUPLED_INSTANTS,
+        "margin": 3.0000000000000001e-06,
+        "slack_sup": [2.3310498440551437, 2.5963227996273641],
+        "certificates": [
+            {"start": 0, "end": COUPLED_INSTANTS[0], "escape_found": False,
+             "t_escape": None},
+            {"start": COUPLED_INSTANTS[0], "end": COUPLED_INSTANTS[1],
+             "escape_found": False, "t_escape": None},
+            {"start": COUPLED_INSTANTS[1], "end": 3, "escape_found": False,
+             "t_escape": None},
+        ],
+    }),
+    ("simulate", "--instants", "1,2"): (0, {
+        "command": "simulate",
+        "payoff_direct": 0.042023159229780428,
+        "payoff_completed_square": COUPLED_VALUE,
+        "game_value": COUPLED_VALUE,
+        "events": [1, 2],
+        "terminal_cost": 0.0063405404193031655,
+        "csv": None,
+    }),
+    ("sweep", "--c", "0,1"): (0, {
+        "command": "sweep",
+        "c_values": [0, 1],
+        "payoffs": [0.06233174599011531, 3.2433195687880403],
+        "game_value": COUPLED_VALUE,
+    }),
+}
+
+
+@pytest.mark.parametrize(
+    "argv", list(COUPLED), ids=["validate", "riccati", "schedule", "simulate", "sweep"]
+)
+def test_coupled_weights_reports_pinned(capsys, tmp_path, argv):
+    path = tmp_path / "coupled.json"
+    path.write_text(json.dumps(COUPLED_SPEC))
+    code, out, _ = run_cli(capsys, *argv, "--spec", str(path))
+    expected_code, fields = COUPLED[argv]
+    assert code == expected_code
+    doc = json.loads(out)
+    for key, expected in fields.items():
+        assert_pinned(doc[key], expected, key)
+    if argv == ("riccati",):
+        assert doc["residual"] <= 1e-14
+
+
+def test_cli_import_leaves_scipy_out():
+    # numpy is the package's one runtime dependency; scipy is a test oracle
+    probe = "import sys, pegame.cli; print('scipy' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

@@ -246,7 +246,7 @@ def test_random_search_never_beats_recursion(make_escape_spec):
         instants = np.clip(instants, spec.t0 + 1e-6, spec.tf - 1e-6)
         if np.any(np.diff(instants) <= 0):
             continue
-        certs = check_admissibility(spec, sol, instants, fail_fast=True)
+        certs = check_admissibility(spec, sol, instants)
         assert not all(c.passed for c in certs), (
             f"found an admissible schedule with {n_fewer} instants: {instants}"
         )
@@ -276,7 +276,7 @@ def test_slack_supremum_is_tight_on_random_games(make_escape_spec):
                     assert all(c.passed for c in certs), (trial, i, delta)
                 if sup + delta < bounds[i + 1]:
                     moved[i] = sup + delta
-                    certs = check_admissibility(spec, sol, moved, fail_fast=True)
+                    certs = check_admissibility(spec, sol, moved)
                     assert not all(c.passed for c in certs), (trial, i, delta)
         if games == 5:
             break

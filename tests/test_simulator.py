@@ -113,6 +113,18 @@ def test_estimate_resets_at_events(example_spec, example_value_sol):
     assert np.abs(e).max() > 1e-3
 
 
+@pytest.mark.parametrize(
+    "knots",
+    [[0.0, 0.5, 0.2], [0.0, 0.5, 0.5], [0.0, np.nan, 0.7]],
+    ids=["unsorted", "repeated", "nan"],
+)
+def test_piecewise_constant_rejects_bad_knots(knots):
+    # unsorted knots would skip a value (1, 3, 3 at t = 0.1, 0.3, 0.6), a
+    # repeated knot would drop one, and a NaN knot would pass unnoticed
+    with pytest.raises(ValueError, match="strictly increasing"):
+        piecewise_constant(knots, [[1.0], [2.0], [3.0]])
+
+
 def test_zero_deviation_keeps_error_zero(make_clean_spec):
     rng = np.random.default_rng(8)
     spec = make_clean_spec(rng, n=3)
