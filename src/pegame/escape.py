@@ -17,13 +17,17 @@ Two independent detectors cross-validate each other:
   form on ker U is (V x)' C R_e^-1 C' (V x) >= 0 (Coppel, LNM 220, 1971).
 
 Escape times are resolved to ``TIME_TOL_REL`` of the search span.
-``_escape_inside`` decides whether an interval's escape lies inside it,
-for the scheduler and the simulator: within ``BOUNDARY_TOL_REL`` of the
-horizon of its start it sits on the start, where the estimate resets.  Its
-flow starts from the value flow's plane at the interval's end, read off the
-value count (``_gap_plane``), and it hands back that counted flow, which
-also evaluates the interval's gap flow.  ``_slack_root`` runs the count in
-the terminal time, against the same planes.
+``_escape_inside`` decides whether each of a list of intervals holds an
+escape, for the scheduler and the simulator: within ``BOUNDARY_TOL_REL``
+of the horizon of its start it sits on the start, where the estimate
+resets.  Each flow starts from the value flow's plane at the interval's
+end, read off the value count (``_gap_plane``), and it hands back that
+counted flow, which also evaluates the interval's gap flow.  The verdict
+is read off the count's grid (``riccati._met``).  ``_slack_counts`` runs the
+count in the terminal time, against the same planes.  The intervals of
+one call, and the slack counts of one call, are built and refined as one
+batch (``riccati._counts``): they share the game's gap propagator and
+their partner.
 """
 from __future__ import annotations
 
@@ -38,9 +42,11 @@ from .riccati import (
     RiccatiProblem,
     RiccatiSolution,
     _Count,
+    _counts,
     _illinois,
+    _met,
     _orth,
-    _plane_count,
+    _plane_counts,
     _pole_report,
     _sym,
 )
@@ -175,7 +181,7 @@ def _chart_root(chart: RiccatiProblem, s: float, above, below, tol: float, span:
     def minus_least(t: float) -> float:
         return -np.linalg.eigvalsh(s * at(t))[0]
 
-    root = _illinois(minus_least, t_a, -least_a, t_b, -least_b, tol)
+    (root,) = _illinois(lambda i, t: [minus_least(t[0])], [(t_a, -least_a, t_b, -least_b, tol)])
     lo, hi = max(root - tol / 4, t_b), min(root + tol / 4, t_a)
     return root, (lo, hi), at(hi)
 
@@ -226,7 +232,7 @@ def _gap_count(spec: GameSpec, terminal_time: float, terminal_value, floor: floa
     """Count of the gap flow ending at ``terminal_value`` against the plane
     [0; I], down to ``floor``; its first meeting is the largest pole."""
     Z0 = np.vstack((np.eye(spec.n_x), terminal_value))
-    return _plane_count(spec._gap_flow, terminal_time, Z0, floor)
+    return _plane_counts(spec._gap_flow, terminal_time, Z0, floor)[0]
 
 
 def detect_escape_radon(
@@ -245,12 +251,16 @@ def detect_escape_radon(
     return _pole_report(flow, floor, terminal_time)
 
 
-def _interval(flow: _Count, a: float, tol: float) -> tuple[bool, float | None]:
-    """Whether ``flow``, counted from the interval's end, has a pole inside
-    the interval that starts at a (N nonzero at a + tol, or at the end if
-    that lies lower), and its largest pole if at or above a - tol."""
-    pole = flow.first if flow.first is not None and flow.first >= a - tol else None
-    return flow.count(min(a + tol, flow.s[0])) != 0, pole
+def _intervals(flows: list[_Count], a, tol: float) -> list[tuple[bool, float | None]]:
+    """For each ``flow``, counted from its interval's end, whether it has a
+    pole inside the interval that starts at a_i (N nonzero at a_i + tol, or
+    at the end if that lies lower, read off the grid by ``_met``), and its
+    largest pole if at or above a_i - tol."""
+    inside = _met(flows, [min(a_i + tol, flow.s[0]) for flow, a_i in zip(flows, a)])
+    return [
+        (met, flow.first if flow.first is not None and flow.first >= a_i - tol else None)
+        for flow, a_i, met in zip(flows, a, inside)
+    ]
 
 
 def _gap_plane(value_sol: RiccatiSolution, b) -> np.ndarray:
@@ -261,20 +271,25 @@ def _gap_plane(value_sol: RiccatiSolution, b) -> np.ndarray:
 
 
 def _escape_inside(
-    spec: GameSpec, value_sol: RiccatiSolution, a: float, b: float
-) -> tuple[bool, float | None, _Count]:
-    """``_interval`` of [a, b) for the gap flow from ``_gap_plane`` at b,
-    counted down to a - tol, tol the boundary tolerance; and that flow."""
+    spec: GameSpec, value_sol: RiccatiSolution, a, b
+) -> list[tuple[bool, float | None, _Count]]:
+    """``_intervals`` of the intervals [a_i, b_i) for the gap flow from
+    ``_gap_plane`` at b_i, counted down to a_i - tol, tol the boundary
+    tolerance; and that flow.  The intervals' counts are one batch."""
     tol = BOUNDARY_TOL_REL * spec.horizon
-    flow = _plane_count(spec._gap_flow, b, _gap_plane(value_sol, b), a - tol)
-    return (*_interval(flow, a, tol), flow)
+    a, b = (np.array(x, dtype=float, ndmin=1) for x in (a, b))
+    flows = _plane_counts(spec._gap_flow, b, _gap_plane(value_sol, b), a - tol)
+    return [(*verdict, flow) for verdict, flow in zip(_intervals(flows, a.tolist(), tol), flows)]
 
 
-def _slack_root(
-    spec: GameSpec, value_sol: RiccatiSolution, t_prev: float, upper: float
-) -> float | None:
-    """Least tau in (t_a, upper] whose gap flow, ending at -P(tau), has its
-    pole at t_a, the boundary-tolerance point above ``t_prev``, or None.
+def _slack_counts(
+    spec: GameSpec, value_sol: RiccatiSolution, t_prev, upper
+) -> list[_Count | None]:
+    """For each pair, the count in tau over (t_a, upper] whose first meeting
+    is the least tau whose gap flow, ending at -P(tau), has its pole at
+    t_a, the boundary-tolerance point above ``t_prev``; None where t_a is
+    not below ``upper``, where (t_a, upper] is empty.  The counts are one
+    batch.
 
     That flow at t_a is V U^-1 for [U; V] = exp(H (t_a - tau)) [I; -P(tau)],
     so its pole is where the plane of [I; -P(tau)] meets
@@ -284,14 +299,17 @@ def _slack_root(
     count); D H_v D is Hamiltonian (J D = -D J) with the norm of H_v, so
     ``_Count``'s lift bound along tau is 2n (||H||_2 + ||H_v||_2), both
     norms kept by their propagators.  The count starts at 0 and, as the
-    plane at t = tau never meets [0; I], equals at ``upper`` the count at
-    t_a of the flow ending at ``upper``: None means that flow has no pole
-    there.  None too when t_a is not below ``upper``, where (t_a, upper] is
-    empty.
+    plane at t = tau never meets [0; I], equals at any tau the count at t_a
+    of the flow ending at tau: no first meeting means the flow ending at
+    ``upper`` has no pole there, and N at a tau is the interval check of
+    [t_prev, tau).
     """
-    t_a = t_prev + BOUNDARY_TOL_REL * spec.horizon
-    if t_a >= upper:
-        return None
+    t_a = np.array(t_prev, dtype=float, ndmin=1) + BOUNDARY_TOL_REL * spec.horizon
+    upper = np.array(upper, dtype=float, ndmin=1)
+    some = t_a < upper
     V0 = np.eye(2 * spec.n_x)[:, spec.n_x :]  # [0; I]
     partner = partial(_gap_plane, value_sol)
-    return _Count(spec._gap_flow, V0, t_a, float(upper), partner, value_sol.count.exp.norm).first
+    made = iter(_counts(
+        spec._gap_flow, V0, t_a[some], upper[some], partner, value_sol.count.exp.norm
+    ))
+    return [next(made) if counted else None for counted in some]

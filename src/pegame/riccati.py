@@ -33,7 +33,7 @@ flow itself, the norm escape detector, lives in ``escape``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -148,7 +148,7 @@ def _in_range(t, lo, hi) -> np.ndarray:
     if outside.any():
         t_bad = float(np.extract(outside, t)[0])
         raise OutOfRange(f"t={t_bad} outside solved interval [{lo}, {hi}]")
-    return np.clip(t, lo, hi)
+    return np.minimum(np.maximum(t, lo), hi)  # np.clip, with less call overhead
 
 
 def eval_solution(sol: RiccatiSolution, t) -> np.ndarray:
@@ -158,19 +158,40 @@ def eval_solution(sol: RiccatiSolution, t) -> np.ndarray:
     return np.where(at_end, sol.terminal_value, sol.count.value(t))
 
 
-def _illinois(f, a: float, fa: float, b: float, fb: float, tol: float) -> float:
+def _illinois_steps(a: float, fa: float, b: float, fb: float, tol: float):
     """Root of f between a, where f < 0, and b, where f > 0, by regula
-    falsi with the Illinois rule, to 1e-2 of ``tol``."""
+    falsi with the Illinois rule, to 1e-2 of ``tol``: a generator that
+    yields each time at which it needs f, is sent f there, and returns
+    the root."""
     side = 0
     for _ in range(100):  # converges superlinearly; the cap is a guard
         c = a - fa * (b - a) / (fb - fa)
-        if abs(b - a) <= 1e-2 * tol or c in (a, b) or (fc := f(c)) == 0:
+        if abs(b - a) <= 1e-2 * tol or c in (a, b) or (fc := (yield c)) == 0:
             break
         if fc < 0:
             a, fa, fb, side = c, fc, fb / 2 if side < 0 else fb, -1
         else:
             b, fb, fa, side = c, fc, fa / 2 if side > 0 else fa, 1
     return float(c)
+
+
+def _illinois(f, brackets) -> list[float]:
+    """``_illinois_steps`` for each bracket (a, fa, b, fb, tol), in lock
+    step: f(i, c) gives f at the times c of the brackets i still moving,
+    in one call for all of them."""
+    runs = [_illinois_steps(*map(float, bracket)) for bracket in brackets]
+    roots, sent = [0.0] * len(runs), dict.fromkeys(range(len(runs)))
+    while sent:
+        asked = {}
+        for j, fc in sent.items():
+            try:
+                asked[j] = runs[j].send(fc)
+            except StopIteration as stop:
+                roots[j] = stop.value
+        i = list(asked)
+        values = f(np.array(i), np.array(list(asked.values()))) if i else []
+        sent = dict(zip(i, np.asarray(values, dtype=float).tolist()))
+    return roots
 
 
 def _orth(Z: np.ndarray) -> np.ndarray:
@@ -216,9 +237,10 @@ class _Count:
     The path Q(s) = exp(K (s - start)) Z0 moves by the constant
     Hamiltonian K; ``partner(s)`` gives frames of the other path M(s) at
     an array of times, moved by a constant Hamiltonian of norm at most
-    ``partner_speed``.  With W(s) from ``_eigen_angles``, Phi the lift of
-    arg det W and S the sum of the arguments of W's eigenvalues, Phi - S
-    jumps by 2 pi exactly where an eigenvalue passes -1, so
+    ``partner_speed`` (an argument of ``_counts``).  With W(s) from
+    ``_eigen_angles``, Phi the lift of arg det W and S the sum of the
+    arguments of W's eigenvalues, Phi - S jumps by 2 pi exactly where an
+    eigenvalue passes -1, so
     N(s) = (Phi(s) - Phi(start) - S(s) + S(start)) / 2 pi is an integer
     that counts the meetings with multiplicity.
 
@@ -242,36 +264,29 @@ class _Count:
     x^19 / 19! e^x < 2e-19 for any K, defective or not (Moler and Van
     Loan, SIAM Rev. 45, 2003).
     Outside the span that fails: a time outside it raises OutOfRange.
-    A span that needs ``MAX_COUNT_POINTS`` grid points or more raises
-    ValueError before anything is allocated.
+
+    Counts are built by ``_counts``, as one batch of counts that share K
+    and the partner (a single count is a batch of one), which also finds
+    each one's ``first`` meeting.
     """
 
-    def __init__(self, flow: _Taylor, Z0, start, end, partner, partner_speed=0.0):
-        n, span = Z0.shape[-1], abs(end - start)
-        cells = np.ceil(span * 4 * n * (flow.norm + partner_speed) / np.pi)
-        if not cells < MAX_COUNT_POINTS:
-            raise ValueError(
-                f"the escape count of a span of {span:g} needs more than "
-                f"{MAX_COUNT_POINTS} grid points"
-            )
+    def __init__(self, flow: _Taylor, partner, s: np.ndarray, frames, angles):
         self.exp, self.K, self.partner = flow, flow.K, partner
-        self.s = np.linspace(start, end, max(1, int(cells)) + 1)
-        self.h = (end - start) / (len(self.s) - 1)  # s[1] - s[0] rounds to their ulp
-        self.tol = TIME_TOL_REL * max(span, 1e-12)
-        steps = _powers(self.exp(self.h), 4 * n)
-        frames = [_orth(Z0)]
-        while len(frames) < len(self.s):
-            frames.extend(_orth(steps @ frames[-1]))
-        self.frames = np.stack(frames[: len(self.s)])
-        self.angles = _eigen_angles(self.frames, partner(self.s))
-        self.S = self.angles.sum(axis=-1)
+        self.s, self.frames, self.angles = s, frames, angles
+        self.h = (s[-1] - s[0]) / (len(s) - 1)  # s[1] - s[0] rounds to their ulp
+        self.tol = TIME_TOL_REL * max(abs(s[-1] - s[0]), 1e-12)
+        self.S = angles.sum(axis=-1)
         self.N = -np.cumsum(np.rint(np.diff(self.S, prepend=self.S[0]) / (2 * np.pi))).astype(int)
+        jumped = np.flatnonzero(self.N)
+        # the cell where N first changes, and the first meeting, in it
+        self.met_cell = int(jumped[0]) - 1 if jumped.size else None
+        self.first: float | None = None
 
     def _cell(self, s) -> np.ndarray:
         """The grid point that opens the cell of s, or of each of an array;
         raises OutOfRange outside the counted span."""
         s = _in_range(s, *sorted((self.s[0], self.s[-1])))
-        return np.clip((s - self.s[0]) // self.h, 0, len(self.s) - 2).astype(int)
+        return np.minimum(np.maximum((s - self.s[0]) // self.h, 0), len(self.s) - 2).astype(int)
 
     def _move(self, s, k) -> np.ndarray:
         """exp(K (s - s_k)) times the frame at grid point k, for s and k
@@ -298,44 +313,150 @@ class _Count:
     def _jump(self, s: float, k: int) -> tuple[int, np.ndarray]:
         """Minus the change of N from grid point k to s in its cell, and
         W's eigenvalue arguments at s."""
-        frame = _orth(self._move(s, k))
-        a = _eigen_angles(frame, self.partner(np.asarray(s)))
-        return int(np.rint((a.sum() - self.S[k]) / (2 * np.pi))), a
+        a = _angles_at(self.exp, self.partner, s, self.s[k], self.frames[k])
+        return int(_turns(a, self.S[k])), a
 
     def count(self, s: float) -> int:
         """N at s, lifted from the grid point that opens the cell of s."""
         k = int(self._cell(s))
         return int(self.N[k]) - self._jump(s, k)[0]
 
-    @cached_property
-    def first(self) -> float | None:
-        """The first meeting, or None: in the first cell where N changes,
-        the sign change of the angle of W's eigenvalue nearest -1, signed
-        by whether N has changed (which flips at a double meeting too), by
-        ``_illinois``.  At the cell's ends, where N has not changed and
-        has, the angles are the grid's."""
-        jumped = np.flatnonzero(self.N)
-        if jumped.size == 0:
-            return None
-        k = int(jumped[0]) - 1
 
-        def signed_angle(s: float) -> float:
-            moved, a = self._jump(s, k)
-            return (np.pi - np.abs(a).max()) * (1.0 if moved else -1.0)
+def _met(counts: list[_Count], times) -> list[bool]:
+    """Whether N is nonzero on each count at its time, read off the grid
+    unless the time lies in the count's ``met_cell``: before that cell N
+    is 0 at every grid point, and past it nonzero, as every jump has one
+    sign.  Times inside it are lifted, one stacked move for the counts
+    that share their propagator and partner."""
+    verdicts, lifts = [], {}
+    for j, (c, s) in enumerate(zip(counts, times)):
+        k = int(c._cell(s))
+        verdicts.append(c.met_cell is not None and k > c.met_cell)
+        if k == c.met_cell:
+            lifts.setdefault((c.exp, c.partner), []).append((j, c, float(s)))
+    for (flow, partner), lifted in lifts.items():
+        j, cs, s = zip(*lifted)
+        s_k, frame_k, S_k = _at_met_cells(cs)
+        turns = _turns(_angles_at(flow, partner, np.array(s), s_k, frame_k), S_k).tolist()
+        for jj, c, t in zip(j, cs, turns):
+            verdicts[jj] = int(c.N[c.met_cell]) != t
+    return verdicts
 
-        a, b = float(self.s[k]), float(self.s[k + 1])
-        fa, fb = np.abs(self.angles[k]).max() - np.pi, np.pi - np.abs(self.angles[k + 1]).max()
-        if fb <= 0:  # the meeting sits on the grid point
-            return b
-        return _illinois(signed_angle, a, fa, b, fb, self.tol)
+
+def _at_met_cells(counts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The grid point that opens each count's ``met_cell``, with its frame
+    and angle sum, stacked."""
+    return (
+        np.array([c.s[c.met_cell] for c in counts]),
+        np.stack([c.frames[c.met_cell] for c in counts]),
+        np.array([c.S[c.met_cell] for c in counts]),
+    )
 
 
-def _plane_count(flow: _Taylor, start: float, Z0: np.ndarray, floor: float) -> _Count:
-    """Count of the linear flow moved by ``flow`` from the frame Z0 at
-    ``start`` ([I; X] for a terminal value X) against the plane [0; I], down
-    to ``floor``; its first meeting is the Riccati flow's largest pole."""
-    V0 = np.eye(2 * Z0.shape[-1])[:, Z0.shape[-1] :]
-    return _Count(flow, Z0, float(start), float(floor), lambda s: V0)
+def _angles_at(flow: _Taylor, partner, s, s_k, frame_k) -> np.ndarray:
+    """W's eigenvalue arguments at s, with the frame ``frame_k`` at s_k moved
+    to s; for arrays of times and stacks of frames too."""
+    return _eigen_angles(_orth(flow(s - s_k) @ frame_k), partner(s))
+
+
+def _turns(angles: np.ndarray, S_k) -> np.ndarray:
+    """Minus the change of N from a grid point with angle sum S_k to where
+    W's eigenvalue arguments are ``angles``, within the cell."""
+    return np.rint((angles.sum(axis=-1) - S_k) / (2 * np.pi))
+
+
+def _counts(flow: _Taylor, Z0, starts, ends, partner, partner_speed=0.0) -> list[_Count]:
+    """The ``_Count``s of the paths from the frames Z0 (one, or one per
+    count) at ``starts`` to ``ends`` against one partner, as one batch.
+
+    Each count gets its own grid and step; the frames then move forward
+    block by block in lock step, with one stacked ``_orth`` per block
+    (counts that need fewer blocks drop out), and the partner and
+    ``_eigen_angles`` are called once over every grid point of the batch.
+    The first meetings are refined in lock step too (``_first_meetings``).
+    A span that needs ``MAX_COUNT_POINTS`` grid points or more raises
+    ValueError before anything is allocated.
+    """
+    starts, ends = (np.array(x, dtype=float, ndmin=1) for x in (starts, ends))
+    if starts.size == 0:
+        return []
+    n, span = Z0.shape[-1], np.abs(ends - starts)
+    cells = np.ceil(span * 4 * n * (flow.norm + partner_speed) / np.pi)
+    if not (cells < MAX_COUNT_POINTS).all():
+        raise ValueError(
+            f"the escape count of a span of {np.extract(~(cells < MAX_COUNT_POINTS), span)[0]:g} "
+            f"needs more than {MAX_COUNT_POINTS} grid points"
+        )
+    cells = np.maximum(cells, 1).astype(int)
+    order = np.argsort(-cells, kind="stable")  # the counts still moving are a prefix
+    starts, ends, cells = starts[order], ends[order], cells[order]
+    h = (ends - starts) / cells
+    steps = _powers(flow(h), 4 * n)
+    blocks = (-(-cells // (4 * n))).tolist()
+    moved = [np.broadcast_to(_orth(Z0), (len(cells), 2 * n, n))[order][None]]
+    for j in range(blocks[0]):
+        m = sum(b > j for b in blocks)
+        moved.append(_orth(steps[:, :m] @ moved[-1][-1, :m]))
+    # the grids, as np.linspace makes them: start + k h, and the end
+    points = cells + 1
+    opens = np.cumsum(points) - points
+    grid = (np.arange(points.sum()) - np.repeat(opens, points)) * np.repeat(h, points)
+    grid += np.repeat(starts, points)
+    grid[opens + cells] = ends
+    frames = [
+        np.concatenate([m[:, p] for m in moved[: b + 1]])[:k]
+        for p, (b, k) in enumerate(zip(blocks, points.tolist()))
+    ]
+    angles = _eigen_angles(np.concatenate(frames), partner(grid))
+    counts = [None] * len(cells)
+    for i, f, o, k in zip(order.tolist(), frames, opens.tolist(), points.tolist()):
+        counts[i] = _Count(flow, partner, grid[o : o + k], f, angles[o : o + k])
+    _first_meetings(flow, partner, [c for c in counts if c.met_cell is not None])
+    return counts
+
+
+def _first_meetings(flow: _Taylor, partner, counts: list[_Count]) -> None:
+    """Set each count's ``first``, its first meeting: in ``met_cell``, the
+    sign change of the angle of W's eigenvalue nearest -1, signed by
+    whether N has changed (which flips at a double meeting too), by
+    ``_illinois`` over the batch.  At the cell's ends, where N has not
+    changed and has, the angles are the grid's."""
+    refine, brackets = [], []
+    for c in counts:
+        k = c.met_cell
+        fb = np.pi - np.abs(c.angles[k + 1]).max()
+        c.first = float(c.s[k + 1])
+        if fb > 0:  # else the meeting sits on the grid point
+            refine.append(c)
+            brackets.append((c.s[k], np.abs(c.angles[k]).max() - np.pi, c.first, fb, c.tol))
+    if not refine:
+        return
+    s_k, frame_k, S_k = _at_met_cells(refine)
+
+    def signed_angle(i: np.ndarray, s: np.ndarray) -> list[float]:
+        angles = _angles_at(flow, partner, s, s_k[i], frame_k[i])
+        turns = _turns(angles, S_k[i]).tolist()
+        reach = np.abs(angles).max(axis=-1).tolist()
+        return [np.pi - r if t else r - np.pi for r, t in zip(reach, turns)]
+
+    for c, t in zip(refine, _illinois(signed_angle, brackets)):
+        c.first = t
+
+
+def _plane_counts(flow: _Taylor, starts, Z0: np.ndarray, floors) -> list[_Count]:
+    """Counts of the linear flow moved by ``flow`` from the frames Z0 at
+    ``starts`` ([I; X] for a terminal value X) against the plane [0; I],
+    down to ``floors``, as one batch; the first meeting of each is its
+    Riccati flow's largest pole."""
+    return _counts(flow, Z0, starts, floors, _vertical(Z0.shape[-1]))
+
+
+@cache
+def _vertical(n: int):
+    """The constant partner [0; I] of dimension 2n, one object per n, so
+    that counts against it can share their lifts (``_met``)."""
+    V0 = np.eye(2 * n)[:, n:]
+    return lambda s: V0
 
 
 def _pole_report(flow: _Count, floor: float, t1: float) -> EscapeReport:
@@ -351,7 +472,7 @@ def _pole_report(flow: _Count, floor: float, t1: float) -> EscapeReport:
 def solve_riccati(problem: RiccatiProblem, floor: float) -> RiccatiSolution:
     """Propagate ``problem`` exactly backward to ``floor``; dense output.
 
-    The flow is counted once (``_plane_count``): it raises FiniteEscape
+    The flow is counted once (``_plane_counts``): it raises FiniteEscape
     when the flow has a pole above the floor, with the count's first
     meeting and a bracket of half the time resolution about it.
     Otherwise the solution keeps the count, the terminal value and the
@@ -362,7 +483,7 @@ def solve_riccati(problem: RiccatiProblem, floor: float) -> RiccatiSolution:
     if not floor < t1:
         raise ValueError("floor must lie below the terminal time")
     Z0 = np.vstack((np.eye(problem.n), problem.terminal_value))
-    count = _plane_count(_Taylor(problem.hamiltonian), t1, Z0, floor)
+    (count,) = _plane_counts(_Taylor(problem.hamiltonian), t1, Z0, floor)
     report = _pole_report(count, floor, t1)
     if report.found:
         raise FiniteEscape(

@@ -8,23 +8,28 @@ every inter-communication duration and therefore minimizes the count.
 
 Escapes are counted on the linear flow (``riccati._Count``), the oracle of
 record; each flow starts from the value flow's plane at its end, read off
-the value count (``escape._gap_plane``), not from an interpolated P.  Escape at an interval's left endpoint is allowed: the estimate
-resets there.  A boundary tolerance of 1e-8 of the horizon absorbs
-detector noise there: [a, b) passes when the count of the flow ending at b
-is zero at a + tol (``escape._interval``, shared with the simulator).  The
-recursion counts each flow once: that count gives the next instant and
-certifies the interval that instant opens.  The margin is 1e-6 of the
-horizon unless given.  Slack suprema come from one count and root-find in
-the flow's terminal time (``escape._slack_root``), to 1e-9 of the span.
+the value count (``escape._gap_plane``), not from an interpolated P.
+Escape at an interval's left endpoint is allowed: the estimate resets
+there.  A boundary tolerance of 1e-8 of the horizon absorbs detector noise
+there: [a, b) passes when the count of the flow ending at b is zero at
+a + tol (``escape._interval``, shared with the simulator).  The recursion
+counts each flow once: that count gives the next instant and certifies
+the interval that instant opens.  The margin is 1e-6 of the horizon unless
+given.  Slack suprema come from counts and root-finds in the flow's
+terminal time (``escape._slack_counts``), to 1e-9 of the span, and each
+count also gives its guard.  Counts that do not depend on each other are
+one batch: all the slack counts of a schedule, and all the intervals of
+``check_admissibility``.  The recursion's counts depend on each other and
+are batches of one.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .errors import DegenerateSchedule, NoFeasibleInstance
-from .escape import BOUNDARY_TOL_REL, _escape_inside, _interval, _slack_root
+from .escape import BOUNDARY_TOL_REL, _escape_inside, _intervals, _slack_counts
 from .game_model import GameSpec
-from .riccati import RiccatiSolution
+from .riccati import RiccatiSolution, _met
 
 MARGIN_REL = 1e-6
 
@@ -78,9 +83,10 @@ def check_admissibility(
     """
     instants = spec.checked_instants(instants)
     bounds = [spec.t0, *instants, spec.tf]
+    checks = _escape_inside(spec, value_sol, bounds[:-1], bounds[1:])
     return tuple(
-        IntervalCertificate(a, b, *_escape_inside(spec, value_sol, a, b)[:2])
-        for a, b in zip(bounds, bounds[1:])
+        IntervalCertificate(a, b, inside, pole)
+        for a, b, (inside, pole, _) in zip(bounds, bounds[1:], checks)
     )
 
 
@@ -108,7 +114,7 @@ def optimal_schedule(
     flows = []
     t_next = spec.tf
     for _ in range(10000):
-        inside, t_star, flow = _escape_inside(spec, value_sol, spec.t0, t_next)
+        ((inside, t_star, flow),) = _escape_inside(spec, value_sol, spec.t0, t_next)
         flows.insert(0, flow)
         if not inside:
             break
@@ -128,15 +134,10 @@ def optimal_schedule(
 
     bounds = [spec.t0, *instants, spec.tf]
     certificates = tuple(
-        IntervalCertificate(a, b, *_interval(flow, a, tol))
-        for flow, a, b in zip(flows, bounds, bounds[1:])
+        IntervalCertificate(a, b, *verdict)
+        for a, b, verdict in zip(bounds, bounds[1:], _intervals(flows, bounds, tol))
     )
-    slack: tuple[float, ...] = ()
-    if compute_slack:
-        slack = tuple(
-            max_next_instance(spec, value_sol, bounds[i], bounds[i + 2])
-            for i in range(len(instants))
-        )
+    slack = _slack_sups(spec, value_sol, bounds[:-2], bounds[2:]) if compute_slack else ()
     return CommSchedule(
         instants=tuple(instants),
         margin=margin,
@@ -157,18 +158,37 @@ def max_next_instance(
     stays finite strictly above ``t_prev``.  The supremum is the least time
     whose flow has its pole at the boundary tolerance above ``t_prev``, or
     ``upper`` when there is none: one count and root-find in that time, to
-    ``escape.TIME_TOL_REL``.  The time one margin below it must pass the
-    interval check; the supremum itself is a strict bound for the schedule.
+    ``escape.TIME_TOL_REL`` (``_slack_sups``, a batch of one).  The time one
+    margin below it must pass the interval check, which that count gives
+    at no extra cost; the supremum itself is a strict bound for the
+    schedule.
     """
     t_prev, upper = float(t_prev), float(upper)
     if not (spec.t0 <= t_prev < upper <= spec.tf):
         raise ValueError(
             f"need t0 <= t_prev < upper <= tf, got t_prev={t_prev}, upper={upper}"
         )
-    root = _slack_root(spec, value_sol, t_prev, upper)
-    if root is None:
-        return upper
-    below = root - MARGIN_REL * spec.horizon
-    if below <= t_prev or _escape_inside(spec, value_sol, t_prev, below)[0]:
-        raise NoFeasibleInstance(f"no certified slack supremum above t_prev={t_prev}")
-    return root
+    return _slack_sups(spec, value_sol, [t_prev], [upper])[0]
+
+
+def _slack_sups(spec: GameSpec, value_sol: RiccatiSolution, t_prev, upper) -> tuple[float, ...]:
+    """``max_next_instance`` of each pair (t_prev[i], upper[i]), from one
+    batch of slack counts (``escape._slack_counts``).
+
+    The guard is read off each slack count: its N at ``below``, one margin
+    under the root, is the interval check of [t_prev, below) (the homotopy
+    in ``_slack_counts``), and a ``below`` at or under the count's start
+    reads N = 0.  Raises NoFeasibleInstance when ``below`` is not above
+    ``t_prev`` or that check fails.
+    """
+    counts = _slack_counts(spec, value_sol, t_prev, upper)
+    rooted = [(t, c) for t, c in zip(t_prev, counts) if c is not None and c.first is not None]
+    below = [c.first - MARGIN_REL * spec.horizon for _, c in rooted]
+    # a below at or under the count's start reads N = 0 there
+    met = _met([c for _, c in rooted], [max(b, c.s[0]) for (_, c), b in zip(rooted, below)])
+    for (t, _), b, failed in zip(rooted, below, met):
+        if b <= t or failed:
+            raise NoFeasibleInstance(f"no certified slack supremum above t_prev={t}")
+    return tuple(
+        float(up) if c is None or c.first is None else c.first for up, c in zip(upper, counts)
+    )

@@ -81,6 +81,8 @@ def piecewise_constant(knots, values) -> InputSeries:
         raise ValueError("need one value row per knot")
     if not (np.isfinite(knots).all() and (np.diff(knots) > 0).all()):
         raise ValueError(f"knots must be finite and strictly increasing: {knots}")
+    if not np.isfinite(values).all():
+        raise ValueError("values must be finite")
 
     def dense(t):
         k = np.searchsorted(knots, t, side="right") - 1
@@ -464,7 +466,7 @@ def _counted_gap(spec: GameSpec, value_sol: RiccatiSolution, interval, escapes: 
     a, b = float(interval[0]), float(interval[1])
     if not (spec.t0 <= a < b <= spec.tf):
         raise ValueError(f"interval {interval} outside the horizon")
-    inside, pole, gap = _escape_inside(spec, value_sol, a, b)
+    ((inside, pole, gap),) = _escape_inside(spec, value_sol, a, b)
     if inside and not escapes:
         raise InadmissibleInterval(f"interval [{a}, {b}) contains an escape at {pole:.9g}")
     if escapes and not inside:

@@ -133,6 +133,8 @@ def counts(monkeypatch):
             super().__init__(*args, **kwargs)
             made.append(self)
 
-    monkeypatch.setattr(riccati, "_Count", Recorded)  # for ``_plane_count``
-    monkeypatch.setattr(escape, "_Count", Recorded)  # for ``_slack_root``
+    # ``riccati._counts`` builds every count; escape's name is patched too,
+    # so that a test patching ``escape._Count`` reaches only these
+    monkeypatch.setattr(riccati, "_Count", Recorded)
+    monkeypatch.setattr(escape, "_Count", Recorded)
     return made

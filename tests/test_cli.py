@@ -942,3 +942,15 @@ def test_cli_import_leaves_scipy_out():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def test_python_dash_m_runs_the_cli():
+    done = subprocess.run(
+        [sys.executable, "-m", "pegame", "validate", "--preset", "example1"],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["command"] == "validate"

@@ -12,7 +12,7 @@ from pegame.riccati import (
 from pegame import escape, riccati
 from pegame.errors import OutOfRange
 from pegame.escape import TIME_TOL_REL, detect_escape_norm, detect_escape_radon
-from pegame.scheduler import optimal_schedule
+from pegame.scheduler import MARGIN_REL, check_admissibility, max_next_instance, optimal_schedule
 from pegame.simulator import Strategy, deviation_gain_check, risky_strategy, simulate
 
 
@@ -206,7 +206,7 @@ def test_count_value_near_a_defective_hamiltonian():
 def test_taylor_move_against_expm_at_the_bound(K):
     # n = 1 has the largest in-cell move the grid allows, ||K dt|| = pi/4
     frame = np.array([[1.0], [0.0]])
-    flow = escape._Count(
+    (flow,) = riccati._counts(
         riccati._Taylor(K), frame, 0.0, 1.0, lambda s: np.broadcast_to(frame, np.shape(s) + (2, 1))
     )
     bound = np.pi / (4 * np.linalg.norm(K, 2))
@@ -359,6 +359,8 @@ def test_lift_steps_stay_below_a_quarter_turn(make_escape_spec, counts):
 
 
 def test_schedule_counts_each_flow_once(make_escape_spec, counts):
+    # the recursion counts N + 1 gap flows (down in time), the slack N
+    # flows (up in the terminal time), and the guard reads its slack count
     rng = np.random.default_rng(8)
     for trial in range(4):
         spec = make_escape_spec(rng, n=2)
@@ -366,6 +368,66 @@ def test_schedule_counts_each_flow_once(make_escape_spec, counts):
         counts.clear()
         sched = optimal_schedule(spec, sol, compute_slack=False)
         assert len(counts) == sched.N + 1
+        counts.clear()
+        sched = optimal_schedule(spec, sol, compute_slack=True)
+        assert sched.N > 0
+        assert sum(c.h < 0 for c in counts) == sched.N + 1
+        assert sum(c.h > 0 for c in counts) == sched.N
+        assert len(counts) == 2 * sched.N + 1
+
+
+def _scheduled_games(make_escape_spec, count, seed):
+    """``count`` escape games of n = 2-4 with their value solutions and
+    schedules."""
+    rng = np.random.default_rng(seed)
+    for trial in range(count):
+        spec = make_escape_spec(rng, n=2 + trial % 3)
+        sol = solve_value_riccati(spec)
+        yield spec, sol, optimal_schedule(spec, sol)
+
+
+def test_slack_guard_agrees_with_the_interval_check(make_escape_spec):
+    # the guard reads N of the slack count at one margin under the root;
+    # the interval check of [t_prev, that time) counts independently.  Past
+    # the root the two agree too, on the other verdict.
+    checked = 0
+    for spec, sol, sched in _scheduled_games(make_escape_spec, 20, seed=21):
+        bounds = [spec.t0, *sched.instants, spec.tf]
+        margin = MARGIN_REL * spec.horizon
+        slack = escape._slack_counts(spec, sol, bounds[:-2], bounds[2:])
+        for t_prev, count in zip(bounds, slack):
+            if count is None or count.first is None:
+                continue
+            for tau, want in ((count.first - margin, False), (count.first + margin, True)):
+                if not count.s[0] < tau <= count.s[-1]:
+                    continue
+                ((inside, _, _),) = escape._escape_inside(spec, sol, t_prev, tau)
+                assert riccati._met([count], [tau]) == [inside] == [want], (t_prev, tau)
+                checked += 1
+    assert checked >= 40
+
+
+def test_batched_counts_equal_their_singles(make_escape_spec):
+    # a batch moves its frames in lock step and refines its roots in lock
+    # step; each result equals that of the same count built alone
+    slack_roots = certificates = 0
+    for spec, sol, sched in _scheduled_games(make_escape_spec, 20, seed=22):
+        tol = 1e-12 * spec.horizon
+        bounds = [spec.t0, *sched.instants, spec.tf]
+        for t_prev, upper, sup in zip(bounds, bounds[2:], sched.slack_sup):
+            assert abs(max_next_instance(spec, sol, t_prev, upper) - sup) <= tol
+            slack_roots += 1
+        # every instant but the first, and the midpoints: some intervals fail
+        broken = sorted({*sched.instants[1:], *np.convolve(sched.instants, [0.5, 0.5], "valid")})
+        ends = [spec.t0, *broken, spec.tf]
+        for cert, a, b in zip(check_admissibility(spec, sol, broken), ends, ends[1:]):
+            ((inside, pole, _),) = escape._escape_inside(spec, sol, a, b)
+            assert cert.escape_found == inside
+            assert (cert.t_escape is None) == (pole is None)
+            if pole is not None:
+                assert abs(cert.t_escape - pole) <= tol
+            certificates += 1
+    assert slack_roots >= 20 and certificates >= 20
 
 
 def test_schedule_builds_the_gap_table_once(make_escape_spec, monkeypatch):

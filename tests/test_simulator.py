@@ -125,6 +125,13 @@ def test_piecewise_constant_rejects_bad_knots(knots):
         piecewise_constant(knots, [[1.0], [2.0], [3.0]])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_piecewise_constant_rejects_non_finite_values(bad):
+    # a NaN value would price a deviation at NaN without a word
+    with pytest.raises(ValueError, match="values must be finite"):
+        piecewise_constant([0.0, 0.5], [[bad, 0.0], [1.0, 0.0]])
+
+
 def test_zero_deviation_keeps_error_zero(make_clean_spec):
     rng = np.random.default_rng(8)
     spec = make_clean_spec(rng, n=3)
