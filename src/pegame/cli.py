@@ -7,10 +7,10 @@ stdout with floats at 17 significant digits so identical configurations
 produce byte-identical output.  Each command's arguments are declared
 once, in ``_COMMANDS``; the parser is built from that table and each
 handler reads the parsed arguments.  Exit codes: 0 success; 1 domain
-failures, failed checks under --strict (the report is still printed),
-and reports that hold a non-finite number (not printed); 2 usage and
-parse errors, non-finite numeric arguments, and arguments the library
-rejects.
+failures (``errors.DomainError``), failed checks under --strict (the
+report is still printed), and reports that hold a non-finite number (not
+printed); 2 usage and parse errors, non-finite numeric arguments, and
+arguments the library rejects (``ValueError``).
 """
 from __future__ import annotations
 
@@ -24,20 +24,7 @@ from typing import Any
 import numpy as np
 
 from . import __version__
-from .errors import (
-    DegenerateSchedule,
-    DimensionMismatch,
-    FiniteEscape,
-    InadmissibleInterval,
-    IntervalAdmissible,
-    NegativeBudget,
-    NoFeasibleInstance,
-    NonSymmetric,
-    ParseError,
-    SchemaError,
-    StepUnderflow,
-    UnsortedInstants,
-)
+from .errors import DimensionMismatch, DomainError, NonSymmetric, ParseError, SchemaError
 from .game_model import GameSpec, example_one_spec, validate_spec
 from .riccati import (
     eval_solution,
@@ -61,19 +48,6 @@ SCHEMA_VERSION = 1
 MAX_SAMPLES = 10**6  # points of a reachability circle CSV
 _MATRIX_FIELDS = ("A", "B", "C", "Q", "Q_f", "R_p", "R_e")
 _PRESETS = {"example1": example_one_spec}
-
-_DOMAIN_ERRORS = (
-    DegenerateSchedule,
-    DimensionMismatch,
-    FiniteEscape,
-    InadmissibleInterval,
-    IntervalAdmissible,
-    NegativeBudget,
-    NoFeasibleInstance,
-    NonSymmetric,
-    StepUnderflow,
-    UnsortedInstants,
-)
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +300,7 @@ def _evader_strategy(args, spec, sol) -> Strategy:
             raise SchemaError("--c and --w exclude each other: --w is the whole deviation")
         elif len(w) != spec.n_e:
             raise SchemaError(f"--w needs n_e = {spec.n_e} numbers, got {len(w)}")
-        return Strategy.deviation(np.asarray(w, dtype=float), absolute=True)
+        return Strategy.evader_open_loop(np.asarray(w, dtype=float))
     if args.evader == "risky":
         # the leading interval of the schedule
         bounds = [spec.t0, *args.instants, spec.tf]
@@ -577,7 +551,7 @@ def main(argv=None) -> int:
     except (ParseError, SchemaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except _DOMAIN_ERRORS as exc:
+    except DomainError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:  # a library argument check: bad input

@@ -1,4 +1,7 @@
-"""Exception types shared across the package, and the report FiniteEscape carries."""
+"""Exception types shared across the package, and the report FiniteEscape carries.
+
+Every exception here is a ``DomainError`` or a ``ValueError``: the CLI
+exits 1 on the former and 2 on the latter, so none reaches a traceback."""
 from dataclasses import dataclass
 
 
@@ -20,15 +23,20 @@ class EscapeReport:
         return cls(False, None, None, method, None, float(floor), terminal_time)
 
 
-class DimensionMismatch(ValueError):
+class DomainError(Exception):
+    """A game, schedule or solve the library cannot go on with: the CLI
+    exits 1 and names the class."""
+
+
+class DimensionMismatch(DomainError, ValueError):
     """Game matrices have inconsistent shapes."""
 
 
-class NonSymmetric(ValueError):
+class NonSymmetric(DomainError, ValueError):
     """A weight matrix is asymmetric beyond tolerance."""
 
 
-class FiniteEscape(RuntimeError):
+class FiniteEscape(DomainError, RuntimeError):
     """A Riccati flow blew up before reaching the requested time.
 
     Carries the detection report in ``report`` when available.
@@ -39,7 +47,7 @@ class FiniteEscape(RuntimeError):
         self.report = report
 
 
-class StepUnderflow(RuntimeError):
+class StepUnderflow(DomainError, RuntimeError):
     """Adaptive step shrank below the minimum without meeting tolerance."""
 
 
@@ -47,7 +55,7 @@ class OutOfRange(ValueError):
     """Evaluation time outside the solved interval."""
 
 
-class UnsortedInstants(ValueError):
+class UnsortedInstants(DomainError, ValueError):
     """Communication instants not strictly increasing inside the open
     horizon."""
 
@@ -55,23 +63,23 @@ class UnsortedInstants(ValueError):
 EventOrdering = UnsortedInstants  # the simulator's name for the same check
 
 
-class DegenerateSchedule(RuntimeError):
+class DegenerateSchedule(DomainError, RuntimeError):
     """The backward recursion collapsed onto the initial time."""
 
 
-class NoFeasibleInstance(RuntimeError):
+class NoFeasibleInstance(DomainError, RuntimeError):
     """No admissible next communication time exists; signals a numerical fault."""
 
 
-class InadmissibleInterval(ValueError):
+class InadmissibleInterval(DomainError, ValueError):
     """Interval contains an escape time; error-value flow undefined on it."""
 
 
-class IntervalAdmissible(ValueError):
+class IntervalAdmissible(DomainError, ValueError):
     """Interval is escape-free; a risky deviation cannot profit on it."""
 
 
-class NegativeBudget(ValueError):
+class NegativeBudget(DomainError, ValueError):
     """Control-effort budget must be nonnegative."""
 
 

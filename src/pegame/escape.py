@@ -23,7 +23,8 @@ of the horizon of its start it sits on the start, where the estimate
 resets.  Each flow starts from the value flow's plane at the interval's
 end, read off the value count (``_gap_plane``), and it hands back that
 counted flow, which also evaluates the interval's gap flow.  The verdict
-is read off the count's grid (``riccati._met``).  ``_slack_counts`` runs the
+is an order on the count's first meeting (``_intervals``): as every jump
+has one sign, N is nonzero exactly past it.  ``_slack_counts`` runs the
 count in the terminal time, against the same planes.  The intervals of
 one call, and the slack counts of one call, are built and refined as one
 batch (``riccati._counts``): they share the game's gap propagator and
@@ -44,7 +45,6 @@ from .riccati import (
     _Count,
     _counts,
     _illinois,
-    _met,
     _orth,
     _plane_counts,
     _pole_report,
@@ -253,14 +253,16 @@ def detect_escape_radon(
 
 def _intervals(flows: list[_Count], a, tol: float) -> list[tuple[bool, float | None]]:
     """For each ``flow``, counted from its interval's end, whether it has a
-    pole inside the interval that starts at a_i (N nonzero at a_i + tol, or
-    at the end if that lies lower, read off the grid by ``_met``), and its
-    largest pole if at or above a_i - tol."""
-    inside = _met(flows, [min(a_i + tol, flow.s[0]) for flow, a_i in zip(flows, a)])
-    return [
-        (met, flow.first if flow.first is not None and flow.first >= a_i - tol else None)
-        for flow, a_i, met in zip(flows, a, inside)
+    pole inside the interval that starts at a_i, and its largest pole if at
+    or above a_i - tol.  The pole is the count's first meeting, and it lies
+    inside when it lies more than tol above a_i: as every jump of N has one
+    sign, N is nonzero exactly past the first meeting, so that is N at
+    a_i + tol."""
+    poles = [
+        flow.first if flow.first is not None and flow.first >= a_i - tol else None
+        for flow, a_i in zip(flows, a)
     ]
+    return [(pole is not None and pole > a_i + tol, pole) for pole, a_i in zip(poles, a)]
 
 
 def _gap_plane(value_sol: RiccatiSolution, b) -> np.ndarray:

@@ -89,12 +89,17 @@ class GameSpec:
     @cached_property
     def _gains(self) -> tuple[np.ndarray, np.ndarray]:
         """R_p^-1 B' and R_e^-1 C', the factors of the players' equilibrium
-        gains R^-1 B'P; built once and read-only, as the game is frozen."""
-        Gp = np.linalg.solve(self.R_p, self.B.T)
-        Ge = np.linalg.solve(self.R_e, self.C.T)
-        for G in (Gp, Ge):
+        gains R^-1 B'P; built once and read-only, as the game is frozen.
+        Raises ValueError naming a weight that cannot be inverted."""
+        gains = []
+        for name, R, M in (("R_p", self.R_p, self.B), ("R_e", self.R_e, self.C)):
+            try:
+                G = np.linalg.solve(R, M.T)
+            except np.linalg.LinAlgError as exc:
+                raise ValueError(f"{name} is not invertible ({exc})") from exc
             G.setflags(write=False)
-        return Gp, Ge
+            gains.append(G)
+        return tuple(gains)
 
     @cached_property
     def _gap_flow(self):

@@ -33,7 +33,7 @@ flow itself, the norm escape detector, lives in ``escape``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -322,37 +322,6 @@ class _Count:
         return int(self.N[k]) - self._jump(s, k)[0]
 
 
-def _met(counts: list[_Count], times) -> list[bool]:
-    """Whether N is nonzero on each count at its time, read off the grid
-    unless the time lies in the count's ``met_cell``: before that cell N
-    is 0 at every grid point, and past it nonzero, as every jump has one
-    sign.  Times inside it are lifted, one stacked move for the counts
-    that share their propagator and partner."""
-    verdicts, lifts = [], {}
-    for j, (c, s) in enumerate(zip(counts, times)):
-        k = int(c._cell(s))
-        verdicts.append(c.met_cell is not None and k > c.met_cell)
-        if k == c.met_cell:
-            lifts.setdefault((c.exp, c.partner), []).append((j, c, float(s)))
-    for (flow, partner), lifted in lifts.items():
-        j, cs, s = zip(*lifted)
-        s_k, frame_k, S_k = _at_met_cells(cs)
-        turns = _turns(_angles_at(flow, partner, np.array(s), s_k, frame_k), S_k).tolist()
-        for jj, c, t in zip(j, cs, turns):
-            verdicts[jj] = int(c.N[c.met_cell]) != t
-    return verdicts
-
-
-def _at_met_cells(counts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The grid point that opens each count's ``met_cell``, with its frame
-    and angle sum, stacked."""
-    return (
-        np.array([c.s[c.met_cell] for c in counts]),
-        np.stack([c.frames[c.met_cell] for c in counts]),
-        np.array([c.S[c.met_cell] for c in counts]),
-    )
-
-
 def _angles_at(flow: _Taylor, partner, s, s_k, frame_k) -> np.ndarray:
     """W's eigenvalue arguments at s, with the frame ``frame_k`` at s_k moved
     to s; for arrays of times and stacks of frames too."""
@@ -421,7 +390,7 @@ def _first_meetings(flow: _Taylor, partner, counts: list[_Count]) -> None:
     whether N has changed (which flips at a double meeting too), by
     ``_illinois`` over the batch.  At the cell's ends, where N has not
     changed and has, the angles are the grid's."""
-    refine, brackets = [], []
+    refine, brackets, opens = [], [], []
     for c in counts:
         k = c.met_cell
         fb = np.pi - np.abs(c.angles[k + 1]).max()
@@ -429,9 +398,11 @@ def _first_meetings(flow: _Taylor, partner, counts: list[_Count]) -> None:
         if fb > 0:  # else the meeting sits on the grid point
             refine.append(c)
             brackets.append((c.s[k], np.abs(c.angles[k]).max() - np.pi, c.first, fb, c.tol))
+            opens.append((c.s[k], c.frames[k], c.S[k]))
     if not refine:
         return
-    s_k, frame_k, S_k = _at_met_cells(refine)
+    # the grid point that opens each cell, with its frame and angle sum, stacked
+    s_k, frame_k, S_k = map(np.array, zip(*opens))
 
     def signed_angle(i: np.ndarray, s: np.ndarray) -> list[float]:
         angles = _angles_at(flow, partner, s, s_k[i], frame_k[i])
@@ -448,15 +419,9 @@ def _plane_counts(flow: _Taylor, starts, Z0: np.ndarray, floors) -> list[_Count]
     ``starts`` ([I; X] for a terminal value X) against the plane [0; I],
     down to ``floors``, as one batch; the first meeting of each is its
     Riccati flow's largest pole."""
-    return _counts(flow, Z0, starts, floors, _vertical(Z0.shape[-1]))
-
-
-@cache
-def _vertical(n: int):
-    """The constant partner [0; I] of dimension 2n, one object per n, so
-    that counts against it can share their lifts (``_met``)."""
+    n = Z0.shape[-1]
     V0 = np.eye(2 * n)[:, n:]
-    return lambda s: V0
+    return _counts(flow, Z0, starts, floors, lambda s: V0)
 
 
 def _pole_report(flow: _Count, floor: float, t1: float) -> EscapeReport:

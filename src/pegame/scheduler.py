@@ -11,16 +11,17 @@ record; each flow starts from the value flow's plane at its end, read off
 the value count (``escape._gap_plane``), not from an interpolated P.
 Escape at an interval's left endpoint is allowed: the estimate resets
 there.  A boundary tolerance of 1e-8 of the horizon absorbs detector noise
-there: [a, b) passes when the count of the flow ending at b is zero at
-a + tol (``escape._interval``, shared with the simulator).  The recursion
-counts each flow once: that count gives the next instant and certifies
-the interval that instant opens.  The margin is 1e-6 of the horizon unless
-given.  Slack suprema come from counts and root-finds in the flow's
-terminal time (``escape._slack_counts``), to 1e-9 of the span, and each
-count also gives its guard.  Counts that do not depend on each other are
-one batch: all the slack counts of a schedule, and all the intervals of
-``check_admissibility``.  The recursion's counts depend on each other and
-are batches of one.
+there: [a, b) passes unless the first meeting of the count of the flow
+ending at b lies more than tol above a (``escape._intervals``, shared with
+the simulator).  The recursion counts each flow once: that count gives
+the next instant and certifies the interval that instant opens.  The
+margin is 1e-6 of the horizon unless given.  Slack suprema come from
+counts and root-finds in the flow's terminal time
+(``escape._slack_counts``), to 1e-9 of the span; each is guarded by
+asking that the root minus one margin lie above the previous instant.
+Counts that do not depend on each other are one batch: all the slack
+counts of a schedule, and all the intervals of ``check_admissibility``.
+The recursion's counts depend on each other and are batches of one.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from .errors import DegenerateSchedule, NoFeasibleInstance
 from .escape import BOUNDARY_TOL_REL, _escape_inside, _intervals, _slack_counts
 from .game_model import GameSpec
-from .riccati import RiccatiSolution, _met
+from .riccati import RiccatiSolution
 
 MARGIN_REL = 1e-6
 
@@ -159,9 +160,9 @@ def max_next_instance(
     whose flow has its pole at the boundary tolerance above ``t_prev``, or
     ``upper`` when there is none: one count and root-find in that time, to
     ``escape.TIME_TOL_REL`` (``_slack_sups``, a batch of one).  The time one
-    margin below it must pass the interval check, which that count gives
-    at no extra cost; the supremum itself is a strict bound for the
-    schedule.
+    margin below it must lie above ``t_prev``, and then passes the interval
+    check, as it lies before that count's first meeting; the supremum
+    itself is a strict bound for the schedule.
     """
     t_prev, upper = float(t_prev), float(upper)
     if not (spec.t0 <= t_prev < upper <= spec.tf):
@@ -175,19 +176,15 @@ def _slack_sups(spec: GameSpec, value_sol: RiccatiSolution, t_prev, upper) -> tu
     """``max_next_instance`` of each pair (t_prev[i], upper[i]), from one
     batch of slack counts (``escape._slack_counts``).
 
-    The guard is read off each slack count: its N at ``below``, one margin
-    under the root, is the interval check of [t_prev, below) (the homotopy
-    in ``_slack_counts``), and a ``below`` at or under the count's start
-    reads N = 0.  Raises NoFeasibleInstance when ``below`` is not above
-    ``t_prev`` or that check fails.
+    Raises NoFeasibleInstance when the time one margin below a root is not
+    above its ``t_prev``.  Above ``t_prev``, that time passes the interval
+    check of [t_prev, it): it lies before the slack count's first meeting,
+    where N is 0 (the homotopy in ``_slack_counts``).
     """
     counts = _slack_counts(spec, value_sol, t_prev, upper)
-    rooted = [(t, c) for t, c in zip(t_prev, counts) if c is not None and c.first is not None]
-    below = [c.first - MARGIN_REL * spec.horizon for _, c in rooted]
-    # a below at or under the count's start reads N = 0 there
-    met = _met([c for _, c in rooted], [max(b, c.s[0]) for (_, c), b in zip(rooted, below)])
-    for (t, _), b, failed in zip(rooted, below, met):
-        if b <= t or failed:
+    margin = MARGIN_REL * spec.horizon
+    for t, c in zip(t_prev, counts):
+        if c is not None and c.first is not None and c.first - margin <= t:
             raise NoFeasibleInstance(f"no certified slack supremum above t_prev={t}")
     return tuple(
         float(up) if c is None or c.first is None else c.first for up, c in zip(upper, counts)

@@ -164,9 +164,9 @@ class Strategy:
         return _affine("evader", u)
 
     @staticmethod
-    def deviation(w, absolute: bool = False) -> "Strategy":
-        """Equilibrium feedback plus ``w``, or ``w`` alone when ``absolute``."""
-        return _affine("evader", w, state=0.0 if absolute else 1.0)
+    def deviation(w) -> "Strategy":
+        """Equilibrium feedback plus ``w``."""
+        return _affine("evader", w, state=1.0)
 
 
 def _affine(side: str, w, state: float = 0.0, estimate: float = 0.0) -> Strategy:
@@ -605,9 +605,7 @@ def deviation_sweep(
     else:
         raise ValueError(f"unsupported pursuer choice {pursuer!r}")
 
-    evaders = [
-        Strategy.deviation(float(c) * direction, absolute=True) for c in c_values
-    ]
+    evaders = [Strategy.evader_open_loop(float(c) * direction) for c in c_values]
     if not evaders:
         return np.array([])
     _, z, integrals, _, _ = _closed_loop(

@@ -26,7 +26,8 @@ from pegame.cli import (
     spec_from_dict,
     spec_to_dict,
 )
-from pegame.errors import ParseError, SchemaError
+from pegame import cli, errors
+from pegame.errors import DomainError, ParseError, SchemaError
 from pegame.game_model import example_one_spec
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -367,6 +368,48 @@ def test_bad_spec_file_exit_code(capsys, tmp_path):
     code, _, err = run_cli(capsys, "validate", "--spec", str(path))
     assert code == 2
     assert "invalid JSON" in err
+
+
+# each exception class of the package once (EventOrdering is UnsortedInstants)
+ERRORS = list(dict.fromkeys(
+    value for value in vars(errors).values()
+    if isinstance(value, type) and issubclass(value, BaseException)
+))
+
+
+@pytest.mark.parametrize("error", ERRORS, ids=lambda error: error.__name__)
+def test_every_error_has_an_exit_code(capsys, monkeypatch, error):
+    # a DomainError exits 1 with its class named; any other error of the
+    # package is a ValueError, which exits 2
+    assert issubclass(error, (DomainError, ValueError))
+
+    def fail(args):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "_spec", fail)
+    code, out, err = run_cli(capsys, "validate", "--preset", "example1")
+    if issubclass(error, DomainError):
+        assert (code, out, err) == (1, "", f"error: {error.__name__}: boom\n")
+    else:
+        assert (code, out, err) == (2, "", "error: boom\n")
+
+
+def test_domain_errors_pinned():
+    assert {e.__name__ for e in ERRORS if issubclass(e, DomainError)} - {"DomainError"} == {
+        "DegenerateSchedule", "DimensionMismatch", "FiniteEscape", "InadmissibleInterval",
+        "IntervalAdmissible", "NegativeBudget", "NoFeasibleInstance", "NonSymmetric",
+        "StepUnderflow", "UnsortedInstants",
+    }
+
+
+@pytest.mark.parametrize("weight", ["R_p", "R_e"])
+def test_singular_weight_is_named(capsys, tmp_path, weight):
+    doc = spec_to_dict(example_one_spec())
+    doc[weight] = np.zeros((2, 2)).tolist()
+    path = tmp_path / "singular.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "riccati", "--spec", str(path))
+    assert (code, out, err) == (2, "", f"error: {weight} is not invertible (Singular matrix)\n")
 
 
 @settings(max_examples=30, deadline=None)

@@ -387,9 +387,9 @@ def _scheduled_games(make_escape_spec, count, seed):
 
 
 def test_slack_guard_agrees_with_the_interval_check(make_escape_spec):
-    # the guard reads N of the slack count at one margin under the root;
-    # the interval check of [t_prev, that time) counts independently.  Past
-    # the root the two agree too, on the other verdict.
+    # the guard lets every time one margin under a slack root pass; the
+    # interval check of [t_prev, that time) counts independently and
+    # passes too.  One margin past the root it fails.
     checked = 0
     for spec, sol, sched in _scheduled_games(make_escape_spec, 20, seed=21):
         bounds = [spec.t0, *sched.instants, spec.tf]
@@ -402,9 +402,54 @@ def test_slack_guard_agrees_with_the_interval_check(make_escape_spec):
                 if not count.s[0] < tau <= count.s[-1]:
                     continue
                 ((inside, _, _),) = escape._escape_inside(spec, sol, t_prev, tau)
-                assert riccati._met([count], [tau]) == [inside] == [want], (t_prev, tau)
+                assert inside == want, (t_prev, tau)
                 checked += 1
     assert checked >= 40
+
+
+def _tie_below(first: float, tol: float) -> float:
+    """A start a with a + tol == first in floating point."""
+    a = first - tol
+    for _ in range(16):
+        if a + tol == first:
+            return a
+        a = np.nextafter(a, np.inf if a + tol < first else -np.inf)
+    raise AssertionError(f"no start with a + tol == {first!r}")
+
+
+def test_interval_verdicts_match_the_exact_count(make_escape_spec):
+    # [a, b) holds an escape when the first meeting of the count from b
+    # lies more than tol above a; the oracle is the exact lift of N at
+    # a + tol, or at b if lower.  Starts are random, and d tol under the
+    # first meeting of the count from b to t0.  A start exactly tol under
+    # the meeting is a tie, where the lift is round-off: the escape sits
+    # on the tolerance edge, outside the interval.
+    rng = np.random.default_rng(23)
+    verdicts, ties = [], 0
+    for trial in range(20):
+        spec = make_escape_spec(rng, n=2 + trial % 3)
+        sol = solve_value_riccati(spec)
+        tol = escape.BOUNDARY_TOL_REL * spec.horizon
+        ends = [*rng.uniform(spec.t0 + 0.1 * spec.horizon, spec.tf, 4), spec.tf]
+        whole = escape._escape_inside(spec, sol, [spec.t0] * len(ends), ends)
+        a = [float(rng.uniform(spec.t0, b)) for b in ends]
+        b = list(ends)
+        for end, (_, _, flow) in zip(ends, whole):
+            if flow.first is not None:
+                for d in (-2, -0.5, 0.5, 2, 10):
+                    a.append(flow.first - d * tol)
+                    b.append(end)
+        for a_i, b_i, (inside, pole, flow) in zip(a, b, escape._escape_inside(spec, sol, a, b)):
+            assert inside == (flow.count(min(a_i + tol, b_i)) != 0), (a_i, b_i)
+            first = flow.first
+            assert pole == (first if first is not None and first >= a_i - tol else None)
+            verdicts.append(inside)
+            if first is not None:
+                tie = _tie_below(first, tol)
+                assert escape._intervals([flow], [tie], tol) == [(False, first)]
+                ties += 1
+    assert len(verdicts) >= 300 and 50 <= sum(verdicts) <= len(verdicts) - 50
+    assert ties >= 200
 
 
 def test_batched_counts_equal_their_singles(make_escape_spec):

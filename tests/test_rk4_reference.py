@@ -132,7 +132,7 @@ def test_feedback_and_open_loop_kinds_match_oracle(make_clean_spec, probed, n):
         (ce, eq),
         (probe, eq),
         (ce, Strategy.deviation(w)),
-        (ce, Strategy.deviation(w, absolute=True)),
+        (ce, Strategy.evader_open_loop(w)),
         (ol_p, ol_e),
         (callable_p, Strategy.evader_open_loop(w)),
     ]:
@@ -174,6 +174,6 @@ def test_sweep_batch_matches_oracle(example_spec, example_value_sol):
         for c, payoff in zip(cs, payoffs):
             ref = rk4_simulate(
                 example_spec, example_value_sol, instants, pursuer,
-                Strategy.deviation(np.array([-c, 0.0]), absolute=True), step,
+                Strategy.evader_open_loop(np.array([-c, 0.0])), step,
             )
             assert _close(payoff, ref["payoff"])

@@ -157,7 +157,7 @@ def test_deviation_payoff_formula_single(example_spec, example_value_sol):
         example_value_sol,
         [],
         pursuer,
-        Strategy.deviation(np.array([-1.0, 0.0]), absolute=True),
+        Strategy.evader_open_loop(np.array([-1.0, 0.0])),
     )
     assert traj.payoff_direct == pytest.approx(deviation_payoff_formula(1.0), abs=1e-4)
 
@@ -237,7 +237,7 @@ def test_unforced_payoff_matches_exponential_oracle(make_clean_spec):
 
 def test_half_step_convergence(example_spec, example_value_sol):
     pursuer, _ = open_loop_pair(example_spec, example_value_sol)
-    evader = Strategy.deviation(np.array([-0.8, 0.3]), absolute=True)
+    evader = Strategy.evader_open_loop(np.array([-0.8, 0.3]))
     base = simulate(example_spec, example_value_sol, [0.4], pursuer, evader)
     fine = simulate(
         example_spec, example_value_sol, [0.4], pursuer, evader,
