@@ -1,7 +1,10 @@
 """Exception types shared across the package, and the report FiniteEscape carries.
 
 Every exception here is a ``DomainError`` or a ``ValueError``: the CLI
-exits 1 on the former and 2 on the latter, so none reaches a traceback."""
+exits 1 on the former and 2 on the latter, so none reaches a traceback.
+A ``DomainError`` is met by a game the library accepted; a ``ValueError``
+rejects its input (a spec that is not a game, unsorted instants, a
+negative budget)."""
 from dataclasses import dataclass
 
 
@@ -28,12 +31,12 @@ class DomainError(Exception):
     exits 1 and names the class."""
 
 
-class DimensionMismatch(DomainError, ValueError):
-    """Game matrices have inconsistent shapes."""
+class DimensionMismatch(ValueError):
+    """Game matrices have inconsistent shapes: a ``GameSpec`` refuses them."""
 
 
-class NonSymmetric(DomainError, ValueError):
-    """A weight matrix is asymmetric beyond tolerance."""
+class NonSymmetric(ValueError):
+    """A weight matrix is asymmetric beyond tolerance: a ``GameSpec`` refuses it."""
 
 
 class FiniteEscape(DomainError, RuntimeError):
@@ -55,7 +58,7 @@ class OutOfRange(ValueError):
     """Evaluation time outside the solved interval."""
 
 
-class UnsortedInstants(DomainError, ValueError):
+class UnsortedInstants(ValueError):
     """Communication instants not strictly increasing inside the open
     horizon."""
 
@@ -79,7 +82,7 @@ class IntervalAdmissible(DomainError, ValueError):
     """Interval is escape-free; a risky deviation cannot profit on it."""
 
 
-class NegativeBudget(DomainError, ValueError):
+class NegativeBudget(ValueError):
     """Control-effort budget must be nonnegative."""
 
 

@@ -1,19 +1,23 @@
-"""Game definition and well-posedness checks.
+"""Game definition and the checks of its assumptions.
 
 A game couples a minimizing pursuer and a maximizing evader through the
 linear dynamics ``x' = A x + B u_p + C u_e`` and the quadratic payoff
 
     J = int_{t0}^{tf} (x'Qx + u_p'R_p u_p - u_e'R_e u_e) dt + x(tf)'Q_f x(tf).
 
-Validation measures the sign conventions on the weights and the
-controllability-dominance condition: the gap matrix
-``C R_e^-1 C' - B R_p^-1 B'`` must be negative definite for the game value
-to be guaranteed finite on the whole horizon.  Dominance failures are
-reported as warnings rather than hard errors because the value can stay
-finite anyway; the Riccati solver detects blow-up independently.
+A ``GameSpec`` exists only for a game: building one refuses non-finite
+entries, t0 >= tf, non-conformable shapes, asymmetric Q, Q_f, R_p or R_e
+and singular effort weights, each with a ``ValueError``.  Validation then
+measures the paper's assumptions: the sign conventions on the weights
+and the controllability-dominance condition, under which the gap matrix
+``C R_e^-1 C' - B R_p^-1 B'`` must be negative definite for the game
+value to be guaranteed finite on the whole horizon.  Dominance failures
+are reported as warnings rather than hard errors because the value can
+stay finite anyway; the Riccati solver detects blow-up independently.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -32,9 +36,24 @@ def _as_array(value, name: str) -> np.ndarray:
     return arr
 
 
+def _check_dimensions(spec: GameSpec) -> None:
+    n, p, e = spec.n_x, spec.n_p, spec.n_e
+    expected = {"A": (n, n), "B": (n, p), "C": (n, e), "Q": (n, n), "Q_f": (n, n),
+                "R_p": (p, p), "R_e": (e, e), "x0": (n,)}
+    for name, shape in expected.items():
+        got = getattr(spec, name).shape
+        if got != shape:
+            raise DimensionMismatch(f"{name} has shape {got}, expected {shape}")
+
+
+def _asymmetry(M: np.ndarray) -> float:
+    return float(np.linalg.norm(M - M.T) / (1.0 + np.linalg.norm(M)))
+
+
 @dataclass(frozen=True, eq=False)
 class GameSpec:
-    """Immutable description of one pursuit-evasion game."""
+    """Immutable description of one pursuit-evasion game; a spec that is
+    not a game raises a ValueError when built (see the module docstring)."""
 
     A: np.ndarray
     B: np.ndarray
@@ -57,6 +76,23 @@ class GameSpec:
         object.__setattr__(self, "x0", x0)
         object.__setattr__(self, "t0", float(self.t0))
         object.__setattr__(self, "tf", float(self.tf))
+        if not -math.inf < self.t0 < self.tf < math.inf:
+            raise ValueError(f"need finite t0 < tf, got t0={self.t0}, tf={self.tf}")
+        _check_dimensions(self)
+        for name in ("Q", "Q_f", "R_p", "R_e"):
+            if not _asymmetry(getattr(self, name)) <= TOL_SYM:  # NaN from overflow too
+                raise NonSymmetric(f"{name} not symmetric")
+        # R_p^-1 B' and R_e^-1 C', the factors of the players' equilibrium
+        # gains R^-1 B'P; read-only, as the game is frozen
+        gains = []
+        for name, R, M in (("R_p", self.R_p, self.B), ("R_e", self.R_e, self.C)):
+            try:
+                G = np.linalg.solve(R, M.T)
+            except np.linalg.LinAlgError as exc:
+                raise ValueError(f"{name} is not invertible ({exc})") from exc
+            G.setflags(write=False)
+            gains.append(G)
+        object.__setattr__(self, "_gains", tuple(gains))
 
     def __eq__(self, other):
         if not isinstance(other, GameSpec):
@@ -85,21 +121,6 @@ class GameSpec:
     @property
     def horizon(self) -> float:
         return self.tf - self.t0
-
-    @cached_property
-    def _gains(self) -> tuple[np.ndarray, np.ndarray]:
-        """R_p^-1 B' and R_e^-1 C', the factors of the players' equilibrium
-        gains R^-1 B'P; built once and read-only, as the game is frozen.
-        Raises ValueError naming a weight that cannot be inverted."""
-        gains = []
-        for name, R, M in (("R_p", self.R_p, self.B), ("R_e", self.R_e, self.C)):
-            try:
-                G = np.linalg.solve(R, M.T)
-            except np.linalg.LinAlgError as exc:
-                raise ValueError(f"{name} is not invertible ({exc})") from exc
-            G.setflags(write=False)
-            gains.append(G)
-        return tuple(gains)
 
     @cached_property
     def _gap_flow(self):
@@ -149,43 +170,15 @@ class ValidationReport:
     violations: tuple[Violation, ...]
 
 
-def _check_dimensions(spec: GameSpec) -> None:
-    n, p, e = spec.n_x, spec.n_p, spec.n_e
-    expected = {
-        "A": (n, n),
-        "B": (n, p),
-        "C": (n, e),
-        "Q": (n, n),
-        "Q_f": (n, n),
-        "R_p": (p, p),
-        "R_e": (e, e),
-    }
-    for name, shape in expected.items():
-        got = getattr(spec, name).shape
-        if got != shape:
-            raise DimensionMismatch(f"{name} has shape {got}, expected {shape}")
-    if spec.x0.shape != (n,):
-        raise DimensionMismatch(f"x0 has shape {spec.x0.shape}, expected ({n},)")
-
-
-def _asymmetry(M: np.ndarray) -> float:
-    return float(np.linalg.norm(M - M.T) / (1.0 + np.linalg.norm(M)))
-
-
 def validate_spec(spec: GameSpec) -> ValidationReport:
-    """Check the game's sign and well-posedness conventions.
+    """Measure the paper's assumptions on a game.
 
-    Raises on structural defects (shape mismatch, asymmetric weights);
-    returns a report listing every soft check with its measured margin.
-    The controllability-dominance check is reported as a warning because
-    the game value can remain finite even when it fails.
+    The report lists every failed check with its measured margin: PSD
+    state weights, PD effort weights, and controllability dominance, a
+    warning because the game value can remain finite even when it fails.
+    Nothing here raises on a defect: ``GameSpec`` refuses the structural
+    ones when it is built, and the rest are violations.
     """
-    _check_dimensions(spec)
-    for name in ("Q", "Q_f", "R_p", "R_e"):
-        asym = _asymmetry(getattr(spec, name))
-        if asym > TOL_SYM:
-            raise NonSymmetric(f"{name} asymmetric: relative Frobenius {asym:.3e}")
-
     violations: list[Violation] = []
     for name in ("Q", "Q_f"):
         min_eig = float(np.linalg.eigvalsh(getattr(spec, name))[0])
@@ -207,15 +200,6 @@ def validate_spec(spec: GameSpec) -> ValidationReport:
                     message=f"{name} not positive definite (min eig {min_eig:.3e})",
                 )
             )
-    if not spec.t0 < spec.tf:
-        violations.append(
-            Violation(
-                name="time_order",
-                measured=spec.tf - spec.t0,
-                message=f"t0 must precede tf (got t0={spec.t0}, tf={spec.tf})",
-            )
-        )
-
     max_eig = float(np.linalg.eigvalsh(spec.controllability_gap())[-1])
     if max_eig >= -TOL_PSD:
         violations.append(

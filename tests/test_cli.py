@@ -396,10 +396,88 @@ def test_every_error_has_an_exit_code(capsys, monkeypatch, error):
 
 def test_domain_errors_pinned():
     assert {e.__name__ for e in ERRORS if issubclass(e, DomainError)} - {"DomainError"} == {
-        "DegenerateSchedule", "DimensionMismatch", "FiniteEscape", "InadmissibleInterval",
-        "IntervalAdmissible", "NegativeBudget", "NoFeasibleInstance", "NonSymmetric",
-        "StepUnderflow", "UnsortedInstants",
+        "DegenerateSchedule", "FiniteEscape", "InadmissibleInterval", "IntervalAdmissible",
+        "NoFeasibleInstance", "StepUnderflow",
     }
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["check-schedule", "--preset", "example1", "--instants", "0.5,0.5"],
+         "instants not strictly increasing: [0.5, 0.5]"),
+        (["simulate", "--preset", "example1", "--instants", "1.0"],
+         "instants must lie strictly inside (0.0, 1.0): [1.0]"),
+        (["reachability", "--budget", "-1", "--horizon", "1"],
+         "effort budget must be nonnegative, got -1.0"),
+    ],
+    ids=["unsorted-instants", "instant-at-tf", "negative-budget"],
+)
+def test_rejected_input_exits_2_without_class_name(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def _defect_documents() -> dict:
+    """example1 documents with one structural defect each (the last has two)."""
+    good = spec_to_dict(example_one_spec())
+    asymmetric_q_f = [row[:] for row in good["Q_f"]]
+    asymmetric_q_f[0][1] += 1e-3
+    nan_q = [row[:] for row in good["Q"]]
+    nan_q[0][0] = float("nan")
+    one_pursuer_input = {"B": [[1.0], [0.0], [0.0], [0.0]]}
+    changes = {
+        "good": {},
+        "B-1x1": {"A": [[0.0, 0.0], [0.0, 0.0]], "B": [[1.0]], "C": [[1.0], [0.0]],
+                  "Q": [[0.0, 0.0], [0.0, 0.0]], "Q_f": [[1.0, 0.0], [0.0, 1.0]],
+                  "R_p": [[1.0]], "R_e": [[1.0]], "x0": [1.0, 0.0]},
+        "x0-3": {"x0": [0.0, 0.0, 1.0]},
+        "Q_f-asymmetric": {"Q_f": asymmetric_q_f},
+        "R_e-asymmetric": {"R_e": [[0.5, 0.1], [0.0, 0.5]]},
+        "t0-after-tf": {"t0": 1.0, "tf": 0.0},
+        "Q-nan": {"Q": nan_q},
+        "R_p-zero": {"R_p": [[0.0]], **one_pursuer_input},
+        "R_p-negative": {"R_p": [[-1.0]], **one_pursuer_input},
+        "A-string": {"A": "x"},
+        "A-flat": {"A": [0.0, 0.0, 0.0, 0.0]},
+        "B-and-Q_f": {"B": [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]], "Q_f": asymmetric_q_f},
+    }
+    return {name: {**good, **change} for name, change in changes.items()}
+
+
+DEFECT_ERRORS = {
+    "B-1x1": "B has shape (1, 1), expected (2, 1)",
+    "x0-3": "x0 has shape (3,), expected (4,)",
+    "Q_f-asymmetric": "Q_f not symmetric",
+    "R_e-asymmetric": "R_e not symmetric",
+    "t0-after-tf": "need finite t0 < tf, got t0=1.0, tf=0.0",
+    "Q-nan": "Q contains non-finite entries",
+    "R_p-zero": "R_p is not invertible (Singular matrix)",
+    "A-string": "A is not a numeric matrix: could not convert string to float: 'x'",
+    "A-flat": "A must be a nested (row-major) array",
+    "B-and-Q_f": "B has shape (3, 2), expected (4, 2)",
+}
+DEFECT_DOCUMENTS = _defect_documents()
+
+
+@pytest.mark.parametrize("command", ["validate", "schedule"])
+@pytest.mark.parametrize("name", DEFECT_DOCUMENTS)
+def test_single_defect_documents_pinned(capsys, tmp_path, command, name):
+    # a spec that is not a game exits 2 under every command, validate
+    # included; an invertible indefinite weight is a game that breaks the
+    # assumptions: validate reports it and the value flow escapes
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(DEFECT_DOCUMENTS[name]))
+    code, out, err = run_cli(capsys, command, "--spec", str(path))
+    if name in DEFECT_ERRORS:
+        assert (code, out, err) == (2, "", f"error: {DEFECT_ERRORS[name]}\n")
+    elif name == "R_p-negative" and command == "schedule":
+        assert (code, out, err) == (1, "", "error: FiniteEscape: value flow escaped near t=0.666666667\n")
+    else:
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        if command == "validate":
+            expected = ["R_p_pd"] if name == "R_p-negative" else []
+            assert [v["name"] for v in report["violations"]] == [*expected, "controllability_dominance"]
 
 
 @pytest.mark.parametrize("weight", ["R_p", "R_e"])

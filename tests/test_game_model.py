@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from pegame.errors import DimensionMismatch, NonSymmetric
 from pegame.game_model import GameSpec, example_one_spec, validate_spec
+from pegame.riccati import solve_value_riccati
+from pegame.simulator import game_value
 
 
 def test_example_one_matrices():
@@ -85,58 +87,55 @@ def test_validate_evader_only_controllability_fails():
 
 def test_dimension_mismatch_raises():
     spec = example_one_spec()
-    bad = GameSpec(
-        A=spec.A,
-        B=np.zeros((3, 2)),
-        C=spec.C,
-        Q=spec.Q,
-        Q_f=spec.Q_f,
-        R_p=spec.R_p,
-        R_e=spec.R_e,
-        t0=0.0,
-        tf=1.0,
-        x0=spec.x0,
-    )
     with pytest.raises(DimensionMismatch):
-        validate_spec(bad)
+        GameSpec(
+            A=spec.A,
+            B=np.zeros((3, 2)),
+            C=spec.C,
+            Q=spec.Q,
+            Q_f=spec.Q_f,
+            R_p=spec.R_p,
+            R_e=spec.R_e,
+            t0=0.0,
+            tf=1.0,
+            x0=spec.x0,
+        )
 
 
 def test_non_symmetric_weight_raises():
     spec = example_one_spec()
     Qf = spec.Q_f.copy()
     Qf[0, 1] += 1e-3
-    bad = GameSpec(
-        A=spec.A,
-        B=spec.B,
-        C=spec.C,
-        Q=spec.Q,
-        Q_f=Qf,
-        R_p=spec.R_p,
-        R_e=spec.R_e,
-        t0=0.0,
-        tf=1.0,
-        x0=spec.x0,
-    )
     with pytest.raises(NonSymmetric):
-        validate_spec(bad)
+        GameSpec(
+            A=spec.A,
+            B=spec.B,
+            C=spec.C,
+            Q=spec.Q,
+            Q_f=Qf,
+            R_p=spec.R_p,
+            R_e=spec.R_e,
+            t0=0.0,
+            tf=1.0,
+            x0=spec.x0,
+        )
 
 
 def test_time_order_violation_reported():
     spec = example_one_spec()
-    bad = GameSpec(
-        A=spec.A,
-        B=spec.B,
-        C=spec.C,
-        Q=spec.Q,
-        Q_f=spec.Q_f,
-        R_p=spec.R_p,
-        R_e=spec.R_e,
-        t0=1.0,
-        tf=0.0,
-        x0=spec.x0,
-    )
-    report = validate_spec(bad)
-    assert any(v.name == "time_order" for v in report.violations)
+    with pytest.raises(ValueError, match="need finite t0 < tf, got t0=1.0, tf=0.0"):
+        GameSpec(
+            A=spec.A,
+            B=spec.B,
+            C=spec.C,
+            Q=spec.Q,
+            Q_f=spec.Q_f,
+            R_p=spec.R_p,
+            R_e=spec.R_e,
+            t0=1.0,
+            tf=0.0,
+            x0=spec.x0,
+        )
 
 
 def test_validate_is_pure():
@@ -176,3 +175,95 @@ def test_random_clean_specs_validate(seed, n):
     report = validate_spec(spec)
     assert report.passed
     assert report.assumption1_max_eig < 0
+
+
+def _with(**changes) -> dict:
+    """example1's fields, some replaced."""
+    spec = example_one_spec()
+    fields = {name: getattr(spec, name) for name in
+              ("A", "B", "C", "Q", "Q_f", "R_p", "R_e", "t0", "tf", "x0")}
+    return {**fields, **changes}
+
+
+ASYMMETRIC_Q_F = example_one_spec().Q_f + np.outer([1e-3, 0, 0, 0], [0, 1, 0, 0])
+NAN_Q = np.where(np.eye(4) == 1, np.nan, 0.0)
+
+
+@pytest.mark.parametrize(
+    "changes,error,message",
+    [
+        ({"B": np.zeros((3, 2))}, DimensionMismatch, r"B has shape \(3, 2\), expected \(4, 2\)"),
+        ({"x0": [0.0, 0.0, 1.0]}, DimensionMismatch, r"x0 has shape \(3,\), expected \(4,\)"),
+        ({"Q_f": ASYMMETRIC_Q_F}, NonSymmetric, "^Q_f not symmetric$"),
+        ({"R_e": [[0.5, 0.1], [0.0, 0.5]]}, NonSymmetric, "^R_e not symmetric$"),
+        ({"t0": 1.0, "tf": 1.0}, ValueError, r"need finite t0 < tf, got t0=1.0, tf=1.0"),
+        ({"t0": 2.0}, ValueError, r"need finite t0 < tf, got t0=2.0, tf=1.0"),
+        ({"tf": np.inf}, ValueError, r"need finite t0 < tf, got t0=0.0, tf=inf"),
+        ({"Q": NAN_Q}, ValueError, "Q contains non-finite entries"),
+        ({"R_p": np.zeros((2, 2))}, ValueError, r"R_p is not invertible \(Singular matrix\)"),
+        ({"R_e": [[1.0, 1.0], [1.0, 1.0]]}, ValueError, r"R_e is not invertible"),
+    ],
+    ids=["B-shape", "x0-length", "Q_f-asymmetric", "R_e-asymmetric", "t0-equals-tf",
+         "t0-after-tf", "tf-infinite", "Q-nan", "R_p-singular", "R_e-singular"],
+)
+def test_structural_defect_raises_at_construction(changes, error, message):
+    with pytest.raises(error, match=message):
+        GameSpec(**_with(**changes))
+
+
+def test_indefinite_weight_is_a_violation_not_a_refusal():
+    # an invertible weight of the wrong sign is a game that breaks the
+    # paper's assumptions: validate reports it
+    report = validate_spec(GameSpec(**_with(R_p=-np.eye(2))))
+    assert [v.name for v in report.violations] == ["R_p_pd", "controllability_dominance"]
+
+
+# entries of fuzzed specs are small integers, which keeps the inverse of
+# every invertible weight bounded and so the escape count's grid small
+ENTRY = st.integers(-3, 3).map(float)
+NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf])
+
+
+@st.composite
+def raw_specs(draw):
+    """GameSpec arguments for n = 1-3: weights symmetric or not (often
+    singular), random times, and at most one field mis-shaped or given a
+    non-finite entry."""
+    n, p, e = (draw(st.integers(1, 3)) for _ in range(3))
+    shapes = {"A": (n, n), "B": (n, p), "C": (n, e), "Q": (n, n), "Q_f": (n, n),
+              "R_p": (p, p), "R_e": (e, e), "x0": (n,)}
+    fields = {}
+    for name, shape in shapes.items():
+        size = int(np.prod(shape))
+        M = np.array(draw(st.lists(ENTRY, min_size=size, max_size=size))).reshape(shape)
+        if name.startswith(("Q", "R")) and draw(st.integers(0, 7)):
+            M = np.triu(M) + np.triu(M, 1).T
+        fields[name] = M
+    name = draw(st.sampled_from(sorted(shapes)))
+    defect = draw(st.sampled_from(["none", "none", "none", "none", "shape", "entry"]))
+    if defect == "shape":  # one row too many
+        fields[name] = np.concatenate([fields[name], fields[name][:1]])
+    elif defect == "entry":
+        fields[name] = fields[name].copy()
+        fields[name].flat[draw(st.integers(0, fields[name].size - 1))] = draw(NON_FINITE)
+    fields["t0"] = draw(st.sampled_from([-1.0, 0.0, 1.0]))
+    fields["tf"] = fields["t0"] + draw(
+        st.sampled_from([0.5, 1.0, 2.0, 3.0, 0.5, 1.0, 0.0, -1.0, np.nan, np.inf])
+    )
+    return fields
+
+
+@settings(max_examples=60, deadline=None)
+@given(fields=raw_specs())
+def test_fuzz_the_gate(fields):
+    # a spec is refused at construction, or the library meets it with its
+    # own errors only: no numpy shape error, LinAlgError or TypeError
+    try:
+        spec = GameSpec(**fields)
+    except ValueError:
+        return
+    validate_spec(spec)
+    try:
+        game_value(spec, solve_value_riccati(spec))
+    except Exception as exc:  # the type is the check
+        assert type(exc).__module__ == "pegame.errors", repr(exc)
