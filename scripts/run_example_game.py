@@ -16,8 +16,6 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
-import numpy as np  # noqa: E402
-
 from pegame.cli import write_matrix_csv, write_trajectory_csv  # noqa: E402
 from pegame.game_model import example_one_spec, validate_spec  # noqa: E402
 from pegame.riccati import solve_value_riccati  # noqa: E402

@@ -5,8 +5,10 @@ nested arrays, times and scalars are numbers, and ``{"preset":
 "example1"}`` loads the bundled worked example.  Reports are printed to
 stdout with floats at 17 significant digits so identical configurations
 produce byte-identical output.  Each command's arguments are declared
-once, in ``_COMMANDS``; the parser is built from that table and each
-handler reads the parsed arguments.  Exit codes: 0 success; 1 domain
+once, in ``_COMMANDS``; the parser is built from that table, and each
+handler does only its command's own work.  ``main`` loads the spec,
+stamps the report with its ``command``, sorts the errors into exit codes
+and writes the canonical JSON.  Exit codes: 0 success; 1 domain
 failures (``errors.DomainError``), failed checks under --strict (the
 report is still printed), and reports that hold a non-finite number (not
 printed); 2 usage and parse errors, non-finite numeric arguments, specs
@@ -60,41 +62,22 @@ def format_float(x: float) -> str:
 
 def dumps_canonical(obj: Any) -> str:
     """JSON text with floats fixed at 17 significant digits."""
-    out: list[str] = []
-    _write(obj, out)
-    return "".join(out)
+    return _dumps(obj)
 
 
-def _write(obj: Any, out: list[str]) -> None:
-    if obj is None:
-        out.append("null")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(format_float(obj))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, dict):
-        out.append("{")
-        for i, (key, value) in enumerate(obj.items()):
-            if i:
-                out.append(", ")
-            out.append(json.dumps(str(key)))
-            out.append(": ")
-            _write(value, out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
+def _dumps(obj: Any) -> str:
+    if isinstance(obj, (float, np.floating)):
+        return format_float(obj)
+    if obj is None or isinstance(obj, (bool, int, str)):
+        return json.dumps(obj)
+    if isinstance(obj, np.integer):
+        return json.dumps(int(obj))
+    if isinstance(obj, dict):
+        return "{" + ", ".join(f"{json.dumps(str(k))}: {_dumps(v)}" for k, v in obj.items()) + "}"
+    if isinstance(obj, (list, tuple, np.ndarray)):
         seq = obj.tolist() if isinstance(obj, np.ndarray) else obj
-        out.append("[")
-        for i, value in enumerate(seq):
-            if i:
-                out.append(", ")
-            _write(value, out)
-        out.append("]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj)!r}")
+        return "[" + ", ".join(_dumps(v) for v in seq) + "]"
+    raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +181,8 @@ def write_trajectory_csv(path: str, traj) -> None:
 
 
 # ---------------------------------------------------------------------------
-# command implementations: each reads the parsed arguments and returns
-# (exit code, report)
+# command implementations: each gets the parsed arguments and the game spec
+# (None for a command that reads none) and returns (exit code, report)
 
 
 def _spec(args: argparse.Namespace) -> GameSpec:
@@ -217,64 +200,51 @@ def _certificates_json(certs) -> list[dict]:
     ]
 
 
-def _cmd_validate(args) -> tuple[int, dict]:
-    report = validate_spec(_spec(args))
-    doc = {
-        "command": "validate",
+def _cmd_validate(args, spec) -> tuple[int, dict]:
+    report = validate_spec(spec)
+    return (1 if (args.strict and not report.passed) else 0), {
         "passed": report.passed,
         "assumption1_max_eig": report.assumption1_max_eig,
         "violations": [_violation_dict(v) for v in report.violations],
     }
-    return (1 if (args.strict and not report.passed) else 0), doc
 
 
-def _cmd_riccati(args) -> tuple[int, dict]:
-    spec = _spec(args)
+def _cmd_riccati(args, spec) -> tuple[int, dict]:
     sol = solve_value_riccati(spec)
     residual = riccati_residual(sol, make_value_problem(spec))
     if args.out:
         write_matrix_csv(args.out, sol)
-    P0 = eval_solution(sol, spec.t0)
-    doc = {
-        "command": "riccati",
+    return 0, {
         "kind": sol.kind,
         "grid_points": len(sol.grid),
         "reached_floor": True,  # the solve raises FiniteEscape otherwise
         "residual": residual,
-        "value_at_t0": P0.tolist(),
-        "game_value": float(spec.x0 @ P0 @ spec.x0),
+        "value_at_t0": eval_solution(sol, spec.t0).tolist(),
+        "game_value": game_value(spec, sol),
         "csv": args.out,
     }
-    return 0, doc
 
 
-def _cmd_schedule(args) -> tuple[int, dict]:
-    spec = _spec(args)
+def _cmd_schedule(args, spec) -> tuple[int, dict]:
     sol = solve_value_riccati(spec)
     sched = optimal_schedule(spec, sol, args.margin, compute_slack=not args.no_slack)
-    doc = {
-        "command": "schedule",
+    return 0, {
         "N": sched.N,
         "instants": list(sched.instants),
         "margin": sched.margin,
         "slack_sup": list(sched.slack_sup),
         "certificates": _certificates_json(sched.certificates),
     }
-    return 0, doc
 
 
-def _cmd_check_schedule(args) -> tuple[int, dict]:
-    spec = _spec(args)
-    sol = solve_value_riccati(spec)
-    certs = check_admissibility(spec, sol, args.instants)
+def _cmd_check_schedule(args, spec) -> tuple[int, dict]:
+    certs = check_admissibility(spec, solve_value_riccati(spec), args.instants)
     passed = all(c.passed for c in certs)
-    doc = {
-        "command": "check-schedule",
+    return (1 if (args.strict and not passed) else 0), {
         "instants": list(args.instants),
         "pass": passed,
         "intervals": _certificates_json(certs),
     }
-    return (1 if (args.strict and not passed) else 0), doc
 
 
 def _evader_strategy(args, spec, sol) -> Strategy:
@@ -297,8 +267,7 @@ def _evader_strategy(args, spec, sol) -> Strategy:
     return Strategy.evader_equilibrium()
 
 
-def _cmd_simulate(args) -> tuple[int, dict]:
-    spec = _spec(args)
+def _cmd_simulate(args, spec) -> tuple[int, dict]:
     sol = solve_value_riccati(spec)
     if args.pursuer == "open-loop":
         pursuer = open_loop_pair(spec, sol)[0]
@@ -309,8 +278,7 @@ def _cmd_simulate(args) -> tuple[int, dict]:
     direct, completed = payoff_two_ways(traj, spec, sol)
     if args.out:
         write_trajectory_csv(args.out, traj)
-    doc = {
-        "command": "simulate",
+    return 0, {
         "payoff_direct": direct,
         "payoff_completed_square": completed,
         "game_value": game_value(spec, sol),
@@ -318,52 +286,38 @@ def _cmd_simulate(args) -> tuple[int, dict]:
         "terminal_cost": traj.terminal_cost,
         "csv": args.out,
     }
-    return 0, doc
 
 
-def _cmd_sweep(args) -> tuple[int, dict]:
-    spec = _spec(args)
+def _cmd_sweep(args, spec) -> tuple[int, dict]:
     sol = solve_value_riccati(spec)
     payoffs = deviation_sweep(
         spec, args.c, schedule=args.instants, pursuer=args.pursuer_mode, step=args.step,
         value_sol=sol,
     )
-    doc = {
-        "command": "sweep",
+    return 0, {
         "c_values": list(args.c),
         "payoffs": payoffs.tolist(),
         "game_value": game_value(spec, sol),
     }
-    return 0, doc
 
 
-def _cmd_slack(args) -> tuple[int, dict]:
-    spec = _spec(args)
+def _cmd_slack(args, spec) -> tuple[int, dict]:
     sol = solve_value_riccati(spec)
     t_prev = spec.t0 if args.t_prev is None else args.t_prev
     upper = spec.tf if args.upper is None else args.upper
-    sup = max_next_instance(spec, sol, t_prev, upper)
-    doc = {
-        "command": "slack",
+    return 0, {
         "t_prev": t_prev,
         "upper": upper,
-        "sup_next_instant": sup,
+        "sup_next_instant": max_next_instance(spec, sol, t_prev, upper),
     }
-    return 0, doc
 
 
-def _cmd_reachability(args) -> tuple[int, dict]:
+def _cmd_reachability(args, _) -> tuple[int, dict]:
     if args.budget is None or args.horizon is None:
         raise SchemaError("reachability needs --budget and --horizon")
     budget, horizon, weight = args.budget, args.horizon, args.re_scalar
     radius = reachable_radius(budget, horizon, weight)
-    doc = {
-        "command": "reachability",
-        "effort_budget": budget,
-        "horizon": horizon,
-        "re_scalar": weight,
-        "radius": radius,
-    }
+    doc = {"effort_budget": budget, "horizon": horizon, "re_scalar": weight, "radius": radius}
     if args.out:
         x, y = args.center
         th = np.linspace(0.0, 2.0 * np.pi, args.samples)
@@ -497,9 +451,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (handler, help_text, reads_spec, arguments) in _COMMANDS.items():
+    for name, (_, help_text, reads_spec, arguments) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(handler=handler)
         if reads_spec:
             g = p.add_mutually_exclusive_group()
             g.add_argument("--spec", help="path to a game-spec JSON file")
@@ -528,24 +481,22 @@ def _non_finite_field(report: dict) -> str | None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
+    handler, _, reads_spec, _ = _COMMANDS[args.command]
     try:
         # overflow shows in the report, which is checked below
         with np.errstate(all="ignore"):
-            code, report = args.handler(args)
-    except (ParseError, SchemaError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DomainError as exc:
+            code, report = handler(args, _spec(args) if reads_spec else None)
+    except DomainError as exc:  # before ValueError: some domain errors are both
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:  # a library argument check: bad input
+    except (ValueError, OSError) as exc:  # bad input: a spec, a file or an argument
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    report = {"command": args.command, **report}
     field = _non_finite_field(report)
     if field is not None:
         print(f"error: report field {field!r} is not finite", file=sys.stderr)

@@ -6,10 +6,11 @@ linear dynamics ``x' = A x + B u_p + C u_e`` and the quadratic payoff
     J = int_{t0}^{tf} (x'Qx + u_p'R_p u_p - u_e'R_e u_e) dt + x(tf)'Q_f x(tf).
 
 A ``GameSpec`` exists only for a game: building one refuses non-finite
-entries, t0 >= tf, non-conformable shapes, asymmetric Q, Q_f, R_p or R_e
-and singular effort weights, each with a ``ValueError``.  Validation then
-measures the paper's assumptions: the sign conventions on the weights
-and the controllability-dominance condition, under which the gap matrix
+entries, t0 >= tf, non-conformable shapes, asymmetric Q, Q_f, R_p or R_e,
+singular effort weights and powers ``B R_p^-1 B'`` or ``C R_e^-1 C'`` that
+overflow, each with a ``ValueError``.  Validation then measures the
+paper's assumptions: the sign conventions on the weights and the
+controllability-dominance condition, under which the gap matrix
 ``C R_e^-1 C' - B R_p^-1 B'`` must be negative definite for the game
 value to be guaranteed finite on the whole horizon.  Dominance failures
 are reported as warnings rather than hard errors because the value can
@@ -85,11 +86,15 @@ class GameSpec:
         # R_p^-1 B' and R_e^-1 C', the factors of the players' equilibrium
         # gains R^-1 B'P; read-only, as the game is frozen
         gains = []
-        for name, R, M in (("R_p", self.R_p, self.B), ("R_e", self.R_e, self.C)):
+        for name, M_name in (("R_p", "B"), ("R_e", "C")):
+            M = getattr(self, M_name)
             try:
-                G = np.linalg.solve(R, M.T)
+                G = np.linalg.solve(getattr(self, name), M.T)
             except np.linalg.LinAlgError as exc:
                 raise ValueError(f"{name} is not invertible ({exc})") from exc
+            with np.errstate(over="ignore", invalid="ignore"):
+                if not np.isfinite(M @ G).all():
+                    raise ValueError(f"{M_name} {name}^-1 {M_name}' is not finite")
             G.setflags(write=False)
             gains.append(G)
         object.__setattr__(self, "_gains", tuple(gains))

@@ -64,7 +64,6 @@ class InputSeries:
     where the signal may jump.
     """
 
-    times: np.ndarray
     values: np.ndarray
     dense: Callable[[np.ndarray], np.ndarray]
     knots: tuple[float, ...] = ()
@@ -88,9 +87,7 @@ def piecewise_constant(knots, values) -> InputSeries:
         k = np.searchsorted(knots, t, side="right") - 1
         return values[np.clip(k, 0, len(values) - 1)]
 
-    return InputSeries(
-        times=knots, values=values, dense=dense, knots=tuple(knots[1:])
-    )
+    return InputSeries(values=values, dense=dense, knots=tuple(knots[1:]))
 
 
 def _signal(w) -> Callable[[np.ndarray, int], np.ndarray]:
@@ -441,7 +438,7 @@ def open_loop_inputs(
         return lambda t: (gain @ flow(t)[..., spec.n_x :, :])[..., 0]
 
     u_p, u_e = dense(-spec._gains[0]), dense(spec._gains[1])
-    return tuple(InputSeries(times=grid, values=u(grid), dense=u) for u in (u_p, u_e))
+    return tuple(InputSeries(values=u(grid), dense=u) for u in (u_p, u_e))
 
 
 def open_loop_pair(

@@ -4,10 +4,8 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 Tolerances are fixed here and nowhere else.
 """
 import numpy as np
-import pytest
 
 from pegame.errors import InadmissibleInterval
-from pegame.game_model import example_one_spec
 from pegame.riccati import (
     eval_solution,
     make_gap_problem,
@@ -21,7 +19,6 @@ from pegame.simulator import (
     deviation_sweep,
     game_value,
     open_loop_inputs,
-    open_loop_pair,
     payoff_two_ways,
     piecewise_constant,
     risky_strategy,

@@ -490,6 +490,54 @@ def test_singular_weight_is_named(capsys, tmp_path, weight):
     assert (code, out, err) == (2, "", f"error: {weight} is not invertible (Singular matrix)\n")
 
 
+@pytest.mark.parametrize("command", ["validate", "schedule"])
+@pytest.mark.parametrize(
+    "name,product", [("B", "B R_p^-1 B'"), ("C", "C R_e^-1 C'")], ids=["B", "C"]
+)
+def test_overflowing_power_is_named(capsys, tmp_path, command, name, product):
+    # finite entries whose power overflows: refused like any spec that is not a game
+    doc = spec_to_dict(example_one_spec())
+    doc[name] = (np.array(doc[name]) * 1e200).tolist()
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli(capsys, command, "--spec", str(path)) == (
+        2, "", f"error: {product} is not finite\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "value,text",
+    [
+        (None, "null"),
+        (True, "true"),
+        (False, "false"),
+        (-(10**20), "-100000000000000000000"),
+        (np.int64(7), "7"),
+        (0.1, "0.10000000000000001"),
+        (np.float64(-0.0), "-0"),
+        (np.float32(0.5), "0.5"),
+        (float("nan"), "nan"),
+        (-float("inf"), "-inf"),
+        ('a"b\\c\n', r'"a\"b\\c\n"'),
+        ("é→", r'"\u00e9\u2192"'),
+        ([1, [2.5, None], ()], "[1, [2.5, null], []]"),
+        ((True, "x"), '[true, "x"]'),
+        (np.array([[1.0, 2.0], [3.0, 4.5]]), "[[1, 2], [3, 4.5]]"),
+        (np.arange(3), "[0, 1, 2]"),
+        ({1: 2.0, None: {}, (1, 2): [], "k": "v"}, '{"1": 2, "None": {}, "(1, 2)": [], "k": "v"}'),
+    ],
+)
+def test_canonical_text_pinned(value, text):
+    assert dumps_canonical(value) == text
+
+
+@pytest.mark.parametrize("value", [{1, 2}, np.bool_(True), 1j, [np.bool_(False)]],
+                         ids=["set", "numpy-bool", "complex", "nested-numpy-bool"])
+def test_canonical_text_refuses_other_types(value):
+    with pytest.raises(TypeError, match="cannot serialize"):
+        dumps_canonical(value)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     st.recursive(
@@ -947,6 +995,29 @@ def test_readme_reports_pinned(capsys, argv):
     doc = json.loads(out)
     for key, expected in fields.items():
         assert_pinned(doc[key], expected, key)
+
+
+# each README report's top-level keys in order, after the command
+REPORT_KEYS = {
+    "simulate": ["payoff_direct", "payoff_completed_square", "game_value", "events",
+                 "terminal_cost", "csv"],
+    "sweep": ["c_values", "payoffs", "game_value"],
+    "validate": ["passed", "assumption1_max_eig", "violations"],
+    "riccati": ["kind", "grid_points", "reached_floor", "residual", "value_at_t0",
+                "game_value", "csv"],
+    "schedule": ["N", "instants", "margin", "slack_sup", "certificates"],
+    "check-schedule": ["instants", "pass", "intervals"],
+    "slack": ["t_prev", "upper", "sup_next_instant"],
+    "reachability": ["effort_budget", "horizon", "re_scalar", "radius"],
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN), ids=lambda argv: argv[0])
+def test_readme_report_keys_in_order(capsys, argv):
+    _, out, _ = run_cli(capsys, *argv)
+    doc = json.loads(out)
+    assert list(doc) == ["command", *REPORT_KEYS[argv[0]]]
+    assert doc["command"] == argv[0]
 
 
 # A game with coupled, non-diagonal effort weights R_p and R_e, so that the

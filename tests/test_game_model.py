@@ -211,6 +211,17 @@ def test_structural_defect_raises_at_construction(changes, error, message):
         GameSpec(**_with(**changes))
 
 
+@pytest.mark.parametrize(
+    "name,product", [("B", "B R_p^-1 B'"), ("C", "C R_e^-1 C'")], ids=["B", "C"]
+)
+def test_overflowing_power_raises_at_construction(name, product):
+    # finite entries whose power overflows: the game's flows cannot be built
+    fields = _with(**{name: getattr(example_one_spec(), name) * 1e200})
+    with pytest.raises(ValueError) as caught:
+        GameSpec(**fields)
+    assert str(caught.value) == f"{product} is not finite"
+
+
 def test_indefinite_weight_is_a_violation_not_a_refusal():
     # an invertible weight of the wrong sign is a game that breaks the
     # paper's assumptions: validate reports it

@@ -4,8 +4,12 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "pegame"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parents[1]
+# the package's __init__ imports names only to re-export them
+MODULES = sorted(
+    [p for p in (ROOT / "src" / "pegame").glob("*.py") if p.name != "__init__.py"]
+    + [*(ROOT / "scripts").glob("*.py"), *(ROOT / "tests").glob("*.py")]
+)
 
 
 def unused_imports(source: str) -> list[str]:
