@@ -10,20 +10,18 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class EscapeReport:
-    """Outcome of one escape search on [floor, terminal_time]."""
+    """Outcome of one escape search."""
 
     found: bool
     t_escape: float | None
     bracket: tuple[float, float] | None
     method: str  # "norm_blowup" | "radon_determinant"
     norm_at_detection: float | None
-    floor: float
-    terminal_time: float
 
     @classmethod
-    def missed(cls, method: str, floor: float, terminal_time: float) -> "EscapeReport":
+    def missed(cls, method: str) -> "EscapeReport":
         """The report of a search that found no escape."""
-        return cls(False, None, None, method, None, float(floor), terminal_time)
+        return cls(False, None, None, method, None)
 
 
 class DomainError(Exception):

@@ -3,10 +3,10 @@
 Two independent detectors cross-validate each other:
 
 * norm blow-up: integrate the nonlinear flow backward, by the adaptive
-  extrapolation stepper ``_integrate_backward``, until its spectral norm
-  reaches ``CHART_LEVEL``, then in the chart Y = (X - sigma I)^-1, where
-  the pole is a smooth zero of an eigenvalue; refine that zero.  This
-  detector never uses the Hamiltonian form.
+  extrapolation stepper ``_integrate_backward``, in the chart
+  Y = (X - sigma I)^-1 from the terminal time on, where the pole is a
+  smooth zero of an eigenvalue; refine that zero.  This detector never
+  uses the Hamiltonian form.
 * Maslov count (``riccati._Count``, the oracle of record, which the
   exact value solve uses too): the gap flow is V U^-1 for the linear flow
   [U; V]' = H [U; V] with the gap problem's Hamiltonian
@@ -51,7 +51,7 @@ from .riccati import (
     _sym,
 )
 
-CHART_LEVEL = 1e1  # spectral norm at which the norm detector changes chart
+CHART_LEVEL = 1e1  # least |sigma| / 2 of a chart, and the norm of sY that ends it
 # an escape within this share of the horizon above an interval's start
 # falls outside the interval: the estimate resets at the start
 BOUNDARY_TOL_REL = 1e-8
@@ -94,13 +94,7 @@ def _gbs_step(rhs, t: float, X: np.ndarray, h: float) -> np.ndarray:
     return np.tensordot(EXTRAPOLATE, z, axes=1)
 
 
-def _integrate_backward(
-    rhs,
-    t_start: float,
-    X_start: np.ndarray,
-    floor: float,
-    span_hint: float | None = None,
-):
+def _integrate_backward(rhs, t_start: float, X_start: np.ndarray, floor: float, span: float):
     """Yield the accepted nodes (t, X) of an adaptive backward march of the
     autonomous flow X' = rhs(t, X) from (t_start, X_start) down to
     ``floor``, the start first and the floor last; the caller stops it
@@ -110,10 +104,8 @@ def _integrate_backward(
     and each next one is scaled by 0.94 (0.65 / err)^(1/11), clipped to
     [0.2, 4], with err the root-mean-square error estimate against
     ``ATOL + RTOL |X|``.  Every node is finite.  Raises StepUnderflow when
-    the step falls below ``H_MIN_REL`` of the span, which is
-    ``t_start - floor`` unless ``span_hint`` gives it.
+    the step falls below ``H_MIN_REL`` of ``span``, the search's whole span.
     """
-    span = span_hint if span_hint is not None else max(t_start - floor, 1e-300)
     h_min = H_MIN_REL * span
     time_eps = 1e-14 * max(1.0, abs(t_start), abs(floor))
 
@@ -145,18 +137,19 @@ def _integrate_backward(
 
 def _chart(problem: RiccatiProblem, t: float, X: np.ndarray):
     """The flow Y = (X - sigma I)^-1 from its value at t, with s the sign of
-    X's eigenvalue of largest modulus and sigma = -2 s ||X||_2, as a problem
-    in the shared quadratic form; and s and sigma.
+    X's eigenvalue of largest modulus and sigma = -2 s max(||X||_2,
+    ``CHART_LEVEL``), as a problem in the shared quadratic form; and s and
+    sigma.
 
-    X - sigma I has the sign s and condition number at most 3, so sY is
-    positive definite.  Substituting X = sigma I + Y^-1 into the flow gives
-    Y' + G'Y + YG + D~ + Y N~ Y = 0 with G = -(F + sigma N)', D~ = -N and
-    N~ = -(D + sigma (F + F') + sigma^2 N).  A pole of X with the sign s is
-    where an eigenvalue of sY falls through 0; X meets sigma I where Y
-    blows up."""
+    X - sigma I has the sign s and condition number at most 3, for any X,
+    so sY is positive definite.  Substituting X = sigma I + Y^-1 into the
+    flow gives Y' + G'Y + YG + D~ + Y N~ Y = 0 with G = -(F + sigma N)',
+    D~ = -N and N~ = -(D + sigma (F + F') + sigma^2 N).  A pole of X with
+    the sign s is where an eigenvalue of sY falls through 0; X meets
+    sigma I where Y blows up."""
     w = np.linalg.eigvalsh(X)
     s = 1.0 if w[-1] >= -w[0] else -1.0
-    sigma = -2.0 * s * max(w[-1], -w[0])
+    sigma = -2.0 * s * max(w[-1], -w[0], CHART_LEVEL)
     F, D, N = problem.drift, problem.load, problem.quad
     shifted = np.linalg.inv(X - sigma * np.eye(problem.n))
     chart = RiccatiProblem(
@@ -189,28 +182,23 @@ def _chart_root(chart: RiccatiProblem, s: float, above, below, tol: float, span:
 def detect_escape_norm(problem: RiccatiProblem, floor: float) -> EscapeReport:
     """Escape search by adaptive integration of the nonlinear flow.
 
-    X is integrated until its spectral norm reaches ``CHART_LEVEL``; from
-    there on, Y = (X - sigma I)^-1 from ``_chart``, which turns a pole of X
-    into a smooth zero of the least eigenvalue of sY (Schiff and Shnider,
-    SIAM J. Numer. Anal. 36, 1999).  When ||Y|| reaches the level, X nears
-    sigma I, and the chart is made afresh from X there.  The pole is
-    refined by ``_chart_root`` and reported with a bracket of half the
-    time resolution; ``norm_at_detection`` is ||X||_2 at its upper end.
-    The detector never uses the Hamiltonian, so it checks the count
+    The flow is integrated as Y = (X - sigma I)^-1 from ``_chart``, made
+    first from the terminal value, which turns a pole of X into a smooth
+    zero of the least eigenvalue of sY (Schiff and Shnider, SIAM J. Numer.
+    Anal. 36, 1999).  When ||Y|| reaches ``CHART_LEVEL``, X nears sigma I,
+    and the chart is made afresh from X there.  The pole is refined by
+    ``_chart_root`` and reported with a bracket of half the time
+    resolution; ``norm_at_detection`` is ||X||_2 at its upper end.  The
+    detector never uses the Hamiltonian, so it checks the count
     independently.
     """
-    t1 = problem.terminal_time
+    t = problem.terminal_time
     floor = float(floor)
-    if not floor < t1:
+    if not floor < t:
         raise ValueError("floor must lie below the terminal time")
-    span = t1 - floor
+    span = t - floor
     tol = TIME_TOL_REL * max(span, 1e-12)
-    for t, X in _integrate_backward(problem.rhs, t1, problem.terminal_value, floor, span):
-        # ||X||_2 <= ||X||_F, so the spectral norm is needed only past the level
-        if np.linalg.norm(X) >= CHART_LEVEL and np.linalg.norm(X, 2) >= CHART_LEVEL:
-            break
-    else:
-        return EscapeReport.missed("norm_blowup", floor, t1)
+    X = _sym(np.array(problem.terminal_value, dtype=float))
     eye = np.eye(problem.n)
     while True:  # one pass per chart
         chart, s, sigma = _chart(problem, t, X)
@@ -219,13 +207,13 @@ def detect_escape_norm(problem: RiccatiProblem, floor: float) -> EscapeReport:
             if w[0] <= 0:
                 root, bracket, Y = _chart_root(chart, s, above, (t, w[0]), tol, span)
                 norm = np.linalg.norm(sigma * eye + np.linalg.inv(Y), 2)
-                return EscapeReport(True, root, bracket, "norm_blowup", float(norm), floor, t1)
+                return EscapeReport(True, root, bracket, "norm_blowup", float(norm))
             if w[-1] >= CHART_LEVEL:
                 X = sigma * eye + np.linalg.inv(Y)
                 break
             above = (t, Y, w[0])
         else:
-            return EscapeReport.missed("norm_blowup", floor, t1)
+            return EscapeReport.missed("norm_blowup")
 
 
 def _gap_count(spec: GameSpec, terminal_time: float, terminal_value, floor: float) -> _Count:

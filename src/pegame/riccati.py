@@ -39,11 +39,10 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import EscapeReport, FiniteEscape, OutOfRange
-from .game_model import GameSpec
+from .game_model import TIME_TOL_REL, GameSpec
 
 STEPS = 1000       # uniform steps of an exact solve's grid
 RESIDUAL_SAMPLES = 100  # node intervals whose midpoints ``riccati_residual`` checks
-TIME_TOL_REL = 1e-9  # escape-time resolution, relative to the search span
 DEGREE = 18  # degree of the Taylor propagator of ``_Count``
 MAX_COUNT_POINTS = 10**5  # grid points of one count; a span that needs more is refused
 
@@ -428,10 +427,10 @@ def _pole_report(flow: _Count, floor: float, t1: float) -> EscapeReport:
     """The escape report of a count against [0; I] from t1 down to
     ``floor``: its first meeting, bracketed to half the time resolution."""
     if flow.first is None:
-        return EscapeReport.missed("radon_determinant", floor, t1)
+        return EscapeReport.missed("radon_determinant")
     t, half = flow.first, 0.5 * flow.tol
     bracket = (max(t - half, floor), min(t + half, t1))
-    return EscapeReport(True, t, bracket, "radon_determinant", None, floor, t1)
+    return EscapeReport(True, t, bracket, "radon_determinant", None)
 
 
 def solve_riccati(problem: RiccatiProblem, floor: float) -> RiccatiSolution:

@@ -505,6 +505,19 @@ def test_overflowing_power_is_named(capsys, tmp_path, command, name, product):
     )
 
 
+@pytest.mark.parametrize("command", ["validate", "riccati", "simulate"])
+def test_unresolvable_times_are_refused(capsys, tmp_path, command):
+    # example1 shifted by 1e13 ran with exit 0 and a wrong game value
+    doc = spec_to_dict(example_one_spec())
+    doc["t0"], doc["tf"] = 1e13, 1e13 + 1.0
+    path = tmp_path / "shifted.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli(capsys, command, "--spec", str(path)) == (
+        2, "", "error: t0=10000000000000.0, tf=10000000000001.0: one ulp of the times "
+        "exceeds 1e-09 of the horizon, the escape-time resolution\n"
+    )
+
+
 @pytest.mark.parametrize(
     "value,text",
     [

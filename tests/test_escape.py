@@ -105,7 +105,7 @@ def test_methods_agree_on_random_games(make_escape_spec):
         assert rn.found == rr.found
         if rn.found and rr.found:
             agreements += 1
-            assert abs(rn.t_escape - rr.t_escape) <= 1e-6
+            assert abs(rn.t_escape - rr.t_escape) <= TIME_TOL_REL * 3.0
     assert agreements >= 8
 
 
@@ -531,11 +531,11 @@ def test_deviations_price_with_their_count(example_spec, example_value_sol, coun
 
 
 # ---------------------------------------------------------------------------
-# the norm detector's second chart
+# the norm detector's charts
 
 
 @pytest.mark.parametrize("c", [0.02, 0.05, 0.1, 0.2])
-def test_norm_detector_meets_a_weak_evaders_pole(c):
+def test_norm_detector_meets_a_weak_evaders_pole(c, charts):
     # near a pole X ~ v v' / (c^2 (t - t*)), so the time where ||X|| reaches
     # a fixed level trails the pole by about 1 / (c^2 level); the detector
     # locates the pole itself, as the count does
@@ -549,6 +549,9 @@ def test_norm_detector_meets_a_weak_evaders_pole(c):
     rr = detect_escape_radon(spec, 30.0, X1, 0.0)
     assert rn.found and rr.found
     assert abs(rn.t_escape - rr.t_escape) <= 1e-7
+    # the first chart is made at the terminal time, from X = 0, with the
+    # least shift
+    assert charts[0] == (30.0, 1.0, -2 * escape.CHART_LEVEL)
 
 
 @pytest.fixture
@@ -626,12 +629,15 @@ def _escape_games(make_escape_spec):
 
 
 def test_stepper_nodes_match_the_count(make_escape_spec):
-    # before the chart, every accepted node of the stepper is the exact
-    # flow, evaluated by the count, to 1e-9 relative
+    # run on X itself, every accepted node of the stepper while ||X||_2
+    # stays below the chart level is the exact flow, evaluated by the
+    # count, to 1e-9 relative
     worst, nodes = 0.0, 0
     for spec, problem, floor in _escape_games(make_escape_spec):
         exact = escape._gap_count(spec, problem.terminal_time, problem.terminal_value, floor)
-        march = escape._integrate_backward(problem.rhs, spec.tf, problem.terminal_value, floor)
+        march = escape._integrate_backward(
+            problem.rhs, spec.tf, problem.terminal_value, floor, spec.tf - floor
+        )
         for t, X in march:
             if np.linalg.norm(X, 2) >= escape.CHART_LEVEL:
                 break
