@@ -12,7 +12,6 @@ from .errors import (
     DegenerateSchedule,
     DimensionMismatch,
     EscapeReport,
-    EventOrdering,
     FiniteEscape,
     InadmissibleInterval,
     IntervalAdmissible,
@@ -72,7 +71,6 @@ __all__ = [
     "DegenerateSchedule",
     "DimensionMismatch",
     "EscapeReport",
-    "EventOrdering",
     "FiniteEscape",
     "GameSpec",
     "InadmissibleInterval",

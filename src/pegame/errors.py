@@ -10,18 +10,11 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class EscapeReport:
-    """Outcome of one escape search."""
+    """Outcome of one escape search: whether it found an escape, and the
+    largest one below the terminal time, to the search's time resolution."""
 
     found: bool
     t_escape: float | None
-    bracket: tuple[float, float] | None
-    method: str  # "norm_blowup" | "radon_determinant"
-    norm_at_detection: float | None
-
-    @classmethod
-    def missed(cls, method: str) -> "EscapeReport":
-        """The report of a search that found no escape."""
-        return cls(False, None, None, method, None)
 
 
 class DomainError(Exception):
@@ -38,10 +31,8 @@ class NonSymmetric(ValueError):
 
 
 class FiniteEscape(DomainError, RuntimeError):
-    """A Riccati flow blew up before reaching the requested time.
-
-    Carries the detection report in ``report`` when available.
-    """
+    """A Riccati flow blew up before reaching the requested time; the
+    escape report, when given, is in ``report``."""
 
     def __init__(self, message, report=None):
         super().__init__(message)
@@ -59,9 +50,6 @@ class OutOfRange(ValueError):
 class UnsortedInstants(ValueError):
     """Communication instants not strictly increasing inside the open
     horizon."""
-
-
-EventOrdering = UnsortedInstants  # the simulator's name for the same check
 
 
 class DegenerateSchedule(DomainError, RuntimeError):

@@ -47,7 +47,6 @@ from .riccati import (
     _illinois,
     _orth,
     _plane_counts,
-    _pole_report,
     _sym,
 )
 
@@ -159,24 +158,19 @@ def _chart(problem: RiccatiProblem, t: float, X: np.ndarray):
     return chart, s, sigma
 
 
-def _chart_root(chart: RiccatiProblem, s: float, above, below, tol: float, span: float):
+def _chart_root(chart: RiccatiProblem, s: float, above, below, tol: float, span: float) -> float:
     """The zero of the least eigenvalue of sY between the chart's nodes
-    (t_a, Y_a, least_a) above it and (t_b, least_b) at or below it, by
-    ``_illinois``, each evaluation one re-integration from the node above;
-    the bracket of half the time resolution ``tol`` about it, inside the
-    nodes; and Y at the bracket's upper end."""
+    (t_a, Y_a, least_a) above it and (t_b, least_b) at or below it, to the
+    time resolution ``tol``, by ``_illinois``; each evaluation is one
+    re-integration from the node above."""
     (t_a, Y_a, least_a), (t_b, least_b) = above, below
 
-    def at(t: float) -> np.ndarray:
-        *_, (_, Y) = _integrate_backward(chart.rhs, t_a, Y_a, t, span)
-        return Y
-
     def minus_least(t: float) -> float:
-        return -np.linalg.eigvalsh(s * at(t))[0]
+        *_, (_, Y) = _integrate_backward(chart.rhs, t_a, Y_a, t, span)
+        return -np.linalg.eigvalsh(s * Y)[0]
 
     (root,) = _illinois(lambda i, t: [minus_least(t[0])], [(t_a, -least_a, t_b, -least_b, tol)])
-    lo, hi = max(root - tol / 4, t_b), min(root + tol / 4, t_a)
-    return root, (lo, hi), at(hi)
+    return root
 
 
 def detect_escape_norm(problem: RiccatiProblem, floor: float) -> EscapeReport:
@@ -187,10 +181,8 @@ def detect_escape_norm(problem: RiccatiProblem, floor: float) -> EscapeReport:
     zero of the least eigenvalue of sY (Schiff and Shnider, SIAM J. Numer.
     Anal. 36, 1999).  When ||Y|| reaches ``CHART_LEVEL``, X nears sigma I,
     and the chart is made afresh from X there.  The pole is refined by
-    ``_chart_root`` and reported with a bracket of half the time
-    resolution; ``norm_at_detection`` is ||X||_2 at its upper end.  The
-    detector never uses the Hamiltonian, so it checks the count
-    independently.
+    ``_chart_root``.  The detector never uses the Hamiltonian, so it
+    checks the count independently.
     """
     t = problem.terminal_time
     floor = float(floor)
@@ -205,15 +197,13 @@ def detect_escape_norm(problem: RiccatiProblem, floor: float) -> EscapeReport:
         for t, Y in _integrate_backward(chart.rhs, t, chart.terminal_value, floor, span):
             w = np.linalg.eigvalsh(s * Y)  # sY is positive definite above the pole
             if w[0] <= 0:
-                root, bracket, Y = _chart_root(chart, s, above, (t, w[0]), tol, span)
-                norm = np.linalg.norm(sigma * eye + np.linalg.inv(Y), 2)
-                return EscapeReport(True, root, bracket, "norm_blowup", float(norm))
+                return EscapeReport(True, _chart_root(chart, s, above, (t, w[0]), tol, span))
             if w[-1] >= CHART_LEVEL:
                 X = sigma * eye + np.linalg.inv(Y)
                 break
             above = (t, Y, w[0])
         else:
-            return EscapeReport.missed("norm_blowup")
+            return EscapeReport(False, None)
 
 
 def _gap_count(spec: GameSpec, terminal_time: float, terminal_value, floor: float) -> _Count:
@@ -235,8 +225,8 @@ def detect_escape_radon(
     terminal_time, floor = float(terminal_time), float(floor)
     if not floor < terminal_time:
         raise ValueError("floor must lie below the terminal time")
-    flow = _gap_count(spec, terminal_time, terminal_value, floor)
-    return _pole_report(flow, floor, terminal_time)
+    first = _gap_count(spec, terminal_time, terminal_value, floor).first
+    return EscapeReport(first is not None, first)
 
 
 def _intervals(flows: list[_Count], a, tol: float) -> list[tuple[bool, float | None]]:

@@ -6,14 +6,15 @@ linear dynamics ``x' = A x + B u_p + C u_e`` and the quadratic payoff
     J = int_{t0}^{tf} (x'Qx + u_p'R_p u_p - u_e'R_e u_e) dt + x(tf)'Q_f x(tf).
 
 A ``GameSpec`` exists only for a game: building one refuses non-finite
-entries, t0 >= tf, times whose ulp exceeds ``TIME_TOL_REL`` of the
-horizon (the escape-time resolution), non-conformable shapes, asymmetric
-Q, Q_f, R_p or R_e, singular effort weights and powers ``B R_p^-1 B'`` or
-``C R_e^-1 C'`` that overflow, each with a ``ValueError``.  Validation
-then measures the paper's assumptions: the sign conventions on the
-weights and the controllability-dominance condition, under which the gap
-matrix ``C R_e^-1 C' - B R_p^-1 B'`` must be negative definite for the
-game value to be guaranteed finite on the whole horizon.  Dominance failures
+entries, t0 >= tf, a horizon tf - t0 that overflows, times whose ulp
+exceeds ``TIME_TOL_REL`` of the horizon (the escape-time resolution),
+non-conformable shapes, asymmetric Q, Q_f, R_p or R_e, singular effort
+weights and powers ``B R_p^-1 B'`` or ``C R_e^-1 C'`` that overflow,
+each with a ``ValueError``.  Validation then measures the paper's
+assumptions: the sign conventions on the weights and the
+controllability-dominance condition, under which the gap matrix
+``C R_e^-1 C' - B R_p^-1 B'`` must be negative definite for the game
+value to be guaranteed finite on the whole horizon.  Dominance failures
 are reported as warnings rather than hard errors because the value can
 stay finite anyway; the Riccati solver detects blow-up independently.
 """
@@ -81,6 +82,8 @@ class GameSpec:
         object.__setattr__(self, "tf", float(self.tf))
         if not -math.inf < self.t0 < self.tf < math.inf:
             raise ValueError(f"need finite t0 < tf, got t0={self.t0}, tf={self.tf}")
+        if not math.isfinite(self.horizon):
+            raise ValueError(f"t0={self.t0}, tf={self.tf}: the horizon tf - t0 overflows")
         if np.spacing(max(abs(self.t0), abs(self.tf))) > TIME_TOL_REL * self.horizon:
             raise ValueError(
                 f"t0={self.t0}, tf={self.tf}: one ulp of the times exceeds "

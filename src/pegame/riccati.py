@@ -423,24 +423,13 @@ def _plane_counts(flow: _Taylor, starts, Z0: np.ndarray, floors) -> list[_Count]
     return _counts(flow, Z0, starts, floors, lambda s: V0)
 
 
-def _pole_report(flow: _Count, floor: float, t1: float) -> EscapeReport:
-    """The escape report of a count against [0; I] from t1 down to
-    ``floor``: its first meeting, bracketed to half the time resolution."""
-    if flow.first is None:
-        return EscapeReport.missed("radon_determinant")
-    t, half = flow.first, 0.5 * flow.tol
-    bracket = (max(t - half, floor), min(t + half, t1))
-    return EscapeReport(True, t, bracket, "radon_determinant", None)
-
-
 def solve_riccati(problem: RiccatiProblem, floor: float) -> RiccatiSolution:
     """Propagate ``problem`` exactly backward to ``floor``; dense output.
 
     The flow is counted once (``_plane_counts``): it raises FiniteEscape
-    when the flow has a pole above the floor, with the count's first
-    meeting and a bracket of half the time resolution about it.
-    Otherwise the solution keeps the count, the terminal value and the
-    ``STEPS + 1`` uniform nodes at which ``values`` reads it.
+    at the count's first meeting when the flow has a pole above the
+    floor.  Otherwise the solution keeps the count, the terminal value
+    and the ``STEPS + 1`` uniform nodes at which ``values`` reads it.
     """
     t1 = problem.terminal_time
     floor = float(floor)
@@ -448,10 +437,10 @@ def solve_riccati(problem: RiccatiProblem, floor: float) -> RiccatiSolution:
         raise ValueError("floor must lie below the terminal time")
     Z0 = np.vstack((np.eye(problem.n), problem.terminal_value))
     (count,) = _plane_counts(_Taylor(problem.hamiltonian), t1, Z0, floor)
-    report = _pole_report(count, floor, t1)
-    if report.found:
+    if count.first is not None:
         raise FiniteEscape(
-            f"{problem.kind} flow escaped near t={report.t_escape:.9g}", report=report
+            f"{problem.kind} flow escaped near t={count.first:.9g}",
+            report=EscapeReport(True, count.first),
         )
     grid = np.linspace(t1, floor, STEPS + 1)
     return RiccatiSolution(problem.kind, grid, _sym(problem.terminal_value), count)

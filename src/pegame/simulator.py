@@ -58,13 +58,13 @@ def _quad(v: np.ndarray, W: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class InputSeries:
-    """Sampled input signal with a dense evaluator behind it.
+    """Input signal given by its dense evaluator.
 
-    ``dense`` takes a time or an array of times; ``knots`` are the times
-    where the signal may jump.
+    ``dense`` takes an array of times, of any shape S, and gives the
+    inputs there, (*S, m); ``knots`` are the times where the signal may
+    jump.
     """
 
-    values: np.ndarray
     dense: Callable[[np.ndarray], np.ndarray]
     knots: tuple[float, ...] = ()
 
@@ -87,21 +87,16 @@ def piecewise_constant(knots, values) -> InputSeries:
         k = np.searchsorted(knots, t, side="right") - 1
         return values[np.clip(k, 0, len(values) - 1)]
 
-    return InputSeries(values=values, dense=dense, knots=tuple(knots[1:]))
+    return InputSeries(dense, tuple(knots[1:]))
 
 
 def _signal(w) -> Callable[[np.ndarray, int], np.ndarray]:
     """Evaluator (times, dim) -> (*times.shape, dim) of an input given as
-    None (zero), a constant vector, an InputSeries, or a callable of one
-    time."""
+    None (zero), a constant vector or an InputSeries."""
     if w is None:
         return lambda t, dim: np.zeros((*t.shape, dim))
     if isinstance(w, InputSeries):
         return lambda t, dim: w.dense(t)
-    if callable(w):
-        return lambda t, dim: np.array(
-            [np.asarray(w(tk), dtype=float).reshape(dim) for tk in t.ravel()]
-        ).reshape(*t.shape, dim)
     vec = np.asarray(w, dtype=float)
     return lambda t, dim: np.broadcast_to(vec.reshape(dim), (*t.shape, dim))
 
@@ -423,7 +418,7 @@ def transition_flow(spec: GameSpec, value_sol: RiccatiSolution):
 
 
 def open_loop_inputs(
-    spec: GameSpec, value_sol: RiccatiSolution, grid
+    spec: GameSpec, value_sol: RiccatiSolution
 ) -> tuple[InputSeries, InputSeries]:
     """Equilibrium inputs precomputed from the initial state alone.
 
@@ -431,22 +426,19 @@ def open_loop_inputs(
     depends only on time, so either player can commit to it offline.  Both
     read P x(t) off ``_equilibrium_flow``.
     """
-    grid = np.asarray(grid, dtype=float)
     flow = _equilibrium_flow(value_sol, spec.x0[:, None])
 
-    def dense(gain):
-        return lambda t: (gain @ flow(t)[..., spec.n_x :, :])[..., 0]
+    def series(gain) -> InputSeries:
+        return InputSeries(lambda t: (gain @ flow(t)[..., spec.n_x :, :])[..., 0])
 
-    u_p, u_e = dense(-spec._gains[0]), dense(spec._gains[1])
-    return tuple(InputSeries(values=u(grid), dense=u) for u in (u_p, u_e))
+    return series(-spec._gains[0]), series(spec._gains[1])
 
 
 def open_loop_pair(
     spec: GameSpec, value_sol: RiccatiSolution
 ) -> tuple[Strategy, Strategy]:
     """Both players committed to the precomputed equilibrium inputs."""
-    grid = np.linspace(spec.t0, spec.tf, 3)
-    up, ue = open_loop_inputs(spec, value_sol, grid)
+    up, ue = open_loop_inputs(spec, value_sol)
     return Strategy.pursuer_open_loop(up), Strategy.evader_open_loop(ue)
 
 

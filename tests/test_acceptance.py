@@ -48,9 +48,9 @@ def test_c01_value_flow_closed_form(example_spec, example_value_sol):
 
 def test_c02_open_loop_pair(example_spec, example_value_sol):
     grid = np.linspace(0.0, 1.0, 11)
-    up, ue = open_loop_inputs(example_spec, example_value_sol, grid)
-    err_p = np.abs(up.values - np.array([4.0 / 3.0, 0.0])).max()
-    err_e = np.abs(ue.values - np.array([2.0 / 3.0, 0.0])).max()
+    up, ue = open_loop_inputs(example_spec, example_value_sol)
+    err_p = np.abs(up(grid) - np.array([4.0 / 3.0, 0.0])).max()
+    err_e = np.abs(ue(grid) - np.array([2.0 / 3.0, 0.0])).max()
     assert err_p <= 1e-6 and err_e <= 1e-6
     _report(
         "criterion 2: open-loop pair constant [4/3,0] / [2/3,0], "

@@ -370,11 +370,11 @@ def test_bad_spec_file_exit_code(capsys, tmp_path):
     assert "invalid JSON" in err
 
 
-# each exception class of the package once (EventOrdering is UnsortedInstants)
-ERRORS = list(dict.fromkeys(
+# each exception class of the package
+ERRORS = [
     value for value in vars(errors).values()
     if isinstance(value, type) and issubclass(value, BaseException)
-))
+]
 
 
 @pytest.mark.parametrize("error", ERRORS, ids=lambda error: error.__name__)
@@ -434,6 +434,7 @@ def _defect_documents() -> dict:
         "Q_f-asymmetric": {"Q_f": asymmetric_q_f},
         "R_e-asymmetric": {"R_e": [[0.5, 0.1], [0.0, 0.5]]},
         "t0-after-tf": {"t0": 1.0, "tf": 0.0},
+        "horizon-overflow": {"t0": -1e308, "tf": 1e308},
         "Q-nan": {"Q": nan_q},
         "R_p-zero": {"R_p": [[0.0]], **one_pursuer_input},
         "R_p-negative": {"R_p": [[-1.0]], **one_pursuer_input},
@@ -450,6 +451,7 @@ DEFECT_ERRORS = {
     "Q_f-asymmetric": "Q_f not symmetric",
     "R_e-asymmetric": "R_e not symmetric",
     "t0-after-tf": "need finite t0 < tf, got t0=1.0, tf=0.0",
+    "horizon-overflow": "t0=-1e+308, tf=1e+308: the horizon tf - t0 overflows",
     "Q-nan": "Q contains non-finite entries",
     "R_p-zero": "R_p is not invertible (Singular matrix)",
     "A-string": "A is not a numeric matrix: could not convert string to float: 'x'",
@@ -1031,6 +1033,28 @@ def test_readme_report_keys_in_order(capsys, argv):
     doc = json.loads(out)
     assert list(doc) == ["command", *REPORT_KEYS[argv[0]]]
     assert doc["command"] == argv[0]
+
+
+# simulate's open-loop and deviation paths, stdout byte for byte
+SIMULATE_STDOUT = {
+    ("--pursuer", "open-loop", "--evader", "open-loop"): (
+        '{"command": "simulate", "payoff_direct": 0.33333333333330117, '
+        '"payoff_completed_square": 0.33333333333333359, "game_value": 0.33333333333333359, '
+        '"events": [], "terminal_cost": 0.11111111111107125, "csv": null}\n'
+    ),
+    ("--evader", "deviation", "--w", "1,2"): (
+        '{"command": "simulate", "payoff_direct": 2.3888888888883377, '
+        '"payoff_completed_square": 2.3888888888887827, "game_value": 0.33333333333333359, '
+        '"events": [], "terminal_cost": 4.4444444444439943, "csv": null}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(SIMULATE_STDOUT), ids=["open-loop", "deviation"])
+def test_simulate_stdout_pinned(capsys, argv):
+    assert run_cli(capsys, "simulate", "--preset", "example1", *argv) == (
+        0, SIMULATE_STDOUT[argv], ""
+    )
 
 
 # A game with coupled, non-diagonal effort weights R_p and R_e, so that the

@@ -199,6 +199,8 @@ NAN_Q = np.where(np.eye(4) == 1, np.nan, 0.0)
         ({"t0": 1.0, "tf": 1.0}, ValueError, r"need finite t0 < tf, got t0=1.0, tf=1.0"),
         ({"t0": 2.0}, ValueError, r"need finite t0 < tf, got t0=2.0, tf=1.0"),
         ({"tf": np.inf}, ValueError, r"need finite t0 < tf, got t0=0.0, tf=inf"),
+        ({"t0": -1e308, "tf": 1e308}, ValueError,
+         r"^t0=-1e\+308, tf=1e\+308: the horizon tf - t0 overflows$"),
         # example1 shifted by 1e13: one ulp there is 2e-3 of the horizon, and
         # the game value came out as 0.33350 instead of 1/3
         ({"t0": 1e13, "tf": 1e13 + 1.0}, ValueError,
@@ -209,8 +211,8 @@ NAN_Q = np.where(np.eye(4) == 1, np.nan, 0.0)
         ({"R_e": [[1.0, 1.0], [1.0, 1.0]]}, ValueError, r"R_e is not invertible"),
     ],
     ids=["B-shape", "x0-length", "Q_f-asymmetric", "R_e-asymmetric", "t0-equals-tf",
-         "t0-after-tf", "tf-infinite", "times-unresolvable", "Q-nan", "R_p-singular",
-         "R_e-singular"],
+         "t0-after-tf", "tf-infinite", "horizon-infinite", "times-unresolvable", "Q-nan",
+         "R_p-singular", "R_e-singular"],
 )
 def test_structural_defect_raises_at_construction(changes, error, message):
     with pytest.raises(error, match=message):

@@ -35,3 +35,14 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(module):
     assert unused_imports(module.read_text(encoding="utf-8")) == []
+
+
+def test_all_is_what_init_imports():
+    # every name __init__ imports is exported, and nothing else: a deleted
+    # export cannot linger in __all__
+    tree = ast.parse((ROOT / "src" / "pegame" / "__init__.py").read_text(encoding="utf-8"))
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    (exported,) = [ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign) and ast.unparse(node.targets) == "__all__"]
+    assert sorted(exported) == sorted(imported)

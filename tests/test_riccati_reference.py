@@ -19,7 +19,7 @@ import pytest
 import scipy.linalg as la
 
 from pegame.errors import FiniteEscape
-from pegame.game_model import GameSpec
+from pegame.game_model import TIME_TOL_REL, GameSpec
 from pegame.riccati import (
     STEPS,
     RiccatiProblem,
@@ -173,7 +173,7 @@ def test_pole_inside_a_block_matches_oracle(n):
         solve_riccati(problem, spec.t0)
     report = exc_info.value.report
     assert report.t_escape == pytest.approx(pole, rel=0.0, abs=REL * spec.horizon)
-    assert report.bracket[0] <= pole <= report.bracket[1]
+    assert abs(report.t_escape - pole) <= TIME_TOL_REL * spec.horizon / 2
 
 
 def test_pole_on_a_node_matches_oracle():
@@ -189,7 +189,7 @@ def test_pole_on_a_node_matches_oracle():
         solve_riccati(problem, spec.t0)
     report = exc_info.value.report
     assert report.t_escape == pytest.approx(499.0, rel=0.0, abs=REL * spec.horizon)
-    assert report.bracket[0] <= 499.0 <= report.bracket[1]
+    assert abs(report.t_escape - 499.0) <= TIME_TOL_REL * spec.horizon / 2
 
 
 def test_scalar_pole_matches_tan_closed_form():

@@ -13,6 +13,7 @@ import pytest
 from pegame.riccati import solve_value_riccati
 from pegame.simulator import (
     MIN_SUBSTEPS,
+    InputSeries,
     Strategy,
     _stages,
     deviation_sweep,
@@ -127,14 +128,16 @@ def test_feedback_and_open_loop_kinds_match_oracle(make_clean_spec, probed, n):
     probe = probed(_zoh(rng, spec, spec.n_p))
     w = _zoh(rng, spec, spec.n_e)
     ol_p, ol_e = open_loop_pair(spec, sol)
-    callable_p = Strategy.pursuer_open_loop(lambda t: np.full(spec.n_p, np.sin(3 * t)))
+    sin_p = Strategy.pursuer_open_loop(
+        InputSeries(lambda t: np.repeat(np.sin(3 * t)[..., None], spec.n_p, axis=-1))
+    )
     for pursuer, evader in [
         (ce, eq),
         (probe, eq),
         (ce, Strategy.deviation(w)),
         (ce, Strategy.evader_open_loop(w)),
         (ol_p, ol_e),
-        (callable_p, Strategy.evader_open_loop(w)),
+        (sin_p, Strategy.evader_open_loop(w)),
     ]:
         assert_matches(spec, sol, instants, pursuer, evader, step)
 

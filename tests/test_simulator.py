@@ -4,7 +4,9 @@ import scipy.linalg as la
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pegame.errors import EventOrdering, InadmissibleInterval, IntervalAdmissible, NegativeBudget
+from pegame.errors import (
+    InadmissibleInterval, IntervalAdmissible, NegativeBudget, UnsortedInstants,
+)
 from pegame.game_model import GameSpec, example_one_spec
 from pegame.riccati import STEPS, eval_solution, make_value_problem, solve_value_riccati
 from pegame.simulator import (
@@ -43,9 +45,9 @@ def random_zoh(rng, t0, tf, n, knots=6, scale=1.0):
 
 def test_open_loop_inputs_example_one(example_spec, example_value_sol):
     grid = np.linspace(0.0, 1.0, 11)
-    up, ue = open_loop_inputs(example_spec, example_value_sol, grid)
-    assert np.abs(up.values - np.array([4.0 / 3.0, 0.0])).max() <= 1e-6
-    assert np.abs(ue.values - np.array([2.0 / 3.0, 0.0])).max() <= 1e-6
+    up, ue = open_loop_inputs(example_spec, example_value_sol)
+    assert np.abs(up(grid) - np.array([4.0 / 3.0, 0.0])).max() <= 1e-6
+    assert np.abs(ue(grid) - np.array([2.0 / 3.0, 0.0])).max() <= 1e-6
 
 
 def test_open_loop_inputs_zero_state(example_spec, example_value_sol):
@@ -63,9 +65,10 @@ def test_open_loop_inputs_zero_state(example_spec, example_value_sol):
         x0=np.zeros(4),
     )
     sol = solve_value_riccati(zero_start)
-    up, ue = open_loop_inputs(zero_start, sol, np.linspace(0, 1, 7))
-    assert np.abs(up.values).max() == 0.0
-    assert np.abs(ue.values).max() == 0.0
+    up, ue = open_loop_inputs(zero_start, sol)
+    grid = np.linspace(0, 1, 7)
+    assert np.abs(up(grid)).max() == 0.0
+    assert np.abs(ue(grid)).max() == 0.0
 
 
 def test_open_loop_play_follows_transition_flow(example_spec, example_value_sol):
@@ -164,11 +167,11 @@ def test_deviation_payoff_formula_single(example_spec, example_value_sol):
 
 def test_event_ordering_raises(example_spec, example_value_sol):
     ce, eq = Strategy.certainty_equivalent(), Strategy.evader_equilibrium()
-    with pytest.raises(EventOrdering):
+    with pytest.raises(UnsortedInstants):
         simulate(example_spec, example_value_sol, [0.7, 0.3], ce, eq)
-    with pytest.raises(EventOrdering):
+    with pytest.raises(UnsortedInstants):
         simulate(example_spec, example_value_sol, [0.0, 0.5], ce, eq)
-    with pytest.raises(EventOrdering):
+    with pytest.raises(UnsortedInstants):
         simulate(example_spec, example_value_sol, [1.0], ce, eq)
 
 
@@ -228,8 +231,8 @@ def test_unforced_payoff_matches_exponential_oracle(make_clean_spec):
         x0=spec0.x0,
     )
     sol = solve_value_riccati(spec)
-    zero_p = Strategy.pursuer_open_loop(lambda t: np.zeros(spec.n_p))
-    zero_e = Strategy.evader_open_loop(lambda t: np.zeros(spec.n_e))
+    zero_p = Strategy.pursuer_open_loop(np.zeros(spec.n_p))
+    zero_e = Strategy.evader_open_loop(np.zeros(spec.n_e))
     traj = simulate(spec, sol, [], zero_p, zero_e)
     x_f = la.expm(spec.A * spec.horizon) @ spec.x0
     assert traj.payoff_direct == pytest.approx(float(x_f @ spec.Q_f @ x_f), rel=1e-7)
