@@ -163,9 +163,10 @@ def _write_csv(path: str, header: list[str], table) -> None:
 
 def write_matrix_csv(path: str, sol) -> None:
     """Time column plus row-major matrix entries, ascending in time."""
-    n = sol.values.shape[1]
+    values = eval_solution(sol, sol.grid)
+    n = values.shape[1]
     header = ["t"] + [f"m{i}_{j}" for i in range(n) for j in range(n)]
-    entries = sol.values[::-1].reshape(len(sol.grid), n * n)
+    entries = values[::-1].reshape(len(sol.grid), n * n)
     _write_csv(path, header, np.column_stack([sol.grid[::-1], entries]))
 
 
@@ -262,7 +263,7 @@ def _evader_strategy(args, spec, sol) -> Strategy:
         return Strategy.evader_open_loop(np.asarray(w, dtype=float))
     if args.evader == "risky":
         # the leading interval of the schedule
-        bounds = [spec.t0, *args.instants, spec.tf]
+        bounds = [spec.t0, *spec.checked_instants(args.instants), spec.tf]
         return risky_strategy(spec, sol, (bounds[0], bounds[1]), scale=args.scale)
     return Strategy.evader_equilibrium()
 

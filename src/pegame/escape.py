@@ -1,20 +1,20 @@
 """Finite escape-time detection for backward Riccati flows.
 
-Two independent detectors cross-validate each other:
+Two independent detectors, of a ``RiccatiProblem`` and a floor each, cross-check:
 
 * norm blow-up: integrate the nonlinear flow backward, by the adaptive
   extrapolation stepper ``_integrate_backward``, in the chart
   Y = (X - sigma I)^-1 from the terminal time on, where the pole is a
   smooth zero of an eigenvalue; refine that zero.  This detector never
   uses the Hamiltonian form.
-* Maslov count (``riccati._Count``, the oracle of record, which the
-  exact value solve uses too): the gap flow is V U^-1 for the linear flow
-  [U; V]' = H [U; V] with the gap problem's Hamiltonian
-  H = [[A, -C R_e^-1 C'], [Q, -A']], so it escapes where the plane of
-  [U; V] meets the vertical plane {U = 0}; the count takes those meetings
-  with multiplicity, so the bundled example's double root, where det U
-  keeps its sign, counts twice.  Every jump has one sign, as the crossing
-  form on ker U is (V x)' C R_e^-1 C' (V x) >= 0 (Coppel, LNM 220, 1971).
+* Maslov count (``riccati._count``, the oracle of record, which the
+  exact value solve reads too): any problem's flow is V U^-1 for the
+  linear flow [U; V]' = H [U; V] with its Hamiltonian H, so it escapes
+  where the plane of [U; V] meets the vertical plane {U = 0}; the count
+  takes those meetings with multiplicity, so the bundled example's double
+  root, where det U keeps its sign, counts twice.  On the gap flow every
+  jump has one sign: the crossing form on ker U is (V x)' C R_e^-1 C' (V x)
+  >= 0 (Coppel, LNM 220, 1971).
 
 Escape times are resolved to ``TIME_TOL_REL`` of the search span.
 ``_escape_inside`` decides whether each of a list of intervals holds an
@@ -43,6 +43,7 @@ from .riccati import (
     RiccatiProblem,
     RiccatiSolution,
     _Count,
+    _count,
     _counts,
     _illinois,
     _orth,
@@ -206,26 +207,11 @@ def detect_escape_norm(problem: RiccatiProblem, floor: float) -> EscapeReport:
             return EscapeReport(False, None)
 
 
-def _gap_count(spec: GameSpec, terminal_time: float, terminal_value, floor: float) -> _Count:
-    """Count of the gap flow ending at ``terminal_value`` against the plane
-    [0; I], down to ``floor``; its first meeting is the largest pole."""
-    Z0 = np.vstack((np.eye(spec.n_x), terminal_value))
-    return _plane_counts(spec._gap_flow, terminal_time, Z0, floor)[0]
-
-
-def detect_escape_radon(
-    spec: GameSpec,
-    terminal_time: float,
-    terminal_value: np.ndarray,
-    floor: float,
-) -> EscapeReport:
-    """Escape search for the constant-coefficient gap flow via its
-    linear representation; reports the largest singularity below the
-    terminal time."""
-    terminal_time, floor = float(terminal_time), float(floor)
-    if not floor < terminal_time:
-        raise ValueError("floor must lie below the terminal time")
-    first = _gap_count(spec, terminal_time, terminal_value, floor).first
+def detect_escape_radon(problem: RiccatiProblem, floor: float) -> EscapeReport:
+    """Escape search via the flow's linear representation (``riccati._count``,
+    as the exact value solve counts it); reports the largest singularity
+    below the terminal time."""
+    first = _count(problem, floor).first
     return EscapeReport(first is not None, first)
 
 

@@ -20,12 +20,12 @@ flow [U; V]' = H [U; V] with H = [[F, N], [-D, -F']].  The flow has a pole
 where the plane of [U; V] meets the vertical plane {U = 0}; ``_Count``
 counts those meetings with multiplicity, as the Maslov index of the path
 (Robbin and Salamon, Topology 32, 1993), and is the one oracle of poles:
-the linear flow has no finite-time singularity.  ``solve_riccati`` counts
-the flow once: it raises FiniteEscape at the count's first pole, and
-otherwise keeps the count, which gives the exact value at any time
-(``eval_solution``) and the values on a uniform grid when asked; what
-needs the flow's plane instead (gap flows' starts, the slack partner, the
-transition matrix) reads it off the count too (``_Count.plane``).  Escape times
+the linear flow has no finite-time singularity.  ``_count`` counts a
+problem's flow from its terminal value, for ``solve_riccati`` and the
+radon escape detector alike; the solve raises FiniteEscape at its first
+pole, and otherwise keeps the count, exact at any time (``eval_solution``).
+What needs the flow's plane instead (gap flows' starts, the slack partner,
+the transition matrix) reads it off the count too (``_Count.plane``).  Escape times
 are resolved to ``TIME_TOL_REL`` of the span.  Everything here works on
 the Hamiltonian form; the independent check that integrates the nonlinear
 flow itself, the norm escape detector, lives in ``escape``.
@@ -33,7 +33,6 @@ flow itself, the norm escape detector, lives in ``escape``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -123,19 +122,13 @@ class RiccatiSolution:
     which is exact at any time (``eval_solution``).
 
     ``grid`` is a strictly decreasing uniform grid from the terminal time
-    to the floor; ``values[k]``, the matrix at ``grid[k]``, is read off the
-    count on first use.
+    to the floor, the nodes at which callers tabulate the solution.
     """
 
     kind: str
     grid: np.ndarray      # strictly decreasing, grid[0] = terminal_time
     terminal_value: np.ndarray
     count: _Count
-
-    @cached_property
-    def values(self) -> np.ndarray:
-        """(K, n, n) stack of the values at the grid's nodes."""
-        return eval_solution(self, self.grid)
 
 
 def _in_range(t, lo, hi) -> np.ndarray:
@@ -358,27 +351,22 @@ def _counts(flow: _Taylor, Z0, starts, ends, partner, partner_speed=0.0) -> list
     cells = np.maximum(cells, 1).astype(int)
     order = np.argsort(-cells, kind="stable")  # the counts still moving are a prefix
     starts, ends, cells = starts[order], ends[order], cells[order]
-    h = (ends - starts) / cells
-    steps = _powers(flow(h), 4 * n)
+    steps = _powers(flow((ends - starts) / cells), 4 * n)
     blocks = (-(-cells // (4 * n))).tolist()
     moved = [np.broadcast_to(_orth(Z0), (len(cells), 2 * n, n))[order][None]]
     for j in range(blocks[0]):
         m = sum(b > j for b in blocks)
         moved.append(_orth(steps[:, :m] @ moved[-1][-1, :m]))
-    # the grids, as np.linspace makes them: start + k h, and the end
-    points = cells + 1
-    opens = np.cumsum(points) - points
-    grid = (np.arange(points.sum()) - np.repeat(opens, points)) * np.repeat(h, points)
-    grid += np.repeat(starts, points)
-    grid[opens + cells] = ends
+    points = (cells + 1).tolist()
+    grids = [np.linspace(a, b, k) for a, b, k in zip(starts.tolist(), ends.tolist(), points)]
     frames = [
         np.concatenate([m[:, p] for m in moved[: b + 1]])[:k]
-        for p, (b, k) in enumerate(zip(blocks, points.tolist()))
+        for p, (b, k) in enumerate(zip(blocks, points))
     ]
-    angles = _eigen_angles(np.concatenate(frames), partner(grid))
-    counts = [None] * len(cells)
-    for i, f, o, k in zip(order.tolist(), frames, opens.tolist(), points.tolist()):
-        counts[i] = _Count(flow, partner, grid[o : o + k], f, angles[o : o + k])
+    angles = _eigen_angles(np.concatenate(frames), partner(np.concatenate(grids)))
+    angles = np.split(angles, np.cumsum(points)[:-1])
+    made = [_Count(flow, partner, *c) for c in zip(grids, frames, angles)]
+    counts = [made[i] for i in np.argsort(order).tolist()]
     _first_meetings(flow, partner, [c for c in counts if c.met_cell is not None])
     return counts
 
@@ -423,26 +411,32 @@ def _plane_counts(flow: _Taylor, starts, Z0: np.ndarray, floors) -> list[_Count]
     return _counts(flow, Z0, starts, floors, lambda s: V0)
 
 
+def _count(problem: RiccatiProblem, floor: float) -> _Count:
+    """The count of ``problem``'s flow from [I; X1] at its terminal time,
+    X1 its terminal value, down to ``floor``: its first meeting is the
+    flow's largest pole above the floor."""
+    floor = float(floor)
+    if not floor < problem.terminal_time:
+        raise ValueError("floor must lie below the terminal time")
+    Z0 = np.vstack((np.eye(problem.n), problem.terminal_value))
+    return _plane_counts(_Taylor(problem.hamiltonian), problem.terminal_time, Z0, floor)[0]
+
+
 def solve_riccati(problem: RiccatiProblem, floor: float) -> RiccatiSolution:
     """Propagate ``problem`` exactly backward to ``floor``; dense output.
 
-    The flow is counted once (``_plane_counts``): it raises FiniteEscape
-    at the count's first meeting when the flow has a pole above the
-    floor.  Otherwise the solution keeps the count, the terminal value
-    and the ``STEPS + 1`` uniform nodes at which ``values`` reads it.
+    The flow is counted once (``_count``, as the radon detector counts it):
+    it raises FiniteEscape at the count's first meeting when the flow has
+    a pole above the floor.  Otherwise the solution keeps the count, the
+    terminal value and ``STEPS + 1`` uniform nodes.
     """
-    t1 = problem.terminal_time
-    floor = float(floor)
-    if not floor < t1:
-        raise ValueError("floor must lie below the terminal time")
-    Z0 = np.vstack((np.eye(problem.n), problem.terminal_value))
-    (count,) = _plane_counts(_Taylor(problem.hamiltonian), t1, Z0, floor)
+    count = _count(problem, floor)
     if count.first is not None:
         raise FiniteEscape(
             f"{problem.kind} flow escaped near t={count.first:.9g}",
             report=EscapeReport(True, count.first),
         )
-    grid = np.linspace(t1, floor, STEPS + 1)
+    grid = np.linspace(problem.terminal_time, float(floor), STEPS + 1)
     return RiccatiSolution(problem.kind, grid, _sym(problem.terminal_value), count)
 
 

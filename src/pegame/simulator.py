@@ -60,16 +60,13 @@ def _quad(v: np.ndarray, W: np.ndarray) -> np.ndarray:
 class InputSeries:
     """Input signal given by its dense evaluator.
 
-    ``dense`` takes an array of times, of any shape S, and gives the
-    inputs there, (*S, m); ``knots`` are the times where the signal may
-    jump.
+    ``dense``, the one way to read the signal, takes an array of times, of
+    any shape S, and gives the inputs there, (*S, m); ``knots`` are the
+    times where the signal may jump.
     """
 
     dense: Callable[[np.ndarray], np.ndarray]
     knots: tuple[float, ...] = ()
-
-    def __call__(self, t) -> np.ndarray:
-        return self.dense(t)
 
 
 def piecewise_constant(knots, values) -> InputSeries:
@@ -470,8 +467,6 @@ def deviation_gain_check(
     value_sol: RiccatiSolution,
     interval: tuple[float, float],
     w,
-    *,
-    step: float | None = None,
 ) -> tuple[float, float]:
     """Net evader gain from a deviation on one escape-free interval,
     evaluated two ways.
@@ -482,9 +477,9 @@ def deviation_gain_check(
     gain int (|e|^2_{P B R_p^-1 B' P} - |w|^2_{R_e}) dt collapses, by the
     error-value flow M of the interval, to -int |w + R_e^-1 C'M e|^2_{R_e} dt,
     so it is never positive; M = G + P comes from the count of the gap
-    flow G that certifies the interval.  Steps split at the knots of ``w``,
-    as in ``simulate``.  Returns (gain, completed_square); callers assert
-    their agreement and nonpositivity.
+    flow G that certifies the interval.  The steps, (b - a) / 1000 at most,
+    split at the knots of ``w``, as in ``simulate``.  Returns (gain,
+    completed_square); callers assert their agreement and nonpositivity.
     """
     a, b, pole, gap = _counted_gap(spec, value_sol, interval, escapes=False)
 
@@ -522,9 +517,8 @@ def deviation_gain_check(
         g[...] = _mv(spec.C, wt)
         return rates
 
-    step = float(step) if step is not None else (b - a) / 1000.0
     knots = sorted(k for k in getattr(w, "knots", ()) if a < k < b)
-    _, integrals, _ = _rk4(_grid([a, *knots, b], step), np.zeros((1, n)), system)
+    _, integrals, _ = _rk4(_grid([a, *knots, b], (b - a) / 1000.0), np.zeros((1, n)), system)
     gain, square = integrals[-1, 0]
     return float(gain), float(square)
 

@@ -115,7 +115,7 @@ def probed():
 
         def terms(s):
             K_x, K_h, v = ce.terms(s)
-            return K_x, K_h, v + probe(s.t_in)
+            return K_x, K_h, v + probe.dense(s.t_in)
 
         return Strategy("pursuer", terms, probe.knots)
 

@@ -7,6 +7,7 @@ import numpy as np
 
 from pegame.errors import InadmissibleInterval
 from pegame.riccati import (
+    _gap_problem,
     eval_solution,
     make_gap_problem,
     solve_value_riccati,
@@ -49,8 +50,8 @@ def test_c01_value_flow_closed_form(example_spec, example_value_sol):
 def test_c02_open_loop_pair(example_spec, example_value_sol):
     grid = np.linspace(0.0, 1.0, 11)
     up, ue = open_loop_inputs(example_spec, example_value_sol)
-    err_p = np.abs(up(grid) - np.array([4.0 / 3.0, 0.0])).max()
-    err_e = np.abs(ue(grid) - np.array([2.0 / 3.0, 0.0])).max()
+    err_p = np.abs(up.dense(grid) - np.array([4.0 / 3.0, 0.0])).max()
+    err_e = np.abs(ue.dense(grid) - np.array([2.0 / 3.0, 0.0])).max()
     assert err_p <= 1e-6 and err_e <= 1e-6
     _report(
         "criterion 2: open-loop pair constant [4/3,0] / [2/3,0], "
@@ -98,9 +99,7 @@ def test_c05_optimal_schedule(example_spec, example_value_sol):
     assert 0.5 <= sched.instants[0] <= 0.5 + margin + 1e-3
     # the recursion's next candidate from the emitted instant sits at -1/2
     boundary = -eval_solution(example_value_sol, sched.instants[0])
-    rep = detect_escape_radon(
-        example_spec, sched.instants[0], boundary, floor=-1.0
-    )
+    rep = detect_escape_radon(_gap_problem(example_spec, sched.instants[0], boundary), floor=-1.0)
     assert rep.found and abs(rep.t_escape - (-0.5)) <= 1e-3
     _report(
         f"criterion 5: one communication at t1={sched.instants[0]:.7f}; "
@@ -117,9 +116,8 @@ def test_c06_slack_bound(example_spec, example_value_sol):
 def test_c07_detector_agreement(example_spec, example_value_sol, make_escape_spec):
     problem = make_gap_problem(example_spec, example_value_sol, 1.0)
     rn = detect_escape_norm(problem, 0.0)
-    rr = detect_escape_radon(
-        example_spec, 1.0, -eval_solution(example_value_sol, 1.0), 0.0
-    )
+    boundary = -eval_solution(example_value_sol, 1.0)
+    rr = detect_escape_radon(_gap_problem(example_spec, 1.0, boundary), 0.0)
     assert rn.found and rr.found
     assert abs(rn.t_escape - 0.5) <= 1e-6 and abs(rr.t_escape - 0.5) <= 1e-6
     worst = abs(rn.t_escape - rr.t_escape)
@@ -133,9 +131,7 @@ def test_c07_detector_agreement(example_spec, example_value_sol, make_escape_spe
         sol = solve_value_riccati(spec)
         floor = spec.tf - 3.0
         a = detect_escape_norm(make_gap_problem(spec, sol, spec.tf), floor)
-        b = detect_escape_radon(
-            spec, spec.tf, -eval_solution(sol, spec.tf), floor
-        )
+        b = detect_escape_radon(_gap_problem(spec, spec.tf, -eval_solution(sol, spec.tf)), floor)
         if a.found and b.found:
             both += 1
             worst = max(worst, abs(a.t_escape - b.t_escape))

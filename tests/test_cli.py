@@ -408,10 +408,17 @@ def test_domain_errors_pinned():
          "instants not strictly increasing: [0.5, 0.5]"),
         (["simulate", "--preset", "example1", "--instants", "1.0"],
          "instants must lie strictly inside (0.0, 1.0): [1.0]"),
+        (["simulate", "--preset", "example1", "--evader", "risky", "--instants", "0.7,0.6"],
+         "instants not strictly increasing: [0.7, 0.6]"),
+        (["simulate", "--preset", "example1", "--evader", "risky", "--instants", "2"],
+         "instants must lie strictly inside (0.0, 1.0): [2.0]"),
         (["reachability", "--budget", "-1", "--horizon", "1"],
          "effort budget must be nonnegative, got -1.0"),
     ],
-    ids=["unsorted-instants", "instant-at-tf", "negative-budget"],
+    ids=[
+        "unsorted-instants", "instant-at-tf", "risky-unsorted-instants",
+        "risky-instant-past-tf", "negative-budget",
+    ],
 )
 def test_rejected_input_exits_2_without_class_name(capsys, argv, message):
     assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")

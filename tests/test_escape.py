@@ -7,10 +7,12 @@ from pegame.riccati import (
     _gap_problem,
     eval_solution,
     make_gap_problem,
+    make_value_problem,
+    solve_riccati,
     solve_value_riccati,
 )
 from pegame import escape, riccati
-from pegame.errors import OutOfRange
+from pegame.errors import EscapeReport, FiniteEscape, OutOfRange
 from pegame.escape import TIME_TOL_REL, detect_escape_norm, detect_escape_radon
 from pegame.scheduler import MARGIN_REL, check_admissibility, max_next_instance, optimal_schedule
 from pegame.simulator import Strategy, deviation_gain_check, risky_strategy, simulate
@@ -30,7 +32,7 @@ def test_norm_detector_example_one(example_spec, example_value_sol):
 
 def test_radon_detector_example_one(example_spec, example_value_sol):
     boundary = -eval_solution(example_value_sol, 1.0)
-    rep = detect_escape_radon(example_spec, 1.0, boundary, 0.0)
+    rep = detect_escape_radon(_gap_problem(example_spec, 1.0, boundary), 0.0)
     assert rep.found
     assert abs(rep.t_escape - 0.5) <= TIME_TOL_REL / 2
 
@@ -38,9 +40,8 @@ def test_radon_detector_example_one(example_spec, example_value_sol):
 def test_detectors_agree_example_one(example_spec, example_value_sol):
     problem = make_gap_problem(example_spec, example_value_sol, 1.0)
     rn = detect_escape_norm(problem, 0.0)
-    rr = detect_escape_radon(
-        example_spec, 1.0, -eval_solution(example_value_sol, 1.0), 0.0
-    )
+    boundary = -eval_solution(example_value_sol, 1.0)
+    rr = detect_escape_radon(_gap_problem(example_spec, 1.0, boundary), 0.0)
     assert abs(rn.t_escape - rr.t_escape) <= 1e-6
 
 
@@ -49,7 +50,7 @@ def test_no_escape_on_short_horizon(example_spec, example_value_sol):
     problem = make_gap_problem(example_spec, example_value_sol, 0.5)
     assert not detect_escape_norm(problem, 0.0).found
     boundary = -eval_solution(example_value_sol, 0.5)
-    assert not detect_escape_radon(example_spec, 0.5, boundary, 0.0).found
+    assert not detect_escape_radon(_gap_problem(example_spec, 0.5, boundary), 0.0).found
 
 
 def test_zero_flow_never_escapes(example_spec):
@@ -69,16 +70,14 @@ def test_zero_flow_never_escapes(example_spec):
     value_sol = solve_value_riccati(trivial)
     problem = make_gap_problem(trivial, value_sol, 1.0)
     assert not detect_escape_norm(problem, -5.0).found
-    assert not detect_escape_radon(
-        trivial, 1.0, np.zeros((4, 4)), -5.0
-    ).found
+    assert not detect_escape_radon(_gap_problem(trivial, 1.0, np.zeros((4, 4))), -5.0).found
 
 
 def test_escape_time_formula_and_monotonicity(example_spec, example_value_sol):
     previous = -np.inf
     for t_next in (0.6, 0.75, 0.9, 1.0):
         boundary = -eval_solution(example_value_sol, t_next)
-        rep = detect_escape_radon(example_spec, t_next, boundary, -1.0)
+        rep = detect_escape_radon(_gap_problem(example_spec, t_next, boundary), -1.0)
         assert rep.found
         expected = escape_time_formula(t_next)
         assert rep.t_escape == pytest.approx(expected, abs=1e-6)
@@ -94,9 +93,8 @@ def test_methods_agree_on_random_games(make_escape_spec):
         value_sol = solve_value_riccati(spec)
         floor = spec.tf - 3.0
         rn = detect_escape_norm(make_gap_problem(spec, value_sol, spec.tf), floor)
-        rr = detect_escape_radon(
-            spec, spec.tf, -eval_solution(value_sol, spec.tf), floor
-        )
+        boundary = -eval_solution(value_sol, spec.tf)
+        rr = detect_escape_radon(_gap_problem(spec, spec.tf, boundary), floor)
         assert rn.found == rr.found
         if rn.found and rr.found:
             agreements += 1
@@ -126,7 +124,7 @@ def test_bracket_is_certified_finite(example_spec, example_value_sol):
     problem = make_gap_problem(example_spec, example_value_sol, 1.0)
     t = detect_escape_norm(problem, 0.0).t_escape
     lo, hi = t - TIME_TOL_REL / 4, t + TIME_TOL_REL / 4
-    flow = escape._gap_count(example_spec, 1.0, problem.terminal_value, 0.0)
+    flow = riccati._count(problem, 0.0)
     assert flow.count(hi) == 0 != flow.count(lo)
     norm_at_hi = np.linalg.norm(flow.value(hi), 2)
     assert np.isfinite(norm_at_hi) and norm_at_hi >= 1e8
@@ -136,7 +134,8 @@ def test_bracket_is_certified_finite(example_spec, example_value_sol):
 def test_count_value_matches_closed_form(example_spec, example_value_sol, b):
     # example1's K is nilpotent, hence defective; above the pole the flow
     # is -K/(3 - 4b + 2t)
-    flow = escape._gap_count(example_spec, b, -eval_solution(example_value_sol, b), 0.0)
+    boundary = -eval_solution(example_value_sol, b)
+    flow = riccati._count(_gap_problem(example_spec, b, boundary), 0.0)
     t = np.linspace(escape_time_formula(b) + 0.05, b, 41)
     exact = -np.block([[np.eye(2), -np.eye(2)], [-np.eye(2), np.eye(2)]]) / (
         3.0 - 4.0 * b + 2.0 * t[:, None, None]
@@ -170,7 +169,7 @@ def test_count_value_moves_agree(make_escape_spec):
     while games < 20:
         spec = make_escape_spec(rng, n=2)
         sol = solve_value_riccati(spec)
-        flow = escape._gap_count(spec, spec.tf, -eval_solution(sol, spec.tf), spec.t0)
+        flow = riccati._count(_gap_problem(spec, spec.tf, -eval_solution(sol, spec.tf)), spec.t0)
         top = spec.t0 if flow.first is None else flow.first + 0.05
         if top >= spec.tf:
             continue
@@ -189,7 +188,7 @@ def test_count_value_near_a_defective_hamiltonian():
         Q=1e-10 * np.eye(n), Q_f=np.eye(n), R_p=np.eye(n), R_e=np.eye(n),
         t0=0.0, tf=1.0, x0=np.zeros(n),
     )
-    flow = escape._gap_count(spec, 1.0, -np.eye(n), 0.0)
+    flow = riccati._count(_gap_problem(spec, 1.0, -np.eye(n)), 0.0)
     assert np.linalg.cond(np.linalg.eig(flow.K)[1]) > 1e7
     t = np.linspace(0.0, 1.0, 41)
     assert relative_gap(flow.value(t), expm_value(flow, t)) <= 1e-13
@@ -216,7 +215,8 @@ def test_taylor_move_against_expm_at_the_bound(K):
 
 
 def test_count_refuses_times_outside_its_span(example_spec, example_value_sol):
-    flow = escape._gap_count(example_spec, 1.0, -eval_solution(example_value_sol, 1.0), 0.6)
+    boundary = -eval_solution(example_value_sol, 1.0)
+    flow = riccati._count(_gap_problem(example_spec, 1.0, boundary), 0.6)
     flow.value(np.array([0.6, 1.0]))
     for t in (0.6 - 1e-6, 1.0 + 1e-6):
         with pytest.raises(OutOfRange):
@@ -245,12 +245,12 @@ def test_scalar_tan_escapes_are_counted():
     # X' = 1 + 4 X^2 from X(2) = 0 is tan(2 (t - 2)) / 2: poles at
     # 2 - pi/4 - k pi/2, two of them above the floor -1
     spec = _diagonal_game([0.0], [1.0], [2.0], tf=2.0)
-    flow = escape._gap_count(spec, 2.0, np.zeros((1, 1)), -1.0)
+    flow = riccati._count(_gap_problem(spec, 2.0, np.zeros((1, 1))), -1.0)
     poles = (2.0 - np.pi / 4, 2.0 - 3 * np.pi / 4)
     assert abs(flow.count(-1.0)) == 2
     assert abs(flow.count(0.5 * (poles[0] + poles[1]))) == 1
     assert flow.count(poles[0] + 1e-6) == 0
-    rep = detect_escape_radon(spec, 2.0, np.zeros((1, 1)), -1.0)
+    rep = detect_escape_radon(_gap_problem(spec, 2.0, np.zeros((1, 1))), -1.0)
     assert rep.found and abs(rep.t_escape - poles[0]) <= 1e-12
 
 
@@ -260,9 +260,33 @@ def test_scalar_tanh_escape():
     spec = _diagonal_game([1.0], [0.0], [1.0])
     for x1, floor in ((-1.0, 0.0), (-0.2, -0.5)):
         t_star = 1.0 - np.arctanh(1.0 / (1.0 - x1))  # 0.451, -0.199
-        rep = detect_escape_radon(spec, 1.0, [[x1]], floor)
+        rep = detect_escape_radon(_gap_problem(spec, 1.0, [[x1]]), floor)
         assert rep.found and abs(rep.t_escape - t_star) <= 1e-12
-    assert not detect_escape_radon(spec, 1.0, [[-0.2]], 0.0).found
+    assert not detect_escape_radon(_gap_problem(spec, 1.0, [[-0.2]]), 0.0).found
+
+
+def test_solve_and_radon_detector_read_one_count(example_spec, example_value_sol):
+    # an escape the solve raises is the radon detector's report, for value
+    # and gap problems alike; without one, the solve returns
+    value_escape = _diagonal_game([0.0], [0.0], [2.0], tf=2.0)  # X' = -3 X^2, pole at 5/3
+    gap = make_gap_problem(example_spec, example_value_sol, 1.0)
+    escaping = [
+        (make_value_problem(value_escape), 0.0),
+        (gap, 0.0),
+        (_gap_problem(_diagonal_game([0.0], [1.0], [2.0], tf=2.0), 2.0, np.zeros((1, 1))), -1.0),
+    ]
+    for problem, floor in escaping:
+        with pytest.raises(FiniteEscape) as raised:
+            solve_riccati(problem, floor)
+        assert raised.value.report == detect_escape_radon(problem, floor)
+        assert raised.value.report.found
+    short = make_gap_problem(example_spec, example_value_sol, 0.5)
+    for problem in (make_value_problem(example_spec), short):
+        assert detect_escape_radon(problem, 0.0) == EscapeReport(False, None)
+        solve_riccati(problem, 0.0)
+    # the norm detector takes the very problem the radon detector takes
+    rn, rr = detect_escape_norm(gap, 0.0), detect_escape_radon(gap, 0.0)
+    assert rn.found and abs(rn.t_escape - rr.t_escape) <= 1e-6
 
 
 def test_count_is_the_number_of_escaping_blocks():
@@ -276,7 +300,7 @@ def test_count_is_the_number_of_escaping_blocks():
         A=base.A, B=base.B, C=O @ base.C, Q=O @ base.Q @ O.T, Q_f=base.Q_f,
         R_p=base.R_p, R_e=base.R_e, t0=0.0, tf=1.0, x0=base.x0,
     )
-    flow = escape._gap_count(spec, 1.0, np.zeros((4, 4)), 0.0)
+    flow = riccati._count(_gap_problem(spec, 1.0, np.zeros((4, 4))), 0.0)
     for t in np.linspace(0.0, 1.0, 41):
         assert abs(flow.count(t)) == int(np.sum(poles >= t)), t
     assert abs(flow.first - poles[-1]) <= 1e-12
@@ -294,7 +318,7 @@ def test_perturbed_double_root_splits(eps):
         R_e=np.diag([0.5, 0.5 * (1 + eps)]), t0=0.0, tf=1.0, x0=ex.x0,
     )
     sol = solve_value_riccati(spec)
-    flow = escape._gap_count(spec, 1.0, -eval_solution(sol, 1.0), 0.0)
+    flow = riccati._count(_gap_problem(spec, 1.0, -eval_solution(sol, 1.0)), 0.0)
     assert abs(flow.count(0.0)) == 2
     assert abs(flow.count(0.5 - eps / 4)) == 1
     assert flow.count(0.5 + eps / 4) == 0
@@ -304,7 +328,8 @@ def test_perturbed_double_root_splits(eps):
 
 
 def test_example_one_double_root_counts_twice(example_spec, example_value_sol):
-    flow = escape._gap_count(example_spec, 1.0, -eval_solution(example_value_sol, 1.0), 0.0)
+    boundary = -eval_solution(example_value_sol, 1.0)
+    flow = riccati._count(_gap_problem(example_spec, 1.0, boundary), 0.0)
     assert flow.count(0.0) == -2
     assert flow.count(0.5 + 1e-6) == 0
 
@@ -319,10 +344,10 @@ def test_long_unstable_horizon_grid_grows():
     )
     X1 = np.zeros((2, 2))
     problem = _gap_problem(spec, 40.0, X1)
-    flow = escape._gap_count(spec, 40.0, X1, 0.0)
+    flow = riccati._count(problem, 0.0)
     rate = 4 * 2 * np.linalg.norm(problem.hamiltonian, 2) / np.pi
     assert len(flow.s) - 1 == int(np.ceil(40.0 * rate)) > 250
-    rr = detect_escape_radon(spec, 40.0, X1, 0.0)
+    rr = detect_escape_radon(problem, 0.0)
     rn = detect_escape_norm(problem, 0.0)
     assert rr.found and rn.found
     assert abs(rr.t_escape - rn.t_escape) <= 1e-6
@@ -541,7 +566,7 @@ def test_norm_detector_meets_a_weak_evaders_pole(c, charts):
     )
     X1 = np.zeros((2, 2))
     rn = detect_escape_norm(_gap_problem(spec, 30.0, X1), 0.0)
-    rr = detect_escape_radon(spec, 30.0, X1, 0.0)
+    rr = detect_escape_radon(_gap_problem(spec, 30.0, X1), 0.0)
     assert rn.found and rr.found
     assert abs(rn.t_escape - rr.t_escape) <= 1e-7
     # the first chart is made at the terminal time, from X = 0, with the
@@ -570,7 +595,7 @@ def test_norm_detector_past_the_level_without_escape(charts):
     spec = _diagonal_game([1.0], [0.0], [0.01])
     X1 = np.array([[50.0]])
     assert not detect_escape_norm(_gap_problem(spec, 1.0, X1), -4.0).found
-    assert not detect_escape_radon(spec, 1.0, X1, -4.0).found
+    assert not detect_escape_radon(_gap_problem(spec, 1.0, X1), -4.0).found
     assert len(charts) == 1 and charts[0][1] == 1.0
 
 
@@ -584,7 +609,7 @@ def test_norm_detector_recharts_for_a_pole_of_the_other_sign(charts):
     rn = detect_escape_norm(_gap_problem(spec, 1.0, X1), -2.0)
     assert rn.found and abs(rn.t_escape + 1.0) <= TIME_TOL_REL * 3.0 / 4
     assert charts[0][1] == 1.0 and charts[-1][1] == -1.0
-    rr = detect_escape_radon(spec, 1.0, X1, -2.0)
+    rr = detect_escape_radon(_gap_problem(spec, 1.0, X1), -2.0)
     assert abs(rn.t_escape - rr.t_escape) <= 1e-9
 
 
@@ -615,7 +640,8 @@ def _escape_games(make_escape_spec):
         spec = make_escape_spec(rng, n=2 + i % 2)
         sol = solve_value_riccati(spec)
         floor = spec.t0 - 2.0
-        if detect_escape_radon(spec, spec.tf, -eval_solution(sol, spec.tf), floor).found:
+        boundary = -eval_solution(sol, spec.tf)
+        if detect_escape_radon(_gap_problem(spec, spec.tf, boundary), floor).found:
             games.append((spec, make_gap_problem(spec, sol, spec.tf), floor))
     assert len(games) == 31
     return games
@@ -627,7 +653,7 @@ def test_stepper_nodes_match_the_count(make_escape_spec):
     # count, to 1e-9 relative
     worst, nodes = 0.0, 0
     for spec, problem, floor in _escape_games(make_escape_spec):
-        exact = escape._gap_count(spec, problem.terminal_time, problem.terminal_value, floor)
+        exact = riccati._count(problem, floor)
         march = escape._integrate_backward(
             problem.rhs, spec.tf, problem.terminal_value, floor, spec.tf - floor
         )

@@ -46,3 +46,38 @@ def test_all_is_what_init_imports():
     (exported,) = [ast.literal_eval(node.value) for node in tree.body
                    if isinstance(node, ast.Assign) and ast.unparse(node.targets) == "__all__"]
     assert sorted(exported) == sorted(imported)
+
+
+def keyword_only(source: str) -> set[tuple[str, str]]:
+    """(function, parameter) for each keyword-only parameter of a public
+    function or method."""
+    return {
+        (node.name, arg.arg) for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        for arg in node.args.kwonlyargs
+    }
+
+
+def passed_by_name(source: str) -> set[tuple[str, str]]:
+    """(callee, keyword) for each keyword a call names, the callee by its
+    last dotted part."""
+    return {
+        (getattr(node.func, "id", getattr(node.func, "attr", None)), kw.arg)
+        for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)
+        for kw in node.keywords if kw.arg
+    }
+
+
+def test_unpassed_keywords_are_found():
+    source = "def f(a, *, b=1, c=2):\n    pass\n\ndef _g(*, d):\n    pass\n\nf(1, c=3)\n"
+    assert keyword_only(source) - passed_by_name(source) == {("f", "b")}
+
+
+def test_every_keyword_only_parameter_is_passed_by_a_caller():
+    # a keyword no caller outside the tests sets is a knob nobody turns
+    params = set().union(*(keyword_only(p.read_text(encoding="utf-8"))
+                           for p in (ROOT / "src" / "pegame").glob("*.py")))
+    callers = [*(ROOT / "src").rglob("*.py"), *(ROOT / "scripts").glob("*.py"),
+               *(ROOT / "perfbench").glob("*.py")]
+    passed = set().union(*(passed_by_name(p.read_text(encoding="utf-8")) for p in callers))
+    assert sorted(params - passed) == []

@@ -104,7 +104,7 @@ def test_example_one_closed_form_on_grid(example_spec, example_value_sol):
 def test_eval_at_grid_nodes_is_exact(example_value_sol):
     sol = example_value_sol
     for k in (0, 1, len(sol.grid) // 2, len(sol.grid) - 1):
-        assert np.array_equal(eval_solution(sol, sol.grid[k]), sol.values[k])
+        assert np.array_equal(eval_solution(sol, sol.grid[k]), eval_solution(sol, sol.grid)[k])
 
 
 def test_eval_at_midpoint_matches_closed_form(example_value_sol):
@@ -149,7 +149,7 @@ def test_zero_weights_give_zero_solution(example_spec):
         x0=spec.x0,
     )
     sol = solve_value_riccati(trivial)
-    assert np.abs(sol.values).max() == 0.0
+    assert np.abs(eval_solution(sol, sol.grid)).max() == 0.0
 
 
 @pytest.mark.parametrize("n,seed", [(2, 11), (3, 7), (4, 23)])
@@ -190,7 +190,7 @@ def test_residual_zero_for_zero_gap_flow(example_spec, example_value_sol):
     value_sol = solve_value_riccati(trivial)
     problem = make_gap_problem(trivial, value_sol, 1.0)
     sol = solve_riccati(problem, 0.0)
-    assert np.abs(sol.values).max() == 0.0
+    assert np.abs(eval_solution(sol, sol.grid)).max() == 0.0
     assert riccati_residual(sol, problem) == 0.0
 
 
@@ -234,7 +234,7 @@ def test_symmetry_preserved_on_grid(make_clean_spec):
     rng = np.random.default_rng(3)
     for n in (2, 3, 4):
         sol = solve_value_riccati(make_clean_spec(rng, n=n))
-        for X in sol.values:
+        for X in eval_solution(sol, sol.grid):
             asym = np.linalg.norm(X - X.T) / (1.0 + np.linalg.norm(X))
             assert asym <= 1e-9
 
@@ -243,7 +243,7 @@ def test_value_flow_positive_semidefinite(make_clean_spec):
     rng = np.random.default_rng(5)
     for n in (2, 3):
         sol = solve_value_riccati(make_clean_spec(rng, n=n))
-        for X in sol.values:
+        for X in eval_solution(sol, sol.grid):
             assert np.linalg.eigvalsh(X)[0] >= -1e-8
 
 

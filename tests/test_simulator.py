@@ -46,8 +46,8 @@ def random_zoh(rng, t0, tf, n, knots=6, scale=1.0):
 def test_open_loop_inputs_example_one(example_spec, example_value_sol):
     grid = np.linspace(0.0, 1.0, 11)
     up, ue = open_loop_inputs(example_spec, example_value_sol)
-    assert np.abs(up(grid) - np.array([4.0 / 3.0, 0.0])).max() <= 1e-6
-    assert np.abs(ue(grid) - np.array([2.0 / 3.0, 0.0])).max() <= 1e-6
+    assert np.abs(up.dense(grid) - np.array([4.0 / 3.0, 0.0])).max() <= 1e-6
+    assert np.abs(ue.dense(grid) - np.array([2.0 / 3.0, 0.0])).max() <= 1e-6
 
 
 def test_open_loop_inputs_zero_state(example_spec, example_value_sol):
@@ -67,8 +67,8 @@ def test_open_loop_inputs_zero_state(example_spec, example_value_sol):
     sol = solve_value_riccati(zero_start)
     up, ue = open_loop_inputs(zero_start, sol)
     grid = np.linspace(0, 1, 7)
-    assert np.abs(up(grid)).max() == 0.0
-    assert np.abs(ue(grid)).max() == 0.0
+    assert np.abs(up.dense(grid)).max() == 0.0
+    assert np.abs(ue.dense(grid)).max() == 0.0
 
 
 def test_open_loop_play_follows_transition_flow(example_spec, example_value_sol):
