@@ -16,11 +16,17 @@ finite on the horizon.
 
 Every strategy is affine, u = K_x(t) x + K_h(t) x_hat + v(t), so the
 closed loop is a linear ODE z' = F(t) z + g(t) and classical RK4 on it is
-an affine recurrence z_{k+1} = T_k z_k + c_k.  ``_rk4`` evaluates F and g
-at all stage times of a block of steps in one batched call, runs the
-short sequential recurrence, then rebuilds the stage states to evaluate
-the quadrature integrands at once.  The deviation sweep runs as one
-batch, the deviation gain check on the estimation error alone.
+an affine recurrence z_{k+1} = T_k z_k + c_k.  ``_rk4`` asks for F once
+per distinct stage time of a block of K steps, 2K + 1 of them, as stages
+two and three share the midpoint and stage four is the next step's
+first, and for g at the stages, in one batched call; it runs the short
+sequential recurrence, then rebuilds the stage states to evaluate the
+quadrature integrands at once.  The built-in strategies feed back 0 or
++-1 times their side's equilibrium gain, so F is formed from B Kp and
+C Ke alone, once for all evaders that share their gains; only a play
+with gains of its own (the risky deviation) forms its products
+explicitly.  The deviation sweep runs as one batch, the deviation gain
+check on the estimation error alone.
 """
 from __future__ import annotations
 
@@ -87,87 +93,109 @@ def piecewise_constant(knots, values) -> InputSeries:
     return InputSeries(dense, tuple(knots[1:]))
 
 
-def _signal(w) -> Callable[[np.ndarray, int], np.ndarray]:
-    """Evaluator (times, dim) -> (*times.shape, dim) of an input given as
-    None (zero), a constant vector or an InputSeries."""
+def _signal(w) -> Callable[["_Stages", int], np.ndarray]:
+    """Evaluator (stages, dim) -> (K, 4, dim) at the RK4 stages of a block
+    of an input given as None (zero), a constant vector or an InputSeries;
+    a series is read once per distinct input time."""
     if w is None:
-        return lambda t, dim: np.zeros((*t.shape, dim))
+        return lambda s, dim: np.zeros((*s.at.shape, dim))
     if isinstance(w, InputSeries):
-        return lambda t, dim: w.dense(t)
+        return lambda s, dim: w.dense(s.t_in)[:, (0, 1, 1, 2)]
     vec = np.asarray(w, dtype=float)
-    return lambda t, dim: np.broadcast_to(vec.reshape(dim), (*t.shape, dim))
+    return lambda s, dim: np.broadcast_to(vec.reshape(dim), (*s.at.shape, dim))
 
 
 # ---------------------------------------------------------------------------
 # strategies
 
 
-@dataclass(frozen=True)
-class _Stages:
-    """Times at which strategies are evaluated, with the equilibrium
-    gains Kp = R_p^-1 B'P and Ke = R_e^-1 C'P there.
-
-    ``t_in`` is ``t`` with each step's end moved to its left limit; inputs
-    read it, so a step never samples the next piece of a zero-order hold.
-    """
-
-    t: np.ndarray
-    t_in: np.ndarray
-    Kp: np.ndarray
-    Ke: np.ndarray
-
-
-def _stages(spec: GameSpec, value_sol: RiccatiSolution, t, t_in) -> _Stages:
-    P = eval_solution(value_sol, t)
-    return _Stages(t, t_in, spec._gains[0] @ P, spec._gains[1] @ P)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Strategy:
     """One player's play in affine form, u = K_x(t) x + K_h(t) x_hat + v(t).
 
-    ``terms`` maps ``_Stages`` at times of any shape S to the stacks K_x
-    (*S, m, n), K_h (*S, m, n) and v (*S, m).  ``knots`` are the times
-    where v may jump; the simulator splits its steps there.
+    The gains are ``state`` and ``estimate`` times the side's equilibrium
+    gain K (Kp = R_p^-1 B'P for the pursuer, Ke = R_e^-1 C'P for the
+    evader), and v is the input ``w``: None (zero), a constant vector or an
+    InputSeries, whose knots the simulator splits its steps at.  A play
+    whose gains are not of that form gives ``terms`` instead, a map from
+    times (S,) and K there (S, m, n) to the stacks K_x, K_h (S, m, n) and
+    v (S, m) at those times; the simulator calls it once per distinct
+    stage time.
     """
 
     side: str
-    terms: Callable[[_Stages], tuple[np.ndarray, np.ndarray, np.ndarray]]
-    knots: tuple[float, ...] = ()
+    state: float = 0.0
+    estimate: float = 0.0
+    w: object = None
+    terms: Callable[[np.ndarray, np.ndarray], tuple] | None = None
+
+    @property
+    def knots(self) -> tuple[float, ...]:
+        return tuple(getattr(self.w, "knots", ()))
 
     @staticmethod
     def certainty_equivalent() -> "Strategy":
         """Equilibrium feedback on the estimate."""
-        return _affine("pursuer", None, estimate=-1.0)
+        return Strategy("pursuer", estimate=-1.0)
 
     @staticmethod
     def pursuer_open_loop(u) -> "Strategy":
-        return _affine("pursuer", u)
+        return Strategy("pursuer", w=u)
 
     @staticmethod
     def evader_equilibrium() -> "Strategy":
-        return _affine("evader", None, state=1.0)
+        return Strategy("evader", state=1.0)
 
     @staticmethod
     def evader_open_loop(u) -> "Strategy":
-        return _affine("evader", u)
+        return Strategy("evader", w=u)
 
     @staticmethod
     def deviation(w) -> "Strategy":
         """Equilibrium feedback plus ``w``."""
-        return _affine("evader", w, state=1.0)
+        return Strategy("evader", state=1.0, w=w)
 
 
-def _affine(side: str, w, state: float = 0.0, estimate: float = 0.0) -> Strategy:
-    """Strategy feeding back ``state`` and ``estimate`` times the side's
-    equilibrium gain on the state and on the estimate, plus the input ``w``."""
-    signal = _signal(w)
+def _times(c: float, M):
+    """c M, or 0.0 for c = 0: a product a strategy does not have, which
+    adds +0 as the zero product it stands for would."""
+    return 0.0 if c == 0 else M if c == 1 else c * M
 
-    def terms(s: _Stages):
-        K = s.Kp if side == "pursuer" else s.Ke
-        return state * K, estimate * K, signal(s.t_in, K.shape[-2])
 
-    return Strategy(side, terms, getattr(w, "knots", ()))
+class _Play:
+    """The strategies of one side that share their gains, over a block.
+
+    With D the side's input matrix, K its equilibrium gain and ``sign`` +1
+    for the pursuer and -1 for the evader, ``X``, ``H`` and ``E`` are
+    D(K_x + K_h), D K_h and D(K_x + K_h + sign K) at the block's distinct
+    stage times: the terms the gains add to the closed-loop matrix, each
+    0.0 where the strategies have no such product.  Equilibrium-gain
+    strategies take them from D K alone; ``v`` lists each strategy's input
+    at the stages, (K, 4, m).
+    """
+
+    def __init__(self, strategies, s: "_Stages", D, K, DK, sign: float):
+        self.lead = lead = strategies[0]
+        if lead.terms is None:
+            a, b = lead.state, lead.estimate
+            self.X, self.H, self.E = _times(a + b, DK), _times(b, DK), _times(a + b + sign, DK)
+            v = [_signal(strategy.w)(s, K.shape[-2]) for strategy in strategies]
+        else:
+            Kx, Kh, v = lead.terms(s.t, K)
+            KxKh = Kx + Kh
+            self.X, self.H = D @ KxKh, D @ Kh
+            self.E = D @ (KxKh + K if sign > 0 else KxKh - K)
+            self.gains = Kx[s.at][:, :, None], Kh[s.at][:, :, None]
+            v = [v[s.at]] * len(strategies)
+        self.v = v
+
+    def feedback(self, K, Kx, x, x_hat):
+        """K_x x + K_h x_hat at the stage states x and x_hat (K, 4, B, n),
+        with K the equilibrium gain at the stages and Kx = K x."""
+        if self.lead.terms is not None:
+            return _mv(self.gains[0], x) + _mv(self.gains[1], x_hat)
+        b = self.lead.estimate
+        return _times(self.lead.state, Kx) + (_times(b, _mv(K, x_hat)) if b else 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -180,28 +208,62 @@ def _grid(bounds, step: float):
     is the final node.  Returns each step's start, length and end."""
     if not step > 0:
         raise ValueError("step must be positive")
-    if bounds[-1] - bounds[0] > MAX_STEPS * step:
-        raise ValueError(f"step {step:g} needs more than {MAX_STEPS} RK4 steps")
-    t, h = [], []
-    for a, b in zip(bounds, bounds[1:]):
-        n = max(MIN_SUBSTEPS, math.ceil((b - a) / step))
-        t.append(a + np.arange(n) * ((b - a) / n))
-        h.append(np.full(n, (b - a) / n))
+    too_many = ValueError(f"step {step:g} needs more than {MAX_STEPS} RK4 steps")
+    if bounds[-1] - bounds[0] > MAX_STEPS * step:  # which keeps each count finite
+        raise too_many
+    segments = list(zip(bounds, bounds[1:]))
+    counts = [max(MIN_SUBSTEPS, math.ceil((b - a) / step)) for a, b in segments]
+    if sum(counts) > MAX_STEPS:
+        raise too_many
+    t = [a + np.arange(n) * ((b - a) / n) for (a, b), n in zip(segments, counts)]
+    h = [np.full(n, (b - a) / n) for (a, b), n in zip(segments, counts)]
     t = np.append(np.concatenate(t), bounds[-1])
     return t, np.append(np.concatenate(h), 0.0), np.append(t[1:], bounds[-1])
 
 
-def _rk4(grid, z0: np.ndarray, system, events=(), reset=slice(0)):
-    """Classical RK4 for z' = F(t) z + g(t) on ``grid``, BLOCK steps at a time.
+@dataclass(frozen=True)
+class _Stages:
+    """The RK4 stage times of a block of K steps.
 
-    ``system(t, t_in, F, g)`` gets a block's stage times (K, 4), and the
-    same with each step's end at its left limit for inputs; it fills in F
-    (K, 4, B, m, m) and g (K, 4, B, m) there and returns ``rates``, a map
-    from the stage states (K, 4, B, m) to the quadrature integrands
-    (K, 4, B, q) and to outputs at the step starts (K, B, p).  ``z0`` is
-    (B, m); a step that starts at one of ``events`` first zeroes the
-    coordinates in the slice ``reset``.  Returns the states, integrals and
-    outputs at each node.
+    ``t`` (2K + 1,) holds each distinct stage time once: each step's start
+    and midpoint, then the end of the block.  ``at`` (K, 4) indexes each
+    step's four stages in it, as stages two and three share the midpoint
+    and stage four is the next step's start.  ``t_in`` (K, 3) holds each
+    step's distinct input times: its start, its midpoint and the left
+    limit of its end, so a step never samples the next piece of a
+    zero-order hold.  A series reads them as this stack, one small
+    product per step, and not flattened: one long product rounds by
+    its row count.
+    """
+
+    t: np.ndarray
+    at: np.ndarray
+    t_in: np.ndarray
+
+    @staticmethod
+    def of(t, h, end) -> "_Stages":
+        mid = t + 0.5 * h
+        return _Stages(
+            np.append(np.column_stack([t, mid]).ravel(), end[-1]),
+            2 * np.arange(len(t))[:, None] + (0, 1, 1, 2),
+            np.stack([t, mid, np.nextafter(end, -np.inf)], axis=1),
+        )
+
+
+def _rk4(grid, z0: np.ndarray, system, events=(), reset=slice(0)):
+    """Classical RK4 for z' = F(t) z + g(t) on a ``_grid``, BLOCK steps at
+    a time.
+
+    ``system(s)`` gets a block's ``_Stages`` and returns F (2K + 1, B or 1,
+    m, m) at its distinct stage times ``s.t``, g (K, 4, B, m) at its
+    stages, and ``rates``, a map from the stage states (K, 4, B, m) to the
+    quadrature integrands (K, 4, B, q) and to outputs at the step starts
+    (K, B, p).  F is spread to the four stages by ``s.at``, so whatever
+    depends on time alone is evaluated once per distinct time, and inputs
+    once per distinct input time ``s.t_in``.  ``z0`` is (B, m); a step
+    that starts at one of ``events`` first zeroes the coordinates in the
+    slice ``reset``.  Returns the states, integrals and outputs at each
+    node.
     """
     n_batch, m = z0.shape
     # homogeneous coordinates: [z; 1]' = [[F, g], [0, 0]] [z; 1]
@@ -210,38 +272,52 @@ def _rk4(grid, z0: np.ndarray, system, events=(), reset=slice(0)):
     nodes, increments, outputs = [], [], []
     for lo in range(0, len(grid[0]), BLOCK):
         t, h, end = (a[lo : lo + BLOCK] for a in grid)
-        mid, K = t + 0.5 * h, len(t)
+        K = len(t)
+        s = _Stages.of(t, h, end)
+        F, g, rates = system(s)
         G = np.zeros((K, 4, n_batch, m + 1, m + 1))
-        rates = system(
-            np.stack([t, mid, mid, end], axis=1),
-            np.stack([t, mid, mid, np.nextafter(end, -np.inf)], axis=1),
-            G[..., :m, :m], G[..., :m, m],
-        )
+        G[..., :m, :m] = F[s.at]
+        G[..., :m, m] = g
         # stage slopes are K_i z, K_1 = G_1 and K_i = G_i (I + c_i h K_{i-1}),
         # so a step maps z to T z with T = I + h/6 (K_1 + 2K_2 + 2K_3 + K_4)
+        # (in place: the stacks are large, and fresh arrays cost more than
+        # the arithmetic)
         hk = h[:, None, None, None]
         k = G[:, 0]
         T = k.copy()
         for i, (c, weight) in enumerate(((0.5, 2.0), (0.5, 2.0), (1.0, 1.0)), 1):
-            k = G[:, i] + c * hk * (G[:, i] @ k)
+            k = G[:, i] @ k
+            k *= c * hk
+            k += G[:, i]
             T += weight * k
-        T = np.eye(m + 1) + (hk / 6.0) * T
+        T *= hk / 6.0
+        T += np.eye(m + 1)
 
         starts = np.empty((K + 1, n_batch, m + 1, 1))
         starts[0] = z
-        for j, (step, jump) in enumerate(zip(T, resets[lo : lo + K])):
-            if jump:
-                starts[j, :, reset] = 0.0
-            np.matmul(step, starts[j], out=starts[j + 1])
+        # a batch of one steps by np.dot on 2-D slices, the product matmul
+        # forms too, at a fraction of a ufunc call's cost
+        if n_batch == 1:
+            steps, S, product = T[:, 0], list(starts[:, 0]), np.dot
+        else:
+            steps, S, product = T, list(starts), np.matmul
+        jumps = set(np.flatnonzero(resets[lo : lo + K]).tolist())
+        for j, step in enumerate(steps):
+            if j in jumps:
+                S[j][..., reset, :] = 0.0
+            product(step, S[j], out=S[j + 1])
         z = starts[K]
 
         hk = h[:, None, None]
-        Z = [starts[:K, ..., 0]]
+        Z = np.empty((K, 4, n_batch, m + 1))
+        Z[:, 0] = starts[:K, ..., 0]
         for i, c in enumerate((0.5, 0.5, 1.0)):
-            Z.append(Z[0] + c * hk * _mv(G[:, i], Z[-1]))
-        r, out = rates(np.stack(Z, axis=1)[..., :m])
+            slope = _mv(G[:, i], Z[:, i])
+            slope *= c * hk
+            np.add(Z[:, 0], slope, out=Z[:, i + 1])
+        r, out = rates(Z[..., :m])
         increments.append((hk / 6.0) * (r[:, 0] + 2 * r[:, 1] + 2 * r[:, 2] + r[:, 3]))
-        nodes.append(Z[0][..., :m])
+        nodes.append(starts[:K, :, :m, 0])
         outputs.append(out)
     inc = np.concatenate(increments)
     integrals = np.concatenate([np.zeros_like(inc[:1]), np.cumsum(inc[:-1], axis=0)])
@@ -301,29 +377,55 @@ def _closed_loop(spec, value_sol, schedule, pursuer, evaders, step):
 
     n, n_batch = spec.n_x, len(evaders)
     A, B, C = spec.A, spec.B, spec.C
+    # evaders that share their gains form a group, with one play and one
+    # closed-loop matrix; a single group is the batch as it stands
+    groups = {}
+    for j, evader in enumerate(evaders):
+        groups.setdefault((evader.state, evader.estimate, evader.terms), []).append(j)
+    groups = list(groups.values())
+    mixed = len(groups) > 1
+    members = groups if mixed else [slice(None)]
+    order = np.argsort(np.concatenate(groups))
+    group_of = np.repeat(np.arange(len(groups)), [len(g) for g in groups])[order]
 
-    def system(t, t_in, F, g):
-        s = _stages(spec, value_sol, t, t_in)
-        Kpx, Kph, vp, Kp, Ke = (a[:, :, None] for a in (*pursuer.terms(s), s.Kp, s.Ke))
-        terms = zip(*(e.terms(s) for e in evaders))
-        Kex, Keh, ve = (np.stack(a, axis=2) for a in terms)
-        F[..., :n, n:] = -(B @ Kph + C @ Keh)
-        F[..., :n, :n] = A + B @ (Kpx + Kph) + C @ (Kex + Keh)
-        F[..., n:, :n] = B @ (Kpx + Kph + Kp) + C @ (Kex + Keh - Ke)
-        F[..., n:, n:] = A - B @ Kp + C @ Ke + F[..., :n, n:]
+    def batch(parts):
+        """Per-group stacks (K, 4, B_g, d) as one (K, 4, B, d), in evader order."""
+        return np.concatenate(parts, axis=2)[:, :, order] if mixed else parts[0]
+
+    def system(s):
+        P = eval_solution(value_sol, s.t)
+        Kp, Ke = spec._gains[0] @ P, spec._gains[1] @ P
+        BKp, CKe = B @ Kp, C @ Ke
+        pursuit = _Play([pursuer], s, B, Kp, BKp, 1.0)
+        evasions = [_Play([evaders[j] for j in g], s, C, Ke, CKe, -1.0) for g in groups]
+        F = np.empty((len(s.t), len(evasions), 2 * n, 2 * n))
+        drift = A - BKp + CKe
+        for k, evasion in enumerate(evasions):
+            F[:, k, :n, n:] = -(pursuit.H + evasion.H)
+            F[:, k, :n, :n] = A + pursuit.X + evasion.X
+            F[:, k, n:, :n] = pursuit.E + evasion.E
+            F[:, k, n:, n:] = drift + F[:, k, :n, n:]
+        Kp, Ke = Kp[s.at][:, :, None], Ke[s.at][:, :, None]
+        # the pursuer's input is one for the batch, the evaders' one each
+        vp, ve = pursuit.v[0][:, :, None], [np.stack(e.v, axis=2) for e in evasions]
 
         def rates(Z):
             x, x_hat = Z[..., :n], Z[..., :n] - Z[..., n:]
-            u_p = _mv(Kpx, x) + _mv(Kph, x_hat) + vp
-            u_e = _mv(Kex, x) + _mv(Keh, x_hat) + ve
+            Kp_x, Ke_x = _mv(Kp, x), _mv(Ke, x)
+            u_p = pursuit.feedback(Kp, Kp_x, x, x_hat) + vp
+            u_e = batch([
+                evasion.feedback(Ke, Ke_x[:, :, j], x[:, :, j], x_hat[:, :, j]) + v
+                for evasion, v, j in zip(evasions, ve, members)
+            ])
             cost = _quad(x, spec.Q) + _quad(u_p, spec.R_p) - _quad(u_e, spec.R_e)
-            cs_p = _quad(u_p + _mv(Kp, x), spec.R_p)
-            cs_e = _quad(u_e - _mv(Ke, x), spec.R_e)
-            inputs = np.concatenate([u_p[:, 0], u_e[:, 0]], axis=-1)
+            cs_p = _quad(u_p + Kp_x, spec.R_p)
+            cs_e = _quad(u_e - Ke_x, spec.R_e)
+            u_p = np.broadcast_to(u_p[:, 0], (len(u_p), n_batch, spec.n_p))
+            inputs = np.concatenate([u_p, u_e[:, 0]], axis=-1)
             return np.stack([cost, cs_p, cs_e], axis=-1), inputs
 
-        g[...] = np.tile(_mv(B, vp) + _mv(C, ve), 2)
-        return rates
+        g = np.tile(_mv(B, vp) + _mv(C, batch(ve)), 2)
+        return (F[:, group_of] if mixed else F), g, rates
 
     z0 = np.tile(np.append(spec.x0, np.zeros(n)), (n_batch, 1))
     z, integrals, inputs = _rk4(grid, z0, system, instants, slice(n, 2 * n))
@@ -498,24 +600,25 @@ def deviation_gain_check(
     w_fn = _signal(w)
     pursuer_gain, evader_gain = spec._gains
 
-    def system(t, t_in, F, g):
-        P = eval_solution(value_sol, t)
-        wt = w_fn(t_in, n_e)
-        at_start = (t == a) & pole_at_start
+    def system(s):
+        P = eval_solution(value_sol, s.t)
+        at_start = (s.t == a) & pole_at_start
         M = np.zeros_like(P)
-        M[~at_start] = gap.value(t[~at_start]) + P[~at_start]
-        limit = at_start[..., None] * _mv(residue @ spec.C, wt)
-        P, wt, M, limit = (x[:, :, None] for x in (P, wt, M, limit))
+        M[~at_start] = gap.value(s.t[~at_start]) + P[~at_start]
+        F = spec.A + spec.C @ (evader_gain @ P)
+        wt = w_fn(s, n_e)
+        limit = at_start[s.at][..., None] * _mv(residue @ spec.C, wt)
+        Kp, M, wt, limit = (
+            x[:, :, None] for x in ((pursuer_gain @ P)[s.at], M[s.at], wt, limit)
+        )
 
         def rates(Z):
-            gain_rate = _quad(_mv(pursuer_gain @ P, Z), spec.R_p) - _quad(wt, spec.R_e)
+            gain_rate = _quad(_mv(Kp, Z), spec.R_p) - _quad(wt, spec.R_e)
             v = wt + _mv(evader_gain, _mv(M, Z) + limit)
             r = np.stack([gain_rate, -_quad(v, spec.R_e)], axis=-1)
-            return r, np.empty((len(t), 1, 0))
+            return r, np.empty((len(s.at), 1, 0))
 
-        F[...] = spec.A + spec.C @ (evader_gain @ P)
-        g[...] = _mv(spec.C, wt)
-        return rates
+        return F[:, None], _mv(spec.C, wt), rates
 
     knots = sorted(k for k in getattr(w, "knots", ()) if a < k < b)
     _, integrals, _ = _rk4(_grid([a, *knots, b], (b - a) / 1000.0), np.zeros((1, n)), system)
@@ -551,14 +654,14 @@ def risky_strategy(
     kick = float(scale) * np.eye(spec.n_e)[col]
     evader_gain = spec._gains[1]
 
-    def terms(s: _Stages):
-        kicking = (s.t <= t_trunc)[..., None]
-        tt = np.clip(s.t, t_trunc, b)
+    def terms(t, Ke):
+        kicking = (t <= t_trunc)[..., None]
+        tt = np.clip(t, t_trunc, b)
         M = gap.value(tt) + eval_solution(value_sol, tt)
         L = np.where(kicking[..., None], 0.0, evader_gain @ M)
-        return s.Ke - L, L, np.where(kicking, kick, 0.0)
+        return Ke - L, L, np.where(kicking, kick, 0.0)
 
-    return Strategy("evader", terms)
+    return Strategy("evader", terms=terms)
 
 
 def deviation_sweep(

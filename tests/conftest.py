@@ -111,13 +111,7 @@ def probed():
     """The certainty-equivalent pursuer plus an input series, the probe."""
 
     def make(probe):
-        ce = Strategy.certainty_equivalent()
-
-        def terms(s):
-            K_x, K_h, v = ce.terms(s)
-            return K_x, K_h, v + probe.dense(s.t_in)
-
-        return Strategy("pursuer", terms, probe.knots)
+        return replace(Strategy.certainty_equivalent(), w=probe)
 
     return make
 

@@ -1064,6 +1064,26 @@ def test_simulate_stdout_pinned(capsys, argv):
     )
 
 
+# two README runs of the simulator, stdout byte for byte: GOLDEN holds
+# their payoffs to 1e-12 relative, these to the last printed digit
+README_STDOUT = {
+    ("simulate", "--preset", "example1", "--instants", "0.5"): (
+        '{"command": "simulate", "payoff_direct": 0.33333333333334902, '
+        '"payoff_completed_square": 0.33333333333333359, "game_value": 0.33333333333333359, '
+        '"events": [0.5], "terminal_cost": 0.11111111111111815, "csv": null}\n'
+    ),
+    ("sweep", "--preset", "example1", "--c", "0,1,2"): (
+        '{"command": "sweep", "c_values": [0, 1, 2], "payoffs": [0.55555555555556191, '
+        '1.7222222222220382, 3.8888888888888533], "game_value": 0.33333333333333359}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(README_STDOUT), ids=lambda argv: argv[0])
+def test_readme_simulator_stdout_pinned(capsys, argv):
+    assert run_cli(capsys, *argv) == (0, README_STDOUT[argv], "")
+
+
 # A game with coupled, non-diagonal effort weights R_p and R_e, so that the
 # gain factors R^-1 B' and R^-1 C' come from a genuine solve; its reports
 # are pinned like GOLDEN's.  The values were printed when the factors came

@@ -10,12 +10,11 @@ import math
 import numpy as np
 import pytest
 
-from pegame.riccati import solve_value_riccati
+from pegame.riccati import eval_solution, solve_value_riccati
 from pegame.simulator import (
     MIN_SUBSTEPS,
     InputSeries,
     Strategy,
-    _stages,
     deviation_sweep,
     open_loop_pair,
     piecewise_constant,
@@ -24,6 +23,21 @@ from pegame.simulator import (
 )
 
 REL = 1e-12
+
+
+def play(strategy, t, t_in, K):
+    """K_x, K_h and v of ``strategy`` at the time t, given the side's
+    equilibrium gain K there, with its input read at t_in."""
+    if strategy.terms is not None:
+        K_x, K_h, v = strategy.terms(np.array([t]), K[None])
+        return K_x[0], K_h[0], v[0]
+    if strategy.w is None:
+        v = np.zeros(len(K))
+    elif isinstance(strategy.w, InputSeries):
+        v = strategy.w.dense(np.array([t_in]))[0]
+    else:
+        v = np.asarray(strategy.w, dtype=float)
+    return strategy.state * K, strategy.estimate * K, v
 
 
 def rk4_simulate(spec, sol, instants, pursuer, evader, step=None):
@@ -37,11 +51,11 @@ def rk4_simulate(spec, sol, instants, pursuer, evader, step=None):
     A, B, C = spec.A, spec.B, spec.C
 
     def derivatives(t, x, x_hat, t_in):
-        s = _stages(spec, sol, np.array([t]), np.array([t_in]))
-        Kp, Ke = s.Kp[0], s.Ke[0]
-        Kx, Kh, v = (a[0] for a in pursuer.terms(s))
+        P = eval_solution(sol, t)
+        Kp, Ke = spec._gains[0] @ P, spec._gains[1] @ P
+        Kx, Kh, v = play(pursuer, t, t_in, Kp)
         u_p = Kx @ x + Kh @ x_hat + v
-        Kx, Kh, v = (a[0] for a in evader.terms(s))
+        Kx, Kh, v = play(evader, t, t_in, Ke)
         u_e = Kx @ x + Kh @ x_hat + v
         dx = A @ x + B @ u_p + C @ u_e
         dx_hat = A @ x_hat - B @ (Kp @ x_hat) + C @ (Ke @ x_hat)

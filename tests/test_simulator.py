@@ -1,16 +1,23 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg as la
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pegame import simulator
 from pegame.errors import (
     InadmissibleInterval, IntervalAdmissible, NegativeBudget, UnsortedInstants,
 )
 from pegame.game_model import GameSpec, example_one_spec
 from pegame.riccati import STEPS, eval_solution, make_value_problem, solve_value_riccati
 from pegame.simulator import (
+    BLOCK,
+    MAX_STEPS,
     Strategy,
+    _closed_loop,
+    _grid,
     deviation_gain_check,
     deviation_sweep,
     game_value,
@@ -519,3 +526,94 @@ def test_transition_flow_matches_rk4_reference(make_clean_spec):
         if (k + 1) % 333 == 0:  # between value-flow nodes
             t_next = spec.t0 + (k + 1) * h
             assert np.abs(phi(t_next) - F).max() <= 1e-10 * (1.0 + np.abs(F).max())
+
+
+# ---------------------------------------------------------------------------
+# the RK4 core
+
+
+def test_grid_refuses_more_than_max_steps():
+    # each of the 150000 segments gets MIN_SUBSTEPS = 10 steps, although the
+    # span alone needs only 2000
+    with pytest.raises(ValueError, match=f"needs more than {MAX_STEPS} RK4 steps"):
+        _grid(np.linspace(0.0, 1.0, 150001), 1.0 / 2000.0)
+    t, h, end = _grid([0.0, float(MAX_STEPS)], 1.0)
+    assert len(t) == MAX_STEPS + 1 and h[-1] == 0.0
+
+
+def test_batch_members_equal_their_runs_alone(make_clean_spec, probed):
+    # evaders of one batch with different gains get their own closed-loop
+    # matrices, and those with the same gains share one; each member's
+    # states, integrals and inputs are those of its run alone, bit for bit
+    rng = np.random.default_rng(620)
+    spec = make_clean_spec(rng, n=3)
+    sol = solve_value_riccati(spec)
+    step, instants = spec.horizon / 300, [0.4, 0.7]
+    pursuit = random_zoh(rng, spec.t0, spec.tf, spec.n_p)
+    knots = [spec.t0, *pursuit.knots]
+
+    def shared(n):
+        # an input with the pursuer's knots, so every run has one grid
+        return piecewise_constant(knots, rng.standard_normal((len(knots), n)))
+
+    w = rng.standard_normal(spec.n_e)
+    no_push = -0.0 * np.ones(spec.n_e)
+    plain = [
+        Strategy.evader_open_loop(w),
+        Strategy.deviation(w),
+        Strategy.evader_equilibrium(),
+        Strategy.deviation(no_push),
+        Strategy.evader_open_loop(no_push),
+    ]
+    knotted = [Strategy.deviation(shared(spec.n_e)), Strategy.evader_open_loop(shared(spec.n_e))]
+    ce = Strategy.certainty_equivalent()
+    for pursuer, evaders in [
+        (ce, plain),
+        (probed(shared(spec.n_p)), plain + knotted),
+        (open_loop_pair(spec, sol)[0], plain),
+        (Strategy.pursuer_open_loop(pursuit), knotted + plain),
+    ]:
+        batch = _closed_loop(spec, sol, instants, pursuer, evaders, step)
+        for j, evader in enumerate(evaders):
+            alone = _closed_loop(spec, sol, instants, pursuer, [evader], step)
+            assert np.array_equal(batch[0], alone[0])
+            for ours, its in zip(batch[1:4], alone[1:4]):
+                assert ours[:, j].tobytes() == its[:, 0].tobytes()
+
+
+def test_value_flow_is_read_once_per_distinct_stage_time(
+    example_spec, example_value_sol, monkeypatch
+):
+    # a block of K steps has 2K + 1 distinct stage times: stages two and
+    # three share the midpoint, and stage four is the next step's start
+    reads, steps = [], []
+    rk4 = simulator._rk4
+
+    def counted_eval(sol, t):
+        reads.append(np.size(t))
+        return eval_solution(sol, t)
+
+    def counted_rk4(grid, *args):
+        steps.append(len(grid[0]))
+        return rk4(grid, *args)
+
+    monkeypatch.setattr(simulator, "eval_solution", counted_eval)
+    monkeypatch.setattr(simulator, "_rk4", counted_rk4)
+    spec, sol = example_spec, example_value_sol
+    w = piecewise_constant([0.0, 0.3], [[1.0, 0.0], [0.0, -1.0]])
+    runs = [
+        lambda: simulate(
+            spec, sol, [0.5], Strategy.certainty_equivalent(), Strategy.evader_equilibrium()
+        ),
+        lambda: simulate(spec, sol, [], *open_loop_pair(spec, sol)),
+        lambda: deviation_sweep(spec, [0.0, 1.0], value_sol=sol),
+        lambda: deviation_sweep(
+            spec, [1.0], schedule=[0.5], pursuer="certainty_equivalent", value_sol=sol
+        ),
+        lambda: deviation_gain_check(spec, sol, (0.5, 1.0), w),
+    ]
+    for run in runs:
+        reads.clear(), steps.clear()
+        run()
+        (n,) = steps
+        assert 0 < sum(reads) <= 2 * n + math.ceil(n / BLOCK) + 1
