@@ -62,10 +62,6 @@ def format_float(x: float) -> str:
 
 def dumps_canonical(obj: Any) -> str:
     """JSON text with floats fixed at 17 significant digits."""
-    return _dumps(obj)
-
-
-def _dumps(obj: Any) -> str:
     if isinstance(obj, (float, np.floating)):
         return format_float(obj)
     if obj is None or isinstance(obj, (bool, int, str)):
@@ -73,10 +69,11 @@ def _dumps(obj: Any) -> str:
     if isinstance(obj, np.integer):
         return json.dumps(int(obj))
     if isinstance(obj, dict):
-        return "{" + ", ".join(f"{json.dumps(str(k))}: {_dumps(v)}" for k, v in obj.items()) + "}"
+        items = (f"{json.dumps(str(k))}: {dumps_canonical(v)}" for k, v in obj.items())
+        return "{" + ", ".join(items) + "}"
     if isinstance(obj, (list, tuple, np.ndarray)):
         seq = obj.tolist() if isinstance(obj, np.ndarray) else obj
-        return "[" + ", ".join(_dumps(v) for v in seq) + "]"
+        return "[" + ", ".join(dumps_canonical(v) for v in seq) + "]"
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 

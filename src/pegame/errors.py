@@ -32,9 +32,9 @@ class NonSymmetric(ValueError):
 
 class FiniteEscape(DomainError, RuntimeError):
     """A Riccati flow blew up before reaching the requested time; the
-    escape report, when given, is in ``report``."""
+    escape report is in ``report``."""
 
-    def __init__(self, message, report=None):
+    def __init__(self, message, report):
         super().__init__(message)
         self.report = report
 

@@ -21,10 +21,11 @@ per distinct stage time of a block of K steps, 2K + 1 of them, as stages
 two and three share the midpoint and stage four is the next step's
 first, and for g at the stages, in one batched call; it runs the short
 sequential recurrence, then rebuilds the stage states to evaluate the
-quadrature integrands at once.  The built-in strategies feed back 0 or
-+-1 times their side's equilibrium gain, so F is formed from B Kp and
-C Ke alone, once for all evaders that share their gains; only a play
-with gains of its own (the risky deviation) forms its products
+quadrature integrands at once.  The evaders of a batch share their
+gains and differ only in their inputs, so each side has one play and the
+batch one F.  The built-in strategies feed back 0 or +-1 times their
+side's equilibrium gain, so F is formed from B Kp and C Ke alone; only a
+play with gains of its own (the risky deviation) forms its products
 explicitly.  The deviation sweep runs as one batch, the deviation gain
 check on the estimation error alone.
 """
@@ -93,16 +94,15 @@ def piecewise_constant(knots, values) -> InputSeries:
     return InputSeries(dense, tuple(knots[1:]))
 
 
-def _signal(w) -> Callable[["_Stages", int], np.ndarray]:
-    """Evaluator (stages, dim) -> (K, 4, dim) at the RK4 stages of a block
-    of an input given as None (zero), a constant vector or an InputSeries;
-    a series is read once per distinct input time."""
+def _signal(w, s: "_Stages", dim: int) -> np.ndarray:
+    """An input given as None (zero), a constant vector or an InputSeries,
+    at the RK4 stages of a block, (K, 4, dim); a series is read once per
+    distinct input time."""
     if w is None:
-        return lambda s, dim: np.zeros((*s.at.shape, dim))
+        return np.zeros((*s.at.shape, dim))
     if isinstance(w, InputSeries):
-        return lambda s, dim: w.dense(s.t_in)[:, (0, 1, 1, 2)]
-    vec = np.asarray(w, dtype=float)
-    return lambda s, dim: np.broadcast_to(vec.reshape(dim), (*s.at.shape, dim))
+        return w.dense(s.t_in)[:, (0, 1, 1, 2)]
+    return np.broadcast_to(np.asarray(w, dtype=float).reshape(dim), (*s.at.shape, dim))
 
 
 # ---------------------------------------------------------------------------
@@ -163,15 +163,16 @@ def _times(c: float, M):
 
 
 class _Play:
-    """The strategies of one side that share their gains, over a block.
+    """The strategies of one side, which share their gains, over a block.
 
     With D the side's input matrix, K its equilibrium gain and ``sign`` +1
     for the pursuer and -1 for the evader, ``X``, ``H`` and ``E`` are
     D(K_x + K_h), D K_h and D(K_x + K_h + sign K) at the block's distinct
     stage times: the terms the gains add to the closed-loop matrix, each
     0.0 where the strategies have no such product.  Equilibrium-gain
-    strategies take them from D K alone; ``v`` lists each strategy's input
-    at the stages, (K, 4, m).
+    strategies take them from D K alone.  ``v`` stacks the strategies'
+    inputs at the stages, (K, 4, B, m), or (K, 4, 1, m) for a play with
+    ``terms``, whose input is one for all.
     """
 
     def __init__(self, strategies, s: "_Stages", D, K, DK, sign: float):
@@ -179,15 +180,15 @@ class _Play:
         if lead.terms is None:
             a, b = lead.state, lead.estimate
             self.X, self.H, self.E = _times(a + b, DK), _times(b, DK), _times(a + b + sign, DK)
-            v = [_signal(strategy.w)(s, K.shape[-2]) for strategy in strategies]
+            m = K.shape[-2]
+            self.v = np.stack([_signal(strategy.w, s, m) for strategy in strategies], axis=2)
         else:
             Kx, Kh, v = lead.terms(s.t, K)
             KxKh = Kx + Kh
             self.X, self.H = D @ KxKh, D @ Kh
             self.E = D @ (KxKh + K if sign > 0 else KxKh - K)
             self.gains = Kx[s.at][:, :, None], Kh[s.at][:, :, None]
-            v = [v[s.at]] * len(strategies)
-        self.v = v
+            self.v = v[s.at][:, :, None]
 
     def feedback(self, K, Kx, x, x_hat):
         """K_x x + K_h x_hat at the stage states x and x_hat (K, 4, B, n),
@@ -202,23 +203,25 @@ class _Play:
 # the RK4 core
 
 
-def _grid(bounds, step: float):
-    """RK4 steps: at least MIN_SUBSTEPS equal steps of at most ``step`` on
-    each segment between ``bounds``, then a zero-length step whose start
-    is the final node.  Returns each step's start, length and end."""
+def _grid(a: float, b: float, cuts, step: float):
+    """RK4 steps on [a, b]: at least MIN_SUBSTEPS equal steps of at most
+    ``step`` on each segment between a, the ``cuts`` strictly inside
+    (a, b) and b, then a zero-length step whose start is the final node.
+    Returns each step's start, length and end."""
     if not step > 0:
         raise ValueError("step must be positive")
     too_many = ValueError(f"step {step:g} needs more than {MAX_STEPS} RK4 steps")
-    if bounds[-1] - bounds[0] > MAX_STEPS * step:  # which keeps each count finite
+    if b - a > MAX_STEPS * step:  # which keeps each count finite
         raise too_many
+    bounds = [a, *sorted({float(t) for t in cuts if a < t < b}), b]
     segments = list(zip(bounds, bounds[1:]))
-    counts = [max(MIN_SUBSTEPS, math.ceil((b - a) / step)) for a, b in segments]
+    counts = [max(MIN_SUBSTEPS, math.ceil((hi - lo) / step)) for lo, hi in segments]
     if sum(counts) > MAX_STEPS:
         raise too_many
-    t = [a + np.arange(n) * ((b - a) / n) for (a, b), n in zip(segments, counts)]
-    h = [np.full(n, (b - a) / n) for (a, b), n in zip(segments, counts)]
-    t = np.append(np.concatenate(t), bounds[-1])
-    return t, np.append(np.concatenate(h), 0.0), np.append(t[1:], bounds[-1])
+    t = [lo + np.arange(n) * ((hi - lo) / n) for (lo, hi), n in zip(segments, counts)]
+    h = [np.full(n, (hi - lo) / n) for (lo, hi), n in zip(segments, counts)]
+    t = np.append(np.concatenate(t), b)
+    return t, np.append(np.concatenate(h), 0.0), np.append(t[1:], b)
 
 
 @dataclass(frozen=True)
@@ -254,9 +257,9 @@ def _rk4(grid, z0: np.ndarray, system, events=(), reset=slice(0)):
     """Classical RK4 for z' = F(t) z + g(t) on a ``_grid``, BLOCK steps at
     a time.
 
-    ``system(s)`` gets a block's ``_Stages`` and returns F (2K + 1, B or 1,
-    m, m) at its distinct stage times ``s.t``, g (K, 4, B, m) at its
-    stages, and ``rates``, a map from the stage states (K, 4, B, m) to the
+    ``system(s)`` gets a block's ``_Stages`` and returns F (2K + 1, 1, m,
+    m), one for the batch, at its distinct stage times ``s.t``, g (K, 4,
+    B or 1, m) at its stages, and ``rates``, a map from the stage states (K, 4, B, m) to the
     quadrature integrands (K, 4, B, q) and to outputs at the step starts
     (K, B, p).  F is spread to the four stages by ``s.at``, so whatever
     depends on time alone is evaluated once per distinct time, and inputs
@@ -360,8 +363,10 @@ class Trajectory:
 def _closed_loop(spec, value_sol, schedule, pursuer, evaders, step):
     """One closed-loop run per evader strategy, batched.
 
-    The state is carried as z = [x; e], e = x - x_hat, and the coefficient
-    of x in e' is formed from gain differences alone, so that an estimate
+    The evaders of a batch share their gains, so each side has one play
+    and the batch one closed-loop matrix; only their inputs differ.  The
+    state is carried as z = [x; e], e = x - x_hat, and the coefficient of
+    x in e' is formed from gain differences alone, so that an estimate
     which tracks the state keeps e exactly zero; each instant zeroes e.
     Returns the node times, z (S, B, 2n), the three payoff integrals
     (S, B, 3), the inputs [u_p, u_e] (S, B, n_p + n_e) and the instants.
@@ -369,54 +374,34 @@ def _closed_loop(spec, value_sol, schedule, pursuer, evaders, step):
     for strategy, side in [(pursuer, "pursuer"), *((e, "evader") for e in evaders)]:
         if strategy.side != side:
             raise ValueError(f"{side} strategy required, got side={strategy.side!r}")
+    if len({(e.state, e.estimate, e.terms) for e in evaders}) > 1:
+        raise ValueError("the evaders of one batch must share their gains")
     instants = spec.checked_instants(getattr(schedule, "instants", schedule))
     step = float(step) if step is not None else DEFAULT_STEP_REL * spec.horizon
     knots = (*pursuer.knots, *(k for e in evaders for k in e.knots))
-    cuts = {*instants, *(float(t) for t in knots if spec.t0 < float(t) < spec.tf)}
-    grid = _grid([spec.t0, *sorted(cuts), spec.tf], step)
+    grid = _grid(spec.t0, spec.tf, (*instants, *knots), step)
 
     n, n_batch = spec.n_x, len(evaders)
     A, B, C = spec.A, spec.B, spec.C
-    # evaders that share their gains form a group, with one play and one
-    # closed-loop matrix; a single group is the batch as it stands
-    groups = {}
-    for j, evader in enumerate(evaders):
-        groups.setdefault((evader.state, evader.estimate, evader.terms), []).append(j)
-    groups = list(groups.values())
-    mixed = len(groups) > 1
-    members = groups if mixed else [slice(None)]
-    order = np.argsort(np.concatenate(groups))
-    group_of = np.repeat(np.arange(len(groups)), [len(g) for g in groups])[order]
-
-    def batch(parts):
-        """Per-group stacks (K, 4, B_g, d) as one (K, 4, B, d), in evader order."""
-        return np.concatenate(parts, axis=2)[:, :, order] if mixed else parts[0]
 
     def system(s):
         P = eval_solution(value_sol, s.t)
         Kp, Ke = spec._gains[0] @ P, spec._gains[1] @ P
         BKp, CKe = B @ Kp, C @ Ke
         pursuit = _Play([pursuer], s, B, Kp, BKp, 1.0)
-        evasions = [_Play([evaders[j] for j in g], s, C, Ke, CKe, -1.0) for g in groups]
-        F = np.empty((len(s.t), len(evasions), 2 * n, 2 * n))
-        drift = A - BKp + CKe
-        for k, evasion in enumerate(evasions):
-            F[:, k, :n, n:] = -(pursuit.H + evasion.H)
-            F[:, k, :n, :n] = A + pursuit.X + evasion.X
-            F[:, k, n:, :n] = pursuit.E + evasion.E
-            F[:, k, n:, n:] = drift + F[:, k, :n, n:]
+        evasion = _Play(evaders, s, C, Ke, CKe, -1.0)
+        F = np.empty((len(s.t), 2 * n, 2 * n))
+        F[:, :n, n:] = -(pursuit.H + evasion.H)
+        F[:, :n, :n] = A + pursuit.X + evasion.X
+        F[:, n:, :n] = pursuit.E + evasion.E
+        F[:, n:, n:] = A - BKp + CKe + F[:, :n, n:]
         Kp, Ke = Kp[s.at][:, :, None], Ke[s.at][:, :, None]
-        # the pursuer's input is one for the batch, the evaders' one each
-        vp, ve = pursuit.v[0][:, :, None], [np.stack(e.v, axis=2) for e in evasions]
 
         def rates(Z):
             x, x_hat = Z[..., :n], Z[..., :n] - Z[..., n:]
             Kp_x, Ke_x = _mv(Kp, x), _mv(Ke, x)
-            u_p = pursuit.feedback(Kp, Kp_x, x, x_hat) + vp
-            u_e = batch([
-                evasion.feedback(Ke, Ke_x[:, :, j], x[:, :, j], x_hat[:, :, j]) + v
-                for evasion, v, j in zip(evasions, ve, members)
-            ])
+            u_p = pursuit.feedback(Kp, Kp_x, x, x_hat) + pursuit.v
+            u_e = evasion.feedback(Ke, Ke_x, x, x_hat) + evasion.v
             cost = _quad(x, spec.Q) + _quad(u_p, spec.R_p) - _quad(u_e, spec.R_e)
             cs_p = _quad(u_p + Kp_x, spec.R_p)
             cs_e = _quad(u_e - Ke_x, spec.R_e)
@@ -424,8 +409,7 @@ def _closed_loop(spec, value_sol, schedule, pursuer, evaders, step):
             inputs = np.concatenate([u_p, u_e[:, 0]], axis=-1)
             return np.stack([cost, cs_p, cs_e], axis=-1), inputs
 
-        g = np.tile(_mv(B, vp) + _mv(C, batch(ve)), 2)
-        return (F[:, group_of] if mixed else F), g, rates
+        return F[:, None], np.tile(_mv(B, pursuit.v) + _mv(C, evasion.v), 2), rates
 
     z0 = np.tile(np.append(spec.x0, np.zeros(n)), (n_batch, 1))
     z, integrals, inputs = _rk4(grid, z0, system, instants, slice(n, 2 * n))
@@ -445,10 +429,9 @@ def simulate(
     ``schedule`` is a CommSchedule or an iterable of instants.  Steps are
     split exactly at communication events (where the estimate resets to
     the true state) and at the strategies' knots, with at least ten
-    substeps per segment; a segment reads
-    its inputs from its own piece, up to the left limit at its end.  The
-    three payoff integrals ride along as quadrature states of the same
-    fourth-order scheme.
+    substeps per segment; a segment reads its inputs from its own piece,
+    up to the left limit at its end.  The three payoff integrals ride
+    along as quadrature states of the same fourth-order scheme.
     """
     t, z, integrals, inputs, instants = _closed_loop(
         spec, value_sol, schedule, pursuer, [evader], step
@@ -597,7 +580,6 @@ def deviation_gain_check(
         offset = 1e-6 * (b - a)
         residue = offset * gap.value(pole + offset)
 
-    w_fn = _signal(w)
     pursuer_gain, evader_gain = spec._gains
 
     def system(s):
@@ -606,7 +588,7 @@ def deviation_gain_check(
         M = np.zeros_like(P)
         M[~at_start] = gap.value(s.t[~at_start]) + P[~at_start]
         F = spec.A + spec.C @ (evader_gain @ P)
-        wt = w_fn(s, n_e)
+        wt = _signal(w, s, n_e)
         limit = at_start[s.at][..., None] * _mv(residue @ spec.C, wt)
         Kp, M, wt, limit = (
             x[:, :, None] for x in ((pursuer_gain @ P)[s.at], M[s.at], wt, limit)
@@ -620,8 +602,8 @@ def deviation_gain_check(
 
         return F[:, None], _mv(spec.C, wt), rates
 
-    knots = sorted(k for k in getattr(w, "knots", ()) if a < k < b)
-    _, integrals, _ = _rk4(_grid([a, *knots, b], (b - a) / 1000.0), np.zeros((1, n)), system)
+    grid = _grid(a, b, getattr(w, "knots", ()), (b - a) / 1000.0)
+    _, integrals, _ = _rk4(grid, np.zeros((1, n)), system)
     gain, square = integrals[-1, 0]
     return float(gain), float(square)
 

@@ -375,6 +375,8 @@ ERRORS = [
     value for value in vars(errors).values()
     if isinstance(value, type) and issubclass(value, BaseException)
 ]
+# what an error takes besides its message
+REQUIRED = {errors.FiniteEscape: (errors.EscapeReport(True, 0.5),)}
 
 
 @pytest.mark.parametrize("error", ERRORS, ids=lambda error: error.__name__)
@@ -384,7 +386,7 @@ def test_every_error_has_an_exit_code(capsys, monkeypatch, error):
     assert issubclass(error, (DomainError, ValueError))
 
     def fail(args):
-        raise error("boom")
+        raise error("boom", *REQUIRED.get(error, ()))
 
     monkeypatch.setattr(cli, "_spec", fail)
     code, out, err = run_cli(capsys, "validate", "--preset", "example1")

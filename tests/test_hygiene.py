@@ -81,3 +81,12 @@ def test_every_keyword_only_parameter_is_passed_by_a_caller():
                *(ROOT / "perfbench").glob("*.py")]
     passed = set().union(*(passed_by_name(p.read_text(encoding="utf-8")) for p in callers))
     assert sorted(params - passed) == []
+
+
+def test_package_version_matches_pyproject():
+    # two files declare the version; they must name the same one
+    tomllib = pytest.importorskip("tomllib")
+    import pegame
+
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    assert pegame.__version__ == project["version"]

@@ -536,49 +536,63 @@ def test_grid_refuses_more_than_max_steps():
     # each of the 150000 segments gets MIN_SUBSTEPS = 10 steps, although the
     # span alone needs only 2000
     with pytest.raises(ValueError, match=f"needs more than {MAX_STEPS} RK4 steps"):
-        _grid(np.linspace(0.0, 1.0, 150001), 1.0 / 2000.0)
-    t, h, end = _grid([0.0, float(MAX_STEPS)], 1.0)
+        _grid(0.0, 1.0, np.linspace(0.0, 1.0, 150001), 1.0 / 2000.0)
+    t, h, end = _grid(0.0, float(MAX_STEPS), (), 1.0)
     assert len(t) == MAX_STEPS + 1 and h[-1] == 0.0
 
 
+def test_grid_keeps_its_cuts_inside_sorted_and_once():
+    # cuts that repeat, fall on or outside the span's ends or come unsorted
+    # give the grid of the clean list
+    clean = _grid(0.0, 1.0, [0.3, 0.5, 0.7], 0.01)
+    messy = _grid(0.0, 1.0, [0.7, 0.3, np.float64(0.3), -0.5, 0.0, 1.0, 2.0, 0.5, 0.7], 0.01)
+    for ours, its in zip(messy, clean):
+        assert ours.tobytes() == its.tobytes()
+
+
 def test_batch_members_equal_their_runs_alone(make_clean_spec, probed):
-    # evaders of one batch with different gains get their own closed-loop
-    # matrices, and those with the same gains share one; each member's
-    # states, integrals and inputs are those of its run alone, bit for bit
+    # the evaders of one batch share their gains and differ in their inputs;
+    # each member's states, integrals and inputs are those of its run
+    # alone, bit for bit, and a batch that mixes gains is refused
     rng = np.random.default_rng(620)
     spec = make_clean_spec(rng, n=3)
     sol = solve_value_riccati(spec)
     step, instants = spec.horizon / 300, [0.4, 0.7]
     pursuit = random_zoh(rng, spec.t0, spec.tf, spec.n_p)
-    knots = [spec.t0, *pursuit.knots]
 
-    def shared(n):
-        # an input with the pursuer's knots, so every run has one grid
-        return piecewise_constant(knots, rng.standard_normal((len(knots), n)))
+    def knotted(n):
+        # an input that jumps at the instants, so every run has one grid
+        return piecewise_constant([spec.t0, *instants], rng.standard_normal((3, n)))
 
     w = rng.standard_normal(spec.n_e)
     no_push = -0.0 * np.ones(spec.n_e)
-    plain = [
-        Strategy.evader_open_loop(w),
-        Strategy.deviation(w),
+    feedback = [
         Strategy.evader_equilibrium(),
+        Strategy.deviation(w),
         Strategy.deviation(no_push),
-        Strategy.evader_open_loop(no_push),
+        Strategy.deviation(knotted(spec.n_e)),
     ]
-    knotted = [Strategy.deviation(shared(spec.n_e)), Strategy.evader_open_loop(shared(spec.n_e))]
+    open_loop = [
+        Strategy.evader_open_loop(w),
+        Strategy.evader_open_loop(no_push),
+        Strategy.evader_open_loop(knotted(spec.n_e)),
+    ]
     ce = Strategy.certainty_equivalent()
-    for pursuer, evaders in [
-        (ce, plain),
-        (probed(shared(spec.n_p)), plain + knotted),
-        (open_loop_pair(spec, sol)[0], plain),
-        (Strategy.pursuer_open_loop(pursuit), knotted + plain),
+    for pursuer in [
+        ce,
+        probed(knotted(spec.n_p)),
+        open_loop_pair(spec, sol)[0],
+        Strategy.pursuer_open_loop(pursuit),
     ]:
-        batch = _closed_loop(spec, sol, instants, pursuer, evaders, step)
-        for j, evader in enumerate(evaders):
-            alone = _closed_loop(spec, sol, instants, pursuer, [evader], step)
-            assert np.array_equal(batch[0], alone[0])
-            for ours, its in zip(batch[1:4], alone[1:4]):
-                assert ours[:, j].tobytes() == its[:, 0].tobytes()
+        for evaders in (feedback, open_loop):
+            batch = _closed_loop(spec, sol, instants, pursuer, evaders, step)
+            for j, evader in enumerate(evaders):
+                alone = _closed_loop(spec, sol, instants, pursuer, [evader], step)
+                assert np.array_equal(batch[0], alone[0])
+                for ours, its in zip(batch[1:4], alone[1:4]):
+                    assert ours[:, j].tobytes() == its[:, 0].tobytes()
+    with pytest.raises(ValueError, match="the evaders of one batch must share their gains"):
+        _closed_loop(spec, sol, instants, ce, [feedback[1], open_loop[0]], step)
 
 
 def test_value_flow_is_read_once_per_distinct_stage_time(
