@@ -16,45 +16,19 @@ Two independent detectors, of a ``RiccatiProblem`` and a floor each, cross-check
   jump has one sign: the crossing form on ker U is (V x)' C R_e^-1 C' (V x)
   >= 0 (Coppel, LNM 220, 1971).
 
-Escape times are resolved to ``TIME_TOL_REL`` of the search span.
-``_escape_inside`` decides whether each of a list of intervals holds an
-escape, for the scheduler and the simulator: within ``BOUNDARY_TOL_REL``
-of the horizon of its start it sits on the start, where the estimate
-resets.  Each flow starts from the value flow's plane at the interval's
-end, read off the value count (``_gap_plane``), and it hands back that
-counted flow, which also evaluates the interval's gap flow.  The verdict
-is an order on the count's first meeting (``_intervals``): as every jump
-has one sign, N is nonzero exactly past it.  ``_slack_counts`` runs the
-count in the terminal time, against the same planes.  The intervals of
-one call, and the slack counts of one call, are built and refined as one
-batch (``riccati._counts``): they share the game's gap propagator and
-their partner.
+Escape times are resolved to ``TIME_TOL_REL`` of the search span.  This
+module holds the two detectors and nothing else: the rule that decides
+whether a sensing interval holds an escape, and the slack of each
+instant, belong to the scheduler.
 """
 from __future__ import annotations
-
-from functools import partial
 
 import numpy as np
 
 from .errors import EscapeReport, StepUnderflow
-from .game_model import GameSpec
-from .riccati import (
-    TIME_TOL_REL,
-    RiccatiProblem,
-    RiccatiSolution,
-    _Count,
-    _count,
-    _counts,
-    _illinois,
-    _orth,
-    _plane_counts,
-    _sym,
-)
+from .riccati import TIME_TOL_REL, RiccatiProblem, _count, _illinois, _sym
 
 CHART_LEVEL = 1e1  # least |sigma| / 2 of a chart, and the norm of sY that ends it
-# an escape within this share of the horizon above an interval's start
-# falls outside the interval: the estimate resets at the start
-BOUNDARY_TOL_REL = 1e-8
 # the norm detector's stepper: error tolerances, and its least step
 # relative to the span
 RTOL = 1e-10
@@ -213,69 +187,3 @@ def detect_escape_radon(problem: RiccatiProblem, floor: float) -> EscapeReport:
     below the terminal time."""
     first = _count(problem, floor).first
     return EscapeReport(first is not None, first)
-
-
-def _intervals(flows: list[_Count], a, tol: float) -> list[tuple[bool, float | None]]:
-    """For each ``flow``, counted from its interval's end, whether it has a
-    pole inside the interval that starts at a_i, and its largest pole if at
-    or above a_i - tol.  The pole is the count's first meeting, and it lies
-    inside when it lies more than tol above a_i: as every jump of N has one
-    sign, N is nonzero exactly past the first meeting, so that is N at
-    a_i + tol."""
-    poles = [
-        flow.first if flow.first is not None and flow.first >= a_i - tol else None
-        for flow, a_i in zip(flows, a)
-    ]
-    return [(pole is not None and pole > a_i + tol, pole) for pole, a_i in zip(poles, a)]
-
-
-def _gap_plane(value_sol: RiccatiSolution, b) -> np.ndarray:
-    """An orthonormal frame of [I; -P(b)], the start of the gap flow ending at
-    b (a stack at an array of times): the value count's plane, V negated."""
-    Z = value_sol.count.plane(b)
-    return _orth(Z * np.repeat([1.0, -1.0], Z.shape[-1])[:, None])
-
-
-def _escape_inside(
-    spec: GameSpec, value_sol: RiccatiSolution, a, b
-) -> list[tuple[bool, float | None, _Count]]:
-    """``_intervals`` of the intervals [a_i, b_i) for the gap flow from
-    ``_gap_plane`` at b_i, counted down to a_i - tol, tol the boundary
-    tolerance; and that flow.  The intervals' counts are one batch."""
-    tol = BOUNDARY_TOL_REL * spec.horizon
-    a, b = (np.array(x, dtype=float, ndmin=1) for x in (a, b))
-    flows = _plane_counts(spec._gap_flow, b, _gap_plane(value_sol, b), a - tol)
-    return [(*verdict, flow) for verdict, flow in zip(_intervals(flows, a.tolist(), tol), flows)]
-
-
-def _slack_counts(
-    spec: GameSpec, value_sol: RiccatiSolution, t_prev, upper
-) -> list[_Count | None]:
-    """For each pair, the count in tau over (t_a, upper] whose first meeting
-    is the least tau whose gap flow, ending at -P(tau), has its pole at
-    t_a, the boundary-tolerance point above ``t_prev``; None where t_a is
-    not below ``upper``, where (t_a, upper] is empty.  The counts are one
-    batch.
-
-    That flow at t_a is V U^-1 for [U; V] = exp(H (t_a - tau)) [I; -P(tau)],
-    so its pole is where the plane of [I; -P(tau)] meets
-    exp(H (tau - t_a)) [0; I], a path moved by the gap Hamiltonian H.  The
-    former is the value flow's plane, moved by the value Hamiltonian H_v,
-    reflected by D = diag(I, -I) (``_gap_plane``, exact off the value
-    count); D H_v D is Hamiltonian (J D = -D J) with the norm of H_v, so
-    ``_Count``'s lift bound along tau is 2n (||H||_2 + ||H_v||_2), both
-    norms kept by their propagators.  The count starts at 0 and, as the
-    plane at t = tau never meets [0; I], equals at any tau the count at t_a
-    of the flow ending at tau: no first meeting means the flow ending at
-    ``upper`` has no pole there, and N at a tau is the interval check of
-    [t_prev, tau).
-    """
-    t_a = np.array(t_prev, dtype=float, ndmin=1) + BOUNDARY_TOL_REL * spec.horizon
-    upper = np.array(upper, dtype=float, ndmin=1)
-    some = t_a < upper
-    V0 = np.eye(2 * spec.n_x)[:, spec.n_x :]  # [0; I]
-    partner = partial(_gap_plane, value_sol)
-    made = iter(_counts(
-        spec._gap_flow, V0, t_a[some], upper[some], partner, value_sol.count.exp.norm
-    ))
-    return [next(made) if counted else None for counted in some]

@@ -24,11 +24,13 @@ the linear flow has no finite-time singularity.  ``_count`` counts a
 problem's flow from its terminal value, for ``solve_riccati`` and the
 radon escape detector alike; the solve raises FiniteEscape at its first
 pole, and otherwise keeps the count, exact at any time (``eval_solution``).
-What needs the flow's plane instead (gap flows' starts, the slack partner,
-the transition matrix) reads it off the count too (``_Count.plane``).  Escape times
-are resolved to ``TIME_TOL_REL`` of the span.  Everything here works on
-the Hamiltonian form; the independent check that integrates the nonlinear
-flow itself, the norm escape detector, lives in ``escape``.
+What needs the flow's plane instead (gap flows' starts, the slack partner)
+reads it off the count too (``_Count.plane``), and equilibrium play moves
+states along it (``_Count.flow``, the transition matrix): no module but
+this one reads a count's grid or frames.  Escape times are resolved to
+``TIME_TOL_REL`` of the span.  Everything here works on the Hamiltonian
+form; the independent check that integrates the nonlinear flow itself,
+the norm escape detector, lives in ``escape``.
 """
 from __future__ import annotations
 
@@ -112,8 +114,8 @@ def make_gap_problem(
     spec: GameSpec, value_sol: "RiccatiSolution", terminal_time: float
 ) -> RiccatiProblem:
     """Gap flow (error-value minus value) ending at ``terminal_time``,
-    where it equals minus the value flow."""
-    return _gap_problem(spec, terminal_time, -value_sol.count.value(terminal_time))
+    where it equals minus the value flow (``eval_solution``)."""
+    return _gap_problem(spec, terminal_time, -eval_solution(value_sol, terminal_time))
 
 
 @dataclass(frozen=True)
@@ -290,6 +292,25 @@ class _Count:
         times: the frame that opens the cell of s, moved to s."""
         s = np.asarray(s, dtype=float)
         return self._move(s, self._cell(s))
+
+    def flow(self, x0: np.ndarray):
+        """The map from a time s, or an array of times, to [U; V](s) U_K^-1
+        x0: the linear flow from the columns of ``x0`` at the last grid
+        point s_K, with U_K the top block of its frame F_K.  For the value
+        count that is [x; P x] of mutual equilibrium play from x0 at t0.
+
+        It is exp(K (s - s_k)) F_k c_k, with s_k the grid point that opens
+        the cell of s: c_K = U_K^-1 x0, and each c_k above is F_{k+1},
+        moved one cell and projected onto F_k, times c_{k+1}."""
+        up = self.frames[:-1].swapaxes(-1, -2) @ self.exp(-self.h) @ self.frames[1:]
+        last = np.linalg.solve(self.frames[-1][: len(x0)], x0)
+        coeffs = np.stack(list(accumulate(up[::-1], lambda c, step: step @ c, initial=last))[::-1])
+
+        def at(s) -> np.ndarray:
+            k = self._cell(s)
+            return self._move(s, k) @ coeffs[k]
+
+        return at
 
     def value(self, s) -> np.ndarray:
         """Q's flow V U^-1 at s, or a stack of it at an array of times,

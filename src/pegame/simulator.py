@@ -26,27 +26,30 @@ gains and differ only in their inputs, so each side has one play and the
 batch one F.  The built-in strategies feed back 0 or +-1 times their
 side's equilibrium gain, so F is formed from B Kp and C Ke alone; only a
 play with gains of its own (the risky deviation) forms its products
-explicitly.  The deviation sweep runs as one batch, the deviation gain
-check on the estimation error alone.
+explicitly.  The deviation sweep runs in batches of at most
+``MAX_BATCH`` runs, the deviation gain check on the estimation error
+alone.  The deviation experiments price an interval with the count of its
+gap flow that the scheduler's interval check (``_escape_inside``) makes;
+equilibrium play's states come off the value count (``_Count.flow``).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Callable
 
 import numpy as np
 
 from .errors import InadmissibleInterval, IntervalAdmissible, NegativeBudget
-from .escape import _escape_inside
 from .game_model import GameSpec
 from .riccati import RiccatiSolution, eval_solution, solve_value_riccati
+from .scheduler import _escape_inside
 
 DEFAULT_STEP_REL = 1.0 / 2000.0
 MIN_SUBSTEPS = 10
 MAX_STEPS = 10**6  # RK4 steps of one run; a step that needs more is refused
 BLOCK = 256  # RK4 steps per batched evaluation; bounds the stage arrays
+MAX_BATCH = 64  # closed-loop runs of one batch; bounds the stage arrays too
 
 
 def _mv(M: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -469,33 +472,10 @@ def game_value(spec: GameSpec, value_sol: RiccatiSolution) -> float:
 # open-loop pair
 
 
-def _equilibrium_flow(value_sol: RiccatiSolution, x0: np.ndarray):
-    """[x; P x](t) of mutual equilibrium play from the columns of ``x0`` at
-    t0, at a time or a stack of it at an array of times.
-
-    The play drives the state with A + (C R_e^-1 C' - B R_p^-1 B') P, the U
-    block of the value flow's linear representation, so [x; P x](t) =
-    [U; V](t) U(t0)^-1 x0 = exp(H (t - s_k)) F_k c_k, with F_k the value
-    count's frame at the grid point s_k that opens the cell of t.  At t0,
-    the last point, c_K = U_K^-1 x0 with U_K the top block of F_K; each c_k
-    above is F_{k+1}, moved up one cell and projected onto F_k, times c_{k+1}.
-    """
-    count = value_sol.count
-    up = count.frames[:-1].swapaxes(-1, -2) @ count.exp(-count.h) @ count.frames[1:]
-    last = np.linalg.solve(count.frames[-1][: len(x0)], x0)
-    coeffs = np.stack(list(accumulate(up[::-1], lambda c, step: step @ c, initial=last))[::-1])
-
-    def flow(t) -> np.ndarray:
-        k = count._cell(t)
-        return count._move(t, k) @ coeffs[k]
-
-    return flow
-
-
 def transition_flow(spec: GameSpec, value_sol: RiccatiSolution):
     """Dense state-transition matrix Phi(t, t0) of mutual equilibrium play:
-    ``_equilibrium_flow`` from the identity, exact at every time."""
-    flow = _equilibrium_flow(value_sol, np.eye(spec.n_x))
+    the value count's ``flow`` from the identity, exact at every time."""
+    flow = value_sol.count.flow(np.eye(spec.n_x))
     return lambda t: flow(t)[..., : spec.n_x, :]
 
 
@@ -506,9 +486,9 @@ def open_loop_inputs(
 
     Matches the feedback pair along the mutual-equilibrium trajectory but
     depends only on time, so either player can commit to it offline.  Both
-    read P x(t) off ``_equilibrium_flow``.
+    read P x(t) off the value count's ``flow`` from x0.
     """
-    flow = _equilibrium_flow(value_sol, spec.x0[:, None])
+    flow = value_sol.count.flow(spec.x0[:, None])
 
     def series(gain) -> InputSeries:
         return InputSeries(lambda t: (gain @ flow(t)[..., spec.n_x :, :])[..., 0])
@@ -537,14 +517,14 @@ def _counted_gap(spec: GameSpec, value_sol: RiccatiSolution, interval, escapes: 
     a, b = float(interval[0]), float(interval[1])
     if not (spec.t0 <= a < b <= spec.tf):
         raise ValueError(f"interval {interval} outside the horizon")
-    ((inside, pole, gap),) = _escape_inside(spec, value_sol, a, b)
-    if inside and not escapes:
-        raise InadmissibleInterval(f"interval [{a}, {b}) contains an escape at {pole:.9g}")
-    if escapes and not inside:
+    ((cert, gap),) = _escape_inside(spec, value_sol, a, b)
+    if cert.escape_found and not escapes:
+        raise InadmissibleInterval(f"interval [{a}, {b}) contains an escape at {cert.t_escape:.9g}")
+    if escapes and not cert.escape_found:
         raise IntervalAdmissible(
             f"interval [{a}, {b}) is escape-free; the deviation cannot profit"
         )
-    return a, b, pole, gap
+    return a, b, cert.t_escape, gap
 
 
 def deviation_gain_check(
@@ -659,8 +639,9 @@ def deviation_sweep(
     instead of the equilibrium feedback, for each ``c``.
 
     The pursuer either commits to the open-loop pair or runs the
-    certainty-equivalent estimator over ``schedule``.  All deviations run
-    as one batch.
+    certainty-equivalent estimator over ``schedule``.  The deviations run
+    in batches of at most ``MAX_BATCH``; a run's payoff does not depend on
+    its batch.
     """
     value_sol = value_sol if value_sol is not None else solve_value_riccati(spec)
     direction = np.zeros(spec.n_e)
@@ -674,13 +655,13 @@ def deviation_sweep(
         raise ValueError(f"unsupported pursuer choice {pursuer!r}")
 
     evaders = [Strategy.evader_open_loop(float(c) * direction) for c in c_values]
-    if not evaders:
-        return np.array([])
-    _, z, integrals, _, _ = _closed_loop(
-        spec, value_sol, schedule, pursuer_strategy, evaders, step
-    )
-    x_f = z[-1, :, : spec.n_x]
-    return integrals[-1, :, 0] + _quad(x_f, spec.Q_f)
+    payoffs = [np.zeros(0)]
+    for lo in range(0, len(evaders), MAX_BATCH):
+        _, z, integrals, _, _ = _closed_loop(
+            spec, value_sol, schedule, pursuer_strategy, evaders[lo : lo + MAX_BATCH], step
+        )
+        payoffs.append(integrals[-1, :, 0] + _quad(z[-1, :, : spec.n_x], spec.Q_f))
+    return np.concatenate(payoffs)
 
 
 def reachable_radius(
@@ -689,10 +670,10 @@ def reachable_radius(
     """Largest displacement of a single-integrator evader whose control
     effort int r |u|^2 dt stays within the budget (Cauchy-Schwarz tight,
     achieved by a constant input)."""
-    if effort_budget < 0:
+    if not effort_budget >= 0:
         raise NegativeBudget(f"effort budget must be nonnegative, got {effort_budget}")
-    if horizon <= 0:
+    if not horizon > 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
-    if R_e_scalar <= 0:
+    if not R_e_scalar > 0:
         raise ValueError(f"effort weight must be positive, got {R_e_scalar}")
     return float(np.sqrt(effort_budget * horizon / R_e_scalar))

@@ -10,7 +10,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
-from pegame import escape, riccati  # noqa: E402
+from pegame import riccati, scheduler  # noqa: E402
 from pegame.game_model import GameSpec, example_one_spec  # noqa: E402
 from pegame.riccati import solve_value_riccati  # noqa: E402
 from pegame.simulator import Strategy  # noqa: E402
@@ -127,8 +127,9 @@ def counts(monkeypatch):
             super().__init__(*args, **kwargs)
             made.append(self)
 
-    # ``riccati._counts`` builds every count; escape's name is patched too,
-    # so that a test patching ``escape._Count`` reaches only these
+    # ``riccati._counts`` builds every count; the scheduler's name is
+    # patched too, so that a test patching ``scheduler._Count`` reaches
+    # only these
     monkeypatch.setattr(riccati, "_Count", Recorded)
-    monkeypatch.setattr(escape, "_Count", Recorded)
+    monkeypatch.setattr(scheduler, "_Count", Recorded)
     return made

@@ -11,10 +11,16 @@ from pegame.riccati import (
     solve_riccati,
     solve_value_riccati,
 )
-from pegame import escape, riccati
+from pegame import escape, riccati, scheduler
 from pegame.errors import EscapeReport, FiniteEscape, OutOfRange
 from pegame.escape import TIME_TOL_REL, detect_escape_norm, detect_escape_radon
-from pegame.scheduler import MARGIN_REL, check_admissibility, max_next_instance, optimal_schedule
+from pegame.scheduler import (
+    MARGIN_REL,
+    IntervalCertificate,
+    check_admissibility,
+    max_next_instance,
+    optimal_schedule,
+)
 from pegame.simulator import Strategy, deviation_gain_check, risky_strategy, simulate
 
 
@@ -414,15 +420,16 @@ def test_slack_guard_agrees_with_the_interval_check(make_escape_spec):
     for spec, sol, sched in _scheduled_games(make_escape_spec, 20, seed=21):
         bounds = [spec.t0, *sched.instants, spec.tf]
         margin = MARGIN_REL * spec.horizon
-        slack = escape._slack_counts(spec, sol, bounds[:-2], bounds[2:])
-        for t_prev, count in zip(bounds, slack):
-            if count is None or count.first is None:
+        tol = scheduler.BOUNDARY_TOL_REL * spec.horizon
+        sups = scheduler._slack_sups(spec, sol, bounds[:-2], bounds[2:])
+        for t_prev, upper, sup in zip(bounds, bounds[2:], sups):
+            if sup == upper:
                 continue
-            for tau, want in ((count.first - margin, False), (count.first + margin, True)):
-                if not count.s[0] < tau <= count.s[-1]:
+            for tau, want in ((sup - margin, False), (sup + margin, True)):
+                if not t_prev + tol < tau <= upper:
                     continue
-                ((inside, _, _),) = escape._escape_inside(spec, sol, t_prev, tau)
-                assert inside == want, (t_prev, tau)
+                ((check, _),) = scheduler._escape_inside(spec, sol, t_prev, tau)
+                assert check.escape_found == want, (t_prev, tau)
                 checked += 1
     assert checked >= 40
 
@@ -449,24 +456,26 @@ def test_interval_verdicts_match_the_exact_count(make_escape_spec):
     for trial in range(20):
         spec = make_escape_spec(rng, n=2 + trial % 3)
         sol = solve_value_riccati(spec)
-        tol = escape.BOUNDARY_TOL_REL * spec.horizon
+        tol = scheduler.BOUNDARY_TOL_REL * spec.horizon
         ends = [*rng.uniform(spec.t0 + 0.1 * spec.horizon, spec.tf, 4), spec.tf]
-        whole = escape._escape_inside(spec, sol, [spec.t0] * len(ends), ends)
+        whole = scheduler._escape_inside(spec, sol, [spec.t0] * len(ends), ends)
         a = [float(rng.uniform(spec.t0, b)) for b in ends]
         b = list(ends)
-        for end, (_, _, flow) in zip(ends, whole):
+        for end, (_, flow) in zip(ends, whole):
             if flow.first is not None:
                 for d in (-2, -0.5, 0.5, 2, 10):
                     a.append(flow.first - d * tol)
                     b.append(end)
-        for a_i, b_i, (inside, pole, flow) in zip(a, b, escape._escape_inside(spec, sol, a, b)):
-            assert inside == (flow.count(min(a_i + tol, b_i)) != 0), (a_i, b_i)
+        for a_i, b_i, (check, flow) in zip(a, b, scheduler._escape_inside(spec, sol, a, b)):
+            assert (check.t_start, check.t_end) == (a_i, b_i)
+            assert check.escape_found == (flow.count(min(a_i + tol, b_i)) != 0), (a_i, b_i)
             first = flow.first
-            assert pole == (first if first is not None and first >= a_i - tol else None)
-            verdicts.append(inside)
+            assert check.t_escape == (first if first is not None and first >= a_i - tol else None)
+            verdicts.append(check.escape_found)
             if first is not None:
                 tie = _tie_below(first, tol)
-                assert escape._intervals([flow], [tie], tol) == [(False, first)]
+                tied = IntervalCertificate(tie, b_i, False, first)
+                assert scheduler._intervals(spec, [flow], [tie], [b_i]) == [tied]
                 ties += 1
     assert len(verdicts) >= 300 and 50 <= sum(verdicts) <= len(verdicts) - 50
     assert ties >= 200
@@ -486,11 +495,11 @@ def test_batched_counts_equal_their_singles(make_escape_spec):
         broken = sorted({*sched.instants[1:], *np.convolve(sched.instants, [0.5, 0.5], "valid")})
         ends = [spec.t0, *broken, spec.tf]
         for cert, a, b in zip(check_admissibility(spec, sol, broken), ends, ends[1:]):
-            ((inside, pole, _),) = escape._escape_inside(spec, sol, a, b)
-            assert cert.escape_found == inside
-            assert (cert.t_escape is None) == (pole is None)
-            if pole is not None:
-                assert abs(cert.t_escape - pole) <= tol
+            ((check, _),) = scheduler._escape_inside(spec, sol, a, b)
+            assert cert.escape_found == check.escape_found
+            assert (cert.t_escape is None) == (check.t_escape is None)
+            if check.t_escape is not None:
+                assert abs(cert.t_escape - check.t_escape) <= tol
             certificates += 1
     assert slack_roots >= 20 and certificates >= 20
 
@@ -540,8 +549,8 @@ def test_first_reads_the_bracket_ends_off_the_grid(make_escape_spec, counts):
 def test_deviations_price_with_their_count(example_spec, example_value_sol, counts, monkeypatch):
     # the gain check and the risky deviation each count their interval's
     # gap flow once and evaluate the error-value flow with that count
-    value, used = escape._Count.value, set()
-    monkeypatch.setattr(escape._Count, "value", lambda flow, t: used.add(flow) or value(flow, t))
+    value, used = scheduler._Count.value, set()
+    monkeypatch.setattr(scheduler._Count, "value", lambda flow, t: used.add(flow) or value(flow, t))
     spec, sol = example_spec, example_value_sol
     deviation_gain_check(spec, sol, (0.5, 1.0), np.array([1.0, 0.0]))
     assert len(counts) == 1 and used == {counts[0]}

@@ -48,6 +48,46 @@ def test_all_is_what_init_imports():
     assert sorted(exported) == sorted(imported)
 
 
+# the package's layers, each importing only from those before it
+LAYERS = ["errors", "game_model", "riccati", "escape", "scheduler", "simulator", "cli"]
+
+
+def package_imports(source: str, everywhere: bool = False) -> set[str]:
+    """The layers a module's relative imports name, at module level or
+    anywhere in it; ``from . import x`` names x only if x is a layer."""
+    tree = ast.parse(source)
+    names = set()
+    for node in ast.walk(tree) if everywhere else tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names.update([node.module.split(".")[0]] if node.module else
+                         [alias.name for alias in node.names if alias.name in LAYERS])
+    return names
+
+
+def test_package_imports_are_found():
+    source = ("from .riccati import _Count\nfrom . import escape, __version__\n"
+              "def f():\n    from .cli import main\n")
+    assert package_imports(source) == {"riccati", "escape"}
+    assert package_imports(source, everywhere=True) == {"riccati", "escape", "cli"}
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+def test_layers_import_only_earlier_layers(layer):
+    # function-level imports, such as GameSpec._gap_flow's, are exempt
+    source = (ROOT / "src" / "pegame" / f"{layer}.py").read_text(encoding="utf-8")
+    assert package_imports(source) <= set(LAYERS[: LAYERS.index(layer)])
+
+
+def test_only_init_imports_escape():
+    # the detectors cross-check the library; nothing it computes rests on them
+    importers = [
+        p.name for p in (ROOT / "src" / "pegame").glob("*.py")
+        if p.name != "__init__.py"
+        and "escape" in package_imports(p.read_text(encoding="utf-8"), everywhere=True)
+    ]
+    assert importers == []
+
+
 def keyword_only(source: str) -> set[tuple[str, str]]:
     """(function, parameter) for each keyword-only parameter of a public
     function or method."""

@@ -194,6 +194,12 @@ def test_residual_zero_for_zero_gap_flow(example_spec, example_value_sol):
     assert riccati_residual(sol, problem) == 0.0
 
 
+def test_gap_problem_ends_at_the_exact_terminal_value(example_spec, example_value_sol):
+    # at tf the gap flow ends at -Q_f as given, not at the count's reading
+    problem = make_gap_problem(example_spec, example_value_sol, example_spec.tf)
+    assert np.array_equal(problem.terminal_value, -example_spec.Q_f)
+
+
 def test_error_value_equals_gap_plus_value(example_spec, example_value_sol):
     # strictly admissible interval: escape for terminal 1 sits at 0.5 < 0.6
     a, b = 0.6, 1.0

@@ -179,6 +179,12 @@ def test_degenerate_schedule_raises(example_spec):
         optimal_schedule(spec, sol)  # default margin 1e-6 * horizon > 1e-7
 
 
+@pytest.mark.parametrize("margin", [float("nan"), -1e-6])
+def test_margin_must_be_nonnegative(example_spec, example_value_sol, margin):
+    with pytest.raises(ValueError, match="margin must be nonnegative"):
+        optimal_schedule(example_spec, example_value_sol, margin=margin)
+
+
 def test_schedules_pass_their_own_check(make_escape_spec):
     rng = np.random.default_rng(314)
     checked = 0

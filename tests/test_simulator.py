@@ -372,6 +372,18 @@ def test_deviation_sweep_capped_under_admissible_schedule(example_spec):
     assert (payoffs <= 1.0 / 3.0 + 1e-4).all()
 
 
+def test_sweep_batches_equal_their_runs_alone(example_spec, monkeypatch):
+    # a sweep longer than one batch runs in chunks; each payoff is the
+    # bytes of its deviation swept alone
+    cs = [0.0, -0.0, 0.5, 1.0, 2.0]
+    alone = [deviation_sweep(example_spec, [c]) for c in cs]
+    monkeypatch.setattr(simulator, "MAX_BATCH", 2)
+    chunked = deviation_sweep(example_spec, cs)
+    assert chunked.shape == (5,)
+    assert [p.tobytes() for p in chunked] == [a[0].tobytes() for a in alone]
+    assert deviation_sweep(example_spec, []).shape == (0,)
+
+
 def test_risky_strategy_grows_with_scale(example_spec, example_value_sol):
     value = game_value(example_spec, example_value_sol)
     payoffs = []
@@ -436,6 +448,20 @@ def test_reachable_radius_worked_example_values():
 def test_reachable_radius_negative_budget_raises():
     with pytest.raises(NegativeBudget):
         reachable_radius(-1.0, 1.0, 0.5)
+
+
+@pytest.mark.parametrize(
+    "args, error",
+    [
+        ((math.nan, 1.0, 0.5), NegativeBudget),
+        ((1.0, math.nan, 0.5), ValueError),
+        ((1.0, 1.0, math.nan), ValueError),
+    ],
+    ids=["budget", "horizon", "weight"],
+)
+def test_reachable_radius_refuses_nan(args, error):
+    with pytest.raises(error, match="must be"):
+        reachable_radius(*args)
 
 
 @settings(max_examples=40, deadline=None)
