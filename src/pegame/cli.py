@@ -1,8 +1,11 @@
 """Configuration loading, command dispatch, and result serialization.
 
-Game specs travel as JSON (schema version 1): matrices are row-major
-nested arrays, times and scalars are numbers, and ``{"preset":
-"example1"}`` loads the bundled worked example.  Reports are printed to
+Game specs travel as JSON (schema version 1), and ``{"preset":
+"example1"}`` loads the bundled worked example.  ``spec_from_dict``
+checks only the document's own rules (an object, the preset, the
+version, no missing field); ``GameSpec`` parses every field, as it does
+from Python: matrices are nested row-major arrays, x0 is a flat array
+and the times are numbers.  Reports are printed to
 stdout with floats at 17 significant digits so identical configurations
 produce byte-identical output.  Each command's arguments are declared
 once, in ``_COMMANDS``; the parser is built from that table, and each
@@ -48,7 +51,7 @@ from .simulator import (
 
 SCHEMA_VERSION = 1
 MAX_SAMPLES = 10**6  # points of a reachability circle CSV
-_MATRIX_FIELDS = ("A", "B", "C", "Q", "Q_f", "R_p", "R_e")
+_FIELDS = ("A", "B", "C", "Q", "Q_f", "R_p", "R_e", "t0", "tf", "x0")
 _PRESETS = {"example1": example_one_spec}
 
 
@@ -82,16 +85,12 @@ def dumps_canonical(obj: Any) -> str:
 
 
 def spec_to_dict(spec: GameSpec) -> dict:
-    doc = {"version": SCHEMA_VERSION}
-    for name in _MATRIX_FIELDS:
-        doc[name] = getattr(spec, name).tolist()
-    doc["t0"] = spec.t0
-    doc["tf"] = spec.tf
-    doc["x0"] = spec.x0.tolist()
-    return doc
+    return {"version": SCHEMA_VERSION,
+            **{name: np.asarray(getattr(spec, name)).tolist() for name in _FIELDS}}
 
 
 def spec_from_dict(doc: dict) -> GameSpec:
+    """The game of a document; ``GameSpec`` parses its fields."""
     if not isinstance(doc, dict):
         raise SchemaError("top-level document must be an object")
     if "preset" in doc:
@@ -105,28 +104,12 @@ def spec_from_dict(doc: dict) -> GameSpec:
     version = doc.get("version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise SchemaError(f"unsupported schema version {version!r}")
-    missing = [name for name in (*_MATRIX_FIELDS, "t0", "tf", "x0") if name not in doc]
+    missing = [name for name in _FIELDS if name not in doc]
     if missing:
         raise SchemaError(f"missing fields: {missing}")
-
-    values = {}
-    for name in _MATRIX_FIELDS:
-        try:
-            arr = np.array(doc[name], dtype=float)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise SchemaError(f"{name} is not a numeric matrix: {exc}") from exc
-        if arr.ndim != 2:
-            raise SchemaError(f"{name} must be a nested (row-major) array")
-        values[name] = arr
     try:
-        x0 = np.array(doc["x0"], dtype=float).reshape(-1)
-        t0 = float(doc["t0"])
-        tf = float(doc["tf"])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SchemaError(f"bad scalar field: {exc}") from exc
-    try:
-        return GameSpec(t0=t0, tf=tf, x0=x0, **values)
-    except ValueError as exc:  # the spec is not a game
+        return GameSpec(**{name: doc[name] for name in _FIELDS})
+    except ValueError as exc:  # the fields are not a game
         raise SchemaError(str(exc)) from exc
 
 
@@ -245,6 +228,13 @@ def _cmd_check_schedule(args, spec) -> tuple[int, dict]:
     }
 
 
+def _pursuer_strategy(name: str, spec, sol) -> Strategy:
+    """The play a --pursuer or --pursuer-mode choice names."""
+    if name in ("open-loop", "open_loop"):
+        return open_loop_pair(spec, sol)[0]
+    return Strategy.certainty_equivalent()
+
+
 def _evader_strategy(args, spec, sol) -> Strategy:
     if args.evader == "open-loop":
         return open_loop_pair(spec, sol)[1]
@@ -267,10 +257,7 @@ def _evader_strategy(args, spec, sol) -> Strategy:
 
 def _cmd_simulate(args, spec) -> tuple[int, dict]:
     sol = solve_value_riccati(spec)
-    if args.pursuer == "open-loop":
-        pursuer = open_loop_pair(spec, sol)[0]
-    else:
-        pursuer = Strategy.certainty_equivalent()
+    pursuer = _pursuer_strategy(args.pursuer, spec, sol)
     evader = _evader_strategy(args, spec, sol)
     traj = simulate(spec, sol, args.instants, pursuer, evader, args.step)
     direct, completed = payoff_two_ways(traj, spec, sol)
@@ -289,8 +276,8 @@ def _cmd_simulate(args, spec) -> tuple[int, dict]:
 def _cmd_sweep(args, spec) -> tuple[int, dict]:
     sol = solve_value_riccati(spec)
     payoffs = deviation_sweep(
-        spec, args.c, schedule=args.instants, pursuer=args.pursuer_mode, step=args.step,
-        value_sol=sol,
+        spec, args.c, schedule=args.instants,
+        pursuer=_pursuer_strategy(args.pursuer_mode, spec, sol), step=args.step, value_sol=sol,
     )
     return 0, {
         "c_values": list(args.c),
@@ -311,8 +298,6 @@ def _cmd_slack(args, spec) -> tuple[int, dict]:
 
 
 def _cmd_reachability(args, _) -> tuple[int, dict]:
-    if args.budget is None or args.horizon is None:
-        raise SchemaError("reachability needs --budget and --horizon")
     budget, horizon, weight = args.budget, args.horizon, args.re_scalar
     radius = reachable_radius(budget, horizon, weight)
     doc = {"effort_budget": budget, "horizon": horizon, "re_scalar": weight, "radius": radius}
@@ -420,8 +405,8 @@ _COMMANDS = {
         ("--upper", {"type": _finite}),
     ]),
     "reachability": (_cmd_reachability, "evader budget-limited reach radius", False, [
-        ("--budget", {"type": _finite}),
-        ("--horizon", {"type": _finite}),
+        ("--budget", {"type": _finite, "required": True}),
+        ("--horizon", {"type": _finite, "required": True}),
         ("--re-scalar", {"type": _finite, "default": 1.0}),
         ("--out", {"help": "circle sample CSV output path"}),
         ("--samples", {"type": _samples, "default": 64}),

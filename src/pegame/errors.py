@@ -10,11 +10,14 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class EscapeReport:
-    """Outcome of one escape search: whether it found an escape, and the
-    largest one below the terminal time, to the search's time resolution."""
+    """Outcome of one escape search: the largest escape below the terminal
+    time, to the search's time resolution, or None if it found none."""
 
-    found: bool
     t_escape: float | None
+
+    @property
+    def found(self) -> bool:
+        return self.t_escape is not None
 
 
 class DomainError(Exception):

@@ -172,18 +172,17 @@ def detect_escape_norm(problem: RiccatiProblem, floor: float) -> EscapeReport:
         for t, Y in _integrate_backward(chart.rhs, t, chart.terminal_value, floor, span):
             w = np.linalg.eigvalsh(s * Y)  # sY is positive definite above the pole
             if w[0] <= 0:
-                return EscapeReport(True, _chart_root(chart, s, above, (t, w[0]), tol, span))
+                return EscapeReport(_chart_root(chart, s, above, (t, w[0]), tol, span))
             if w[-1] >= CHART_LEVEL:
                 X = sigma * eye + np.linalg.inv(Y)
                 break
             above = (t, Y, w[0])
         else:
-            return EscapeReport(False, None)
+            return EscapeReport(None)
 
 
 def detect_escape_radon(problem: RiccatiProblem, floor: float) -> EscapeReport:
     """Escape search via the flow's linear representation (``riccati._count``,
     as the exact value solve counts it); reports the largest singularity
     below the terminal time."""
-    first = _count(problem, floor).first
-    return EscapeReport(first is not None, first)
+    return EscapeReport(_count(problem, floor).first)

@@ -5,9 +5,12 @@ linear dynamics ``x' = A x + B u_p + C u_e`` and the quadratic payoff
 
     J = int_{t0}^{tf} (x'Qx + u_p'R_p u_p - u_e'R_e u_e) dt + x(tf)'Q_f x(tf).
 
-A ``GameSpec`` exists only for a game: building one refuses non-finite
-entries, t0 >= tf, a horizon tf - t0 that overflows, times whose ulp
-exceeds ``TIME_TOL_REL`` of the horizon (the escape-time resolution),
+A ``GameSpec`` exists only for a game, and it parses every field
+itself, from Python as from a JSON document: each matrix must be a
+nested (2-D) numeric array, x0 a flat (1-D) one and t0, tf numbers.
+Building one refuses fields that are not, non-finite entries, t0 >= tf,
+a horizon tf - t0 that overflows, times whose ulp exceeds
+``TIME_TOL_REL`` of the horizon (the escape-time resolution),
 non-conformable shapes, asymmetric Q, Q_f, R_p or R_e, singular effort
 weights and powers ``B R_p^-1 B'`` or ``C R_e^-1 C'`` that overflow,
 each with a ``ValueError``.  Validation then measures the paper's
@@ -31,12 +34,29 @@ from .errors import DimensionMismatch, NonSymmetric, UnsortedInstants
 TOL_SYM = 1e-10  # relative Frobenius asymmetry
 TOL_PSD = 1e-10  # absolute eigenvalue floor
 TIME_TOL_REL = 1e-9  # escape-time resolution, relative to the search span
+_ARRAYS = ("A", "B", "C", "Q", "Q_f", "R_p", "R_e", "x0")
+
+
+def _parsed(convert, value, message: str):
+    """``convert(value)``, whose TypeError, ValueError or OverflowError
+    becomes a ValueError led by ``message``."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{message}: {exc}") from exc
 
 
 def _as_array(value, name: str) -> np.ndarray:
-    arr = np.array(value, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    """A matrix field as a read-only nested (2-D) array of finite floats,
+    or x0 as a flat (1-D) one."""
+    matrix = name != "x0"
+    message = f"{name} is not a numeric matrix" if matrix else "bad scalar field"
+    arr = _parsed(lambda v: np.array(v, dtype=float), value, message)
+    if arr.ndim != (2 if matrix else 1):
+        raise ValueError(f"{name} must be a {'nested (row-major)' if matrix else 'flat'} array")
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
+    arr.setflags(write=False)
     return arr
 
 
@@ -71,15 +91,10 @@ class GameSpec:
     x0: np.ndarray
 
     def __post_init__(self):
-        for name in ("A", "B", "C", "Q", "Q_f", "R_p", "R_e"):
-            arr = np.atleast_2d(_as_array(getattr(self, name), name))
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        x0 = np.atleast_1d(_as_array(self.x0, "x0"))
-        x0.setflags(write=False)
-        object.__setattr__(self, "x0", x0)
-        object.__setattr__(self, "t0", float(self.t0))
-        object.__setattr__(self, "tf", float(self.tf))
+        for name in _ARRAYS:
+            object.__setattr__(self, name, _as_array(getattr(self, name), name))
+        for name in ("t0", "tf"):
+            object.__setattr__(self, name, _parsed(float, getattr(self, name), "bad scalar field"))
         if not -math.inf < self.t0 < self.tf < math.inf:
             raise ValueError(f"need finite t0 < tf, got t0={self.t0}, tf={self.tf}")
         if not math.isfinite(self.horizon):
@@ -115,7 +130,7 @@ class GameSpec:
         return (
             all(
                 np.array_equal(getattr(self, name), getattr(other, name))
-                for name in ("A", "B", "C", "Q", "Q_f", "R_p", "R_e", "x0")
+                for name in _ARRAYS
             )
             and self.t0 == other.t0
             and self.tf == other.tf

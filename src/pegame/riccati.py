@@ -455,7 +455,7 @@ def solve_riccati(problem: RiccatiProblem, floor: float) -> RiccatiSolution:
     if count.first is not None:
         raise FiniteEscape(
             f"{problem.kind} flow escaped near t={count.first:.9g}",
-            report=EscapeReport(True, count.first),
+            report=EscapeReport(count.first),
         )
     grid = np.linspace(problem.terminal_time, float(floor), STEPS + 1)
     return RiccatiSolution(problem.kind, grid, _sym(problem.terminal_value), count)

@@ -26,9 +26,10 @@ gains and differ only in their inputs, so each side has one play and the
 batch one F.  The built-in strategies feed back 0 or +-1 times their
 side's equilibrium gain, so F is formed from B Kp and C Ke alone; only a
 play with gains of its own (the risky deviation) forms its products
-explicitly.  The deviation sweep runs in batches of at most
-``MAX_BATCH`` runs, the deviation gain check on the estimation error
-alone.  The deviation experiments price an interval with the count of its
+explicitly.  Every play's input, the risky kick included, is read by
+``_signal`` at the input times.  The deviation sweep runs in batches of
+at most ``MAX_BATCH`` runs, the deviation gain check on the estimation
+error alone.  The deviation experiments price an interval with the count of its
 gap flow that the scheduler's interval check (``_escape_inside``) makes;
 equilibrium play's states come off the value count (``_Count.flow``).
 """
@@ -121,9 +122,9 @@ class Strategy:
     evader), and v is the input ``w``: None (zero), a constant vector or an
     InputSeries, whose knots the simulator splits its steps at.  A play
     whose gains are not of that form gives ``terms`` instead, a map from
-    times (S,) and K there (S, m, n) to the stacks K_x, K_h (S, m, n) and
-    v (S, m) at those times; the simulator calls it once per distinct
-    stage time.
+    times (S,) and K there (S, m, n) to the gain stacks K_x, K_h (S, m, n)
+    at those times; the simulator calls it once per distinct stage time.
+    Every play's input is ``w``, read at the input times as any other.
     """
 
     side: str
@@ -174,8 +175,7 @@ class _Play:
     stage times: the terms the gains add to the closed-loop matrix, each
     0.0 where the strategies have no such product.  Equilibrium-gain
     strategies take them from D K alone.  ``v`` stacks the strategies'
-    inputs at the stages, (K, 4, B, m), or (K, 4, 1, m) for a play with
-    ``terms``, whose input is one for all.
+    inputs at the stages, (K, 4, B, m).
     """
 
     def __init__(self, strategies, s: "_Stages", D, K, DK, sign: float):
@@ -183,15 +183,14 @@ class _Play:
         if lead.terms is None:
             a, b = lead.state, lead.estimate
             self.X, self.H, self.E = _times(a + b, DK), _times(b, DK), _times(a + b + sign, DK)
-            m = K.shape[-2]
-            self.v = np.stack([_signal(strategy.w, s, m) for strategy in strategies], axis=2)
         else:
-            Kx, Kh, v = lead.terms(s.t, K)
+            Kx, Kh = lead.terms(s.t, K)
             KxKh = Kx + Kh
             self.X, self.H = D @ KxKh, D @ Kh
             self.E = D @ (KxKh + K if sign > 0 else KxKh - K)
             self.gains = Kx[s.at][:, :, None], Kh[s.at][:, :, None]
-            self.v = v[s.at][:, :, None]
+        m = K.shape[-2]
+        self.v = np.stack([_signal(strategy.w, s, m) for strategy in strategies], axis=2)
 
     def feedback(self, K, Kx, x, x_hat):
         """K_x x + K_h x_hat at the stage states x and x_hat (K, 4, B, n),
@@ -596,10 +595,10 @@ def risky_strategy(
 ) -> Strategy:
     """Two-phase deviation for an interval whose error-value flow escapes.
 
-    Phase one injects ``scale`` times the basis input with the strongest
-    immediate effect on the state, building estimation error while the
-    error-value flow is still undefined; phase two plays the
-    gain-maximizing error feedback -R_e^-1 C'M~ e, where M~ is the
+    Phase one injects ``scale`` (finite) times the basis input with the
+    strongest immediate effect on the state, as the play's input series
+    ``w``, building estimation error while the error-value flow is still
+    undefined; phase two plays the gain-maximizing error feedback -R_e^-1 C'M~ e, where M~ is the
     error-value solution truncated a standoff above its escape time (1e-4
     of the time left to the interval end) and frozen below the
     truncation, where the kick ends.  Both phases add to the equilibrium
@@ -609,6 +608,8 @@ def risky_strategy(
     inadmissible schedule forfeits any payoff bound.  M = G + P and the
     escape time come from the one count of the interval's gap flow G.
     """
+    if not math.isfinite(scale):
+        raise ValueError(f"kick scale must be finite, got {scale}")
     a, b, t_star, gap = _counted_gap(spec, value_sol, interval, escapes=True)
     t_trunc = min(t_star + 1e-4 * max(b - t_star, 1e-12), 0.5 * (t_star + b))
 
@@ -617,13 +618,13 @@ def risky_strategy(
     evader_gain = spec._gains[1]
 
     def terms(t, Ke):
-        kicking = (t <= t_trunc)[..., None]
         tt = np.clip(t, t_trunc, b)
         M = gap.value(tt) + eval_solution(value_sol, tt)
-        L = np.where(kicking[..., None], 0.0, evader_gain @ M)
-        return Ke - L, L, np.where(kicking, kick, 0.0)
+        L = np.where((t <= t_trunc)[..., None, None], 0.0, evader_gain @ M)
+        return Ke - L, L
 
-    return Strategy("evader", terms=terms)
+    kicks = InputSeries(lambda t: np.where((t <= t_trunc)[..., None], kick, 0.0))
+    return Strategy("evader", w=kicks, terms=terms)
 
 
 def deviation_sweep(
@@ -631,34 +632,29 @@ def deviation_sweep(
     c_values,
     *,
     schedule=(),
-    pursuer: str = "open_loop",
+    pursuer: Strategy | None = None,
     step: float | None = None,
     value_sol: RiccatiSolution | None = None,
 ) -> np.ndarray:
     """Payoffs of the constant evader inputs ``[-c, 0, ...]``, played
-    instead of the equilibrium feedback, for each ``c``.
+    instead of the equilibrium feedback, for each finite ``c``.
 
-    The pursuer either commits to the open-loop pair or runs the
-    certainty-equivalent estimator over ``schedule``.  The deviations run
-    in batches of at most ``MAX_BATCH``; a run's payoff does not depend on
-    its batch.
+    The pursuer plays ``pursuer`` over ``schedule``, by default (None) its
+    side of the open-loop pair.  The deviations run in batches of at most
+    ``MAX_BATCH``; a run's payoff does not depend on its batch.
     """
+    if not np.isfinite(c_values).all():
+        raise ValueError(f"deviation sizes must be finite, got {list(c_values)}")
     value_sol = value_sol if value_sol is not None else solve_value_riccati(spec)
+    if pursuer is None:
+        pursuer, _ = open_loop_pair(spec, value_sol)
     direction = np.zeros(spec.n_e)
     direction[0] = -1.0
-
-    if pursuer == "open_loop":
-        pursuer_strategy, _ = open_loop_pair(spec, value_sol)
-    elif pursuer == "certainty_equivalent":
-        pursuer_strategy = Strategy.certainty_equivalent()
-    else:
-        raise ValueError(f"unsupported pursuer choice {pursuer!r}")
-
     evaders = [Strategy.evader_open_loop(float(c) * direction) for c in c_values]
     payoffs = [np.zeros(0)]
     for lo in range(0, len(evaders), MAX_BATCH):
         _, z, integrals, _, _ = _closed_loop(
-            spec, value_sol, schedule, pursuer_strategy, evaders[lo : lo + MAX_BATCH], step
+            spec, value_sol, schedule, pursuer, evaders[lo : lo + MAX_BATCH], step
         )
         payoffs.append(integrals[-1, :, 0] + _quad(z[-1, :, : spec.n_x], spec.Q_f))
     return np.concatenate(payoffs)

@@ -28,7 +28,7 @@ from pegame.cli import (
 )
 from pegame import cli, errors
 from pegame.errors import DomainError, ParseError, SchemaError
-from pegame.game_model import example_one_spec
+from pegame.game_model import GameSpec, example_one_spec
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -339,9 +339,9 @@ def test_samples_out_of_range_is_usage_error(capsys, tmp_path, samples):
 
 
 def test_reachability_requires_arguments(capsys):
-    code, _, err = run_cli(capsys, "reachability")
-    assert code == 2
-    assert "error" in err
+    assert run_cli(capsys, "reachability", "--budget", "1") == (
+        2, "", "pegame reachability: error: the following arguments are required: --horizon\n"
+    )
 
 
 def test_spec_file_and_csv_determinism(capsys, tmp_path):
@@ -376,7 +376,7 @@ ERRORS = [
     if isinstance(value, type) and issubclass(value, BaseException)
 ]
 # what an error takes besides its message
-REQUIRED = {errors.FiniteEscape: (errors.EscapeReport(True, 0.5),)}
+REQUIRED = {errors.FiniteEscape: (errors.EscapeReport(0.5),)}
 
 
 @pytest.mark.parametrize("error", ERRORS, ids=lambda error: error.__name__)
@@ -734,6 +734,31 @@ def test_int_too_large_for_a_float_is_schema_error(capsys, tmp_path, field):
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(doc))
     one_line_error(*run_cli(capsys, "validate", "--spec", str(path)))
+
+
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("A", {"x": 1}, "A is not a numeric matrix: float() argument must be a string or a "
+                        "real number, not 'dict'"),
+        ("t0", None, "bad scalar field: float() argument must be a string or a real number, "
+                     "not 'NoneType'"),
+        ("A", 10**400, "A is not a numeric matrix: int too large to convert to float"),
+        ("A", [0.0] * 16, "A must be a nested (row-major) array"),
+        ("x0", [[0.0, 0.0], [1.0, 0.0]], "x0 must be a flat array"),
+    ],
+    ids=["A-object", "t0-null", "A-huge", "A-flat", "x0-nested"],
+)
+def test_spec_fields_are_parsed_alike_from_python_and_json(field, value, message):
+    # GameSpec parses every field: a document's field is refused with the
+    # message the same field gets from Python
+    doc = {**spec_to_dict(example_one_spec()), field: value}
+    with pytest.raises(SchemaError) as from_json:
+        spec_from_dict(doc)
+    del doc["version"]
+    with pytest.raises(ValueError) as from_python:
+        GameSpec(**doc)
+    assert str(from_python.value) == str(from_json.value) == message
 
 
 FINITE_TYPES = (_finite, _finite_list, _step, _point)

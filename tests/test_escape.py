@@ -288,11 +288,16 @@ def test_solve_and_radon_detector_read_one_count(example_spec, example_value_sol
         assert raised.value.report.found
     short = make_gap_problem(example_spec, example_value_sol, 0.5)
     for problem in (make_value_problem(example_spec), short):
-        assert detect_escape_radon(problem, 0.0) == EscapeReport(False, None)
+        assert detect_escape_radon(problem, 0.0) == EscapeReport(None)
         solve_riccati(problem, 0.0)
     # the norm detector takes the very problem the radon detector takes
     rn, rr = detect_escape_norm(gap, 0.0), detect_escape_radon(gap, 0.0)
     assert rn.found and abs(rn.t_escape - rr.t_escape) <= 1e-6
+
+
+def test_a_report_finds_an_escape_exactly_when_it_has_a_time():
+    assert not EscapeReport(None).found
+    assert EscapeReport(0.0).found and EscapeReport(0.5).t_escape == 0.5
 
 
 def test_count_is_the_number_of_escaping_blocks():

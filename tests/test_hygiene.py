@@ -71,11 +71,16 @@ def test_package_imports_are_found():
     assert package_imports(source, everywhere=True) == {"riccati", "escape", "cli"}
 
 
+# the one import of a later layer: GameSpec._gap_flow builds riccati's
+# propagator inside the function, as riccati imports game_model
+LATER_IMPORTS = {"game_model": {"riccati"}}
+
+
 @pytest.mark.parametrize("layer", LAYERS)
 def test_layers_import_only_earlier_layers(layer):
-    # function-level imports, such as GameSpec._gap_flow's, are exempt
     source = (ROOT / "src" / "pegame" / f"{layer}.py").read_text(encoding="utf-8")
-    assert package_imports(source) <= set(LAYERS[: LAYERS.index(layer)])
+    allowed = set(LAYERS[: LAYERS.index(layer)]) | LATER_IMPORTS.get(layer, set())
+    assert package_imports(source, everywhere=True) <= allowed
 
 
 def test_only_init_imports_escape():

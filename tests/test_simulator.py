@@ -15,6 +15,7 @@ from pegame.riccati import STEPS, eval_solution, make_value_problem, solve_value
 from pegame.simulator import (
     BLOCK,
     MAX_STEPS,
+    InputSeries,
     Strategy,
     _closed_loop,
     _grid,
@@ -367,7 +368,7 @@ def test_deviation_sweep_capped_under_admissible_schedule(example_spec):
         example_spec,
         [0.0, 0.5, 1.0, 2.0],
         schedule=[0.5],
-        pursuer="certainty_equivalent",
+        pursuer=Strategy.certainty_equivalent(),
     )
     assert (payoffs <= 1.0 / 3.0 + 1e-4).all()
 
@@ -382,6 +383,22 @@ def test_sweep_batches_equal_their_runs_alone(example_spec, monkeypatch):
     assert chunked.shape == (5,)
     assert [p.tobytes() for p in chunked] == [a[0].tobytes() for a in alone]
     assert deviation_sweep(example_spec, []).shape == (0,)
+
+
+def test_sweep_plays_the_pursuer_it_is_given(example_spec, example_value_sol):
+    # a sweep's payoff is the simulated run of its pursuer against the deviation
+    spec, sol = example_spec, example_value_sol
+    pursuer = Strategy.pursuer_open_loop(piecewise_constant([0.0, 0.4], [[0.5, -1.0], [0.0, 2.0]]))
+    payoffs = deviation_sweep(spec, [0.0, 1.5], schedule=[0.5], pursuer=pursuer, value_sol=sol)
+    for c, payoff in zip([0.0, 1.5], payoffs):
+        run = simulate(spec, sol, [0.5], pursuer, Strategy.evader_open_loop([-c, 0.0]))
+        assert payoff == pytest.approx(run.payoff_direct, rel=1e-12)
+
+
+@pytest.mark.parametrize("c_values", [[np.nan, 1.0], [np.inf], [0.5, -np.inf]])
+def test_sweep_refuses_non_finite_sizes(example_spec, c_values):
+    with pytest.raises(ValueError, match="deviation sizes must be finite"):
+        deviation_sweep(example_spec, c_values)
 
 
 def test_risky_strategy_grows_with_scale(example_spec, example_value_sol):
@@ -433,6 +450,26 @@ def test_risky_growth_is_quadratic(example_spec, example_value_sol):
 def test_risky_on_admissible_interval_raises(example_spec, example_value_sol):
     with pytest.raises(IntervalAdmissible):
         risky_strategy(example_spec, example_value_sol, (0.5, 1.0), scale=1.0)
+
+
+@pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf])
+def test_risky_refuses_a_non_finite_scale(example_spec, example_value_sol, scale):
+    with pytest.raises(ValueError, match="kick scale must be finite"):
+        risky_strategy(example_spec, example_value_sol, (0.0, 1.0), scale=scale)
+
+
+def test_risky_kick_is_an_input_and_terms_are_gains(example_spec, example_value_sol):
+    # the kick is read as every input is; terms gives the gains alone
+    risky = risky_strategy(example_spec, example_value_sol, (0.0, 1.0), scale=2.0)
+    assert isinstance(risky.w, InputSeries) and risky.knots == ()
+    kick = risky.w.dense(np.array([0.0, 0.4, 0.9]))
+    assert np.array_equal(kick, [[2.0, 0.0], [2.0, 0.0], [0.0, 0.0]])
+    t = np.array([0.2, 0.9])
+    K = example_spec._gains[1] @ eval_solution(example_value_sol, t)
+    K_x, K_h = risky.terms(t, K)
+    assert K_x.shape == K_h.shape == K.shape
+    # before the kick's end the play is the equilibrium feedback
+    assert np.array_equal(K_x[0], K[0]) and not K_h[0].any()
 
 
 # ---------------------------------------------------------------------------
@@ -648,7 +685,7 @@ def test_value_flow_is_read_once_per_distinct_stage_time(
         lambda: simulate(spec, sol, [], *open_loop_pair(spec, sol)),
         lambda: deviation_sweep(spec, [0.0, 1.0], value_sol=sol),
         lambda: deviation_sweep(
-            spec, [1.0], schedule=[0.5], pursuer="certainty_equivalent", value_sol=sol
+            spec, [1.0], schedule=[0.5], pursuer=Strategy.certainty_equivalent(), value_sol=sol
         ),
         lambda: deviation_gain_check(spec, sol, (0.5, 1.0), w),
     ]
